@@ -1,10 +1,10 @@
-"""Exact flow profiles xi(t) and collapse times, one resolver per family.
+"""Exact flow profiles xi(t) and collapse times: one closed form per ambient.
 
-Each resolver integrates the flow ODE in closed form.  The spherical families
-with g distinct curvatures produce the pair (cos g xi, sin g xi) from an
-auxiliary exponential q(t); the hyperbolic cylinder produces
-(cosh 2 xi, sinh 2 xi).  The offset is recovered by atan2 (no unwrapping
-needed: g*xi stays inside (-pi, pi) on the whole maximal domain) or arsinh.
+Euclidean cylinders and horospheres have elementary profiles.  Every other
+family has g distinct curvatures in the sphere or in hyperbolic space, and
+one builder serves them all: an auxiliary exponential q(t) gives the pair
+(cos g xi, sin g xi) or (cosh g xi, sinh g xi), and the offset follows by
+atan2 (g*xi stays inside (-pi, pi) on the whole maximal domain) or arsinh.
 
 Minimal surfaces short-circuit to the constant profile.  Surfaces whose mean
 curvature is negative are resolved through their opposite orientation (all
@@ -32,7 +32,7 @@ class ClosedFormProfile:
 
     ``params`` holds the family constants (a, b) and auxiliaries (q, ell) when
     defined.  ``angle_pair(t)`` exposes the raw (cos g xi, sin g xi) or
-    (cosh 2 xi, sinh 2 xi) pair of the resolved (positive mean curvature)
+    (cosh g xi, sinh g xi) pair of the resolved (positive mean curvature)
     orientation, for identity checks.  Evaluation at t = t_star returns the
     exact focal limit.
     """
@@ -83,8 +83,7 @@ def _sqrt_clipped(x):
 # family builders (surface already non-minimal with positive mean curvature)
 
 def _build_euclidean(surface):
-    b0 = surface.blocks[0]
-    m, kappa = b0.mult, b0.kappa
+    m, kappa = surface.blocks[0].mult, surface.blocks[0].kappa
     t_star = 1.0 / (2.0 * m * kappa * kappa)
 
     def xi(t):
@@ -94,8 +93,7 @@ def _build_euclidean(surface):
 
 
 def _build_horosphere(surface):
-    kappa = surface.blocks[0].kappa
-    n = surface.n
+    kappa, n = surface.blocks[0].kappa, surface.n
 
     def xi(t):
         return kappa * n * t
@@ -103,213 +101,90 @@ def _build_horosphere(surface):
     return {"t_star": _INF, "xi": xi, "params": {"kappa": kappa, "n": n}, "pair": None}
 
 
-def _build_hyperbolic_umbilic(surface):
-    kappa = surface.blocks[0].kappa
-    n = surface.n
-    k2 = kappa * kappa
+def _build_curved(surface):
+    """The closed form of every family of the sphere (kbar = 1) and of H^{n+1} (kbar = -1).
 
-    def q(t):
-        return 1.0 - k2 + k2 * np.exp(-2.0 * n * np.asarray(t, dtype=float))
-
-    if abs(kappa) > 1.0:
-        t_star = math.log(k2 / (k2 - 1.0)) / (2.0 * n)
+    a = sum_i kappa_i over the g blocks (g cot(g theta) on the sphere, by the
+    cotangent ladder) and beta = g H(0) / n give q(t) = a + beta expm1(kbar g n t)
+    and root^2 = kbar (d - q^2), d = a^2 + kbar g^2.  Both factors of
+    d - q^2 = (r - q)(r + q), r = sqrt(d), are formed from r -+ a, one of them
+    as kbar g^2 / (r +- a), so nothing cancels near the focal point or as
+    kappa -> 1.
+    """
+    kbar, g, n = surface.space_form.curvature, surface.g, surface.n
+    kappas = surface.curvatures
+    a = sum(kappas)
+    beta = g * surface.mean_curvature_at_zero / n
+    if kbar == 1:
+        d = a * a + g * g
+    elif g == 1:
+        d = (kappas[0] - 1.0) * (kappas[0] + 1.0)
     else:
-        t_star = _INF
+        d = (kappas[0] - kappas[1]) ** 2
+    r = math.sqrt(max(d, 0.0))
+    if a > 0.0:
+        r_plus, r_minus = r + a, kbar * g * g / (r + a)
+    else:
+        r_plus, r_minus = kbar * g * g / (r - a), r - a
+    e_star = r_minus / beta  # expm1(kbar g n t*), reached only where d > 0
+    t_star = kbar * math.log1p(e_star) / (g * n) if d > 0.0 and e_star > -1.0 else _INF
 
-    def xi(t):
-        root = _sqrt_clipped(q(t))
-        sh = kappa * (np.exp(-n * np.asarray(t, dtype=float)) - root) / (k2 - 1.0)
-        return np.arcsinh(sh)
+    def parts(t):
+        """(beta expm1(kbar g n t), q, root) at t."""
+        be = beta * np.expm1(kbar * g * n * np.asarray(t, dtype=float))
+        qv = a + be
+        if d > 0.0:
+            return be, qv, _sqrt_clipped(kbar * (r_minus - be) * (r_plus + be))
+        return be, qv, _sqrt_clipped(qv * qv - d)
 
-    def pair(t):
-        root = _sqrt_clipped(q(t))
-        e = np.exp(-n * np.asarray(t, dtype=float))
-        ch = (k2 * e - root) / (k2 - 1.0)
-        sh = kappa * (e - root) / (k2 - 1.0)
-        return ch, sh, 1, "hyperbolic"
+    if kbar == 1:
 
-    return {"t_star": t_star, "xi": xi, "params": {"kappa": kappa, "n": n, "q": q}, "pair": pair}
+        def pair(t):
+            _, qv, root = parts(t)
+            den = a * a + g * g
+            return (a * qv + g * root) / den, (g * qv - a * root) / den, g, "circular"
 
+        def xi(t):
+            co, si, _, _ = pair(t)
+            return np.arctan2(si, co) / g
 
-def _build_hyperbolic_cylinder(surface):
-    (b1, b2) = surface.blocks
-    k1, m1 = b1.kappa, b1.mult
-    k2, m2 = b2.kappa, b2.mult
-    n = surface.n
-    a = k1 + k2
-    b = -((m1 - m2) / n) * (k1 - k2)
-    t_star = math.log((m1 * k1 * k1 + m2) / (m1 * (k1 * k1 - 1.0))) / (2.0 * n)
-
-    def ell(t):
-        return (a - b) * np.exp(-2.0 * n * np.asarray(t, dtype=float)) + b
-
-    def q(t):
-        lv = ell(t)
-        return lv * lv - a * a + 4.0
+        params = {"a": a, "b": beta - a, "q": lambda t: parts(t)[1]}
+        return {"t_star": t_star, "xi": xi, "params": params, "pair": pair}
 
     def pair(t):
-        lv = ell(t)
-        root = _sqrt_clipped(lv * lv - a * a + 4.0)
-        den = a * a - 4.0
-        ch2 = (a * lv - 2.0 * root) / den
-        sh2 = (2.0 * lv - a * root) / den
-        return ch2, sh2, 2, "hyperbolic"
+        be, qv, root = parts(t)
+        ch = (qv * qv + g * g) / (a * qv + g * root)
+        sh = -be * (a + qv) / (g * qv + a * root)
+        return ch, sh, g, "hyperbolic"
 
-    def xi(t):
-        _, sh2, _, _ = pair(t)
-        # arsinh inverts sinh exactly (sign included); arccosh would lose half
-        # the significant digits near xi = 0.
-        return 0.5 * np.arcsinh(sh2)
+    def xi_sinh(t):
+        # arsinh inverts sinh exactly (sign included); arccosh would lose
+        # half the significant digits near xi = 0.
+        return np.arcsinh(pair(t)[1]) / g
 
-    return {
-        "t_star": t_star,
-        "xi": xi,
-        "params": {"a": a, "b": b, "q": q, "ell": ell},
-        "pair": pair,
-    }
+    # Without a focal point (kappa < 1) g (rho - xi) = artanh(q / root) with
+    # g rho = artanh(a / g), the anchor of spaceform.parallel_curvature.  Past
+    # xi = rho / 2 that difference is exact to rounding and reaches the
+    # totally geodesic limit rho exactly; before it arsinh stays accurate.
+    anchor = math.atanh(a / g) if d < 0.0 else None
 
+    def xi_anchored(t):
+        _, qv, root = parts(t)
+        rest = np.arctanh(qv / root)
+        return np.where(2.0 * rest < anchor, (anchor - rest) / g, xi_sinh(t))
 
-def _build_sphere_umbilic(surface):
-    kappa = surface.blocks[0].kappa
-    n = surface.n
-    k2 = kappa * kappa
-    t_star = math.log1p(1.0 / k2) / (2.0 * n)
-
-    def q(t):
-        return k2 + 1.0 - k2 * np.exp(2.0 * n * np.asarray(t, dtype=float))
-
-    def pair(t):
-        root = _sqrt_clipped(q(t))
-        e = np.exp(n * np.asarray(t, dtype=float))
-        co = (k2 * e + root) / (k2 + 1.0)
-        si = kappa * (e - root) / (k2 + 1.0)
-        return co, si, 1, "circular"
-
-    def xi(t):
-        co, si, _, _ = pair(t)
-        return np.arctan2(si, co)
-
-    return {"t_star": t_star, "xi": xi, "params": {"kappa": kappa, "n": n, "q": q}, "pair": pair}
+    params = {"a": a, "b": a - beta,
+              "ell": lambda t: parts(t)[1], "q": lambda t: parts(t)[2] ** 2}
+    xi = xi_sinh if anchor is None else xi_anchored
+    return {"t_star": t_star, "xi": xi, "params": params, "pair": pair}
 
 
-def _build_sphere_g2(surface):
-    (b1, b2) = surface.blocks
-    k1, l = b1.kappa, b1.mult
-    k2 = b2.kappa
-    n = surface.n
-    a = k1 + k2
-    b = -((n - 2.0 * l) / n) * (k1 - k2)
-    t_star = math.log(l * (k1 * k1 + 1.0) / (l * (k1 * k1 + 1.0) - n)) / (2.0 * n)
-
-    def q(t):
-        return (a + b) * np.exp(2.0 * n * np.asarray(t, dtype=float)) - b
-
-    def pair(t):
-        qv = q(t)
-        root = _sqrt_clipped(a * a + 4.0 - qv * qv)
-        den = a * a + 4.0
-        co = (a * qv + 2.0 * root) / den
-        si = (2.0 * qv - a * root) / den
-        return co, si, 2, "circular"
-
-    def xi(t):
-        co, si, _, _ = pair(t)
-        return 0.5 * np.arctan2(si, co)
-
-    return {"t_star": t_star, "xi": xi, "params": {"a": a, "b": b, "q": q}, "pair": pair}
-
-
-def _build_sphere_g3(surface):
-    m = surface.blocks[0].mult
-    a = sum(b.kappa for b in surface.blocks)
-    a2 = a * a
-    t_star = math.log1p(9.0 / a2) / (18.0 * m)
-
-    def q(t):
-        return a2 + 9.0 - a2 * np.exp(18.0 * m * np.asarray(t, dtype=float))
-
-    def pair(t):
-        root = _sqrt_clipped(q(t))
-        e = np.exp(9.0 * m * np.asarray(t, dtype=float))
-        den = a2 + 9.0
-        co = (a2 * e + 3.0 * root) / den
-        si = a * (3.0 * e - root) / den
-        return co, si, 3, "circular"
-
-    def xi(t):
-        co, si, _, _ = pair(t)
-        return np.arctan2(si, co) / 3.0
-
-    return {"t_star": t_star, "xi": xi, "params": {"a": a, "q": q}, "pair": pair}
-
-
-def _build_sphere_g4(surface):
-    blocks = surface.blocks
-    k1 = blocks[0].kappa
-    m1, m2 = blocks[0].mult, blocks[1].mult
-    n = surface.n
-    a = sum(b.kappa for b in blocks)
-    b = 2.0 * (m1 - m2) * (k1 * k1 + 1.0) ** 2 / (n * k1 * (k1 * k1 - 1.0))
-    if a + b <= 0.0:
-        raise InvalidInputError(
-            "g=4 profile needs positive mean curvature (a + b > 0); "
-            "resolve through the flipped orientation"
-        )
-    t_star = math.log((b + math.sqrt(a * a + 16.0)) / (a + b)) / (4.0 * n)
-
-    def q(t):
-        return (a + b) * np.exp(4.0 * n * np.asarray(t, dtype=float)) - b
-
-    def pair(t):
-        qv = q(t)
-        root = _sqrt_clipped(a * a + 16.0 - qv * qv)
-        den = a * a + 16.0
-        co = (a * qv + 4.0 * root) / den
-        si = (4.0 * qv - a * root) / den
-        return co, si, 4, "circular"
-
-    def xi(t):
-        co, si, _, _ = pair(t)
-        return 0.25 * np.arctan2(si, co)
-
-    return {"t_star": t_star, "xi": xi, "params": {"a": a, "b": b, "q": q}, "pair": pair}
-
-
-def _build_sphere_g6(surface):
-    m = surface.blocks[0].mult
-    a = sum(b.kappa for b in surface.blocks)
-    a2 = a * a
-    t_star = math.log1p(36.0 / a2) / (72.0 * m)
-
-    def q(t):
-        return a2 + 36.0 - a2 * np.exp(72.0 * m * np.asarray(t, dtype=float))
-
-    def pair(t):
-        root = _sqrt_clipped(q(t))
-        e = np.exp(36.0 * m * np.asarray(t, dtype=float))
-        den = a2 + 36.0
-        co = (a2 * e + 6.0 * root) / den
-        si = a * (6.0 * e - root) / den
-        return co, si, 6, "circular"
-
-    def xi(t):
-        co, si, _, _ = pair(t)
-        return np.arctan2(si, co) / 6.0
-
-    return {"t_star": t_star, "xi": xi, "params": {"a": a, "q": q}, "pair": pair}
-
-
-_BUILDERS = {
-    "euclidean_cylinder": _build_euclidean,
-    "horosphere": _build_horosphere,
-    "hyperbolic_umbilic": _build_hyperbolic_umbilic,
-    "hyperbolic_cylinder": _build_hyperbolic_cylinder,
-    "sphere_umbilic": _build_sphere_umbilic,
-    "sphere_g2": _build_sphere_g2,
-    "sphere_g3": _build_sphere_g3,
-    "sphere_g4": _build_sphere_g4,
-    "sphere_g6": _build_sphere_g6,
-}
+_BUILDERS = dict.fromkeys(
+    ("hyperbolic_umbilic", "hyperbolic_cylinder", "sphere_umbilic",
+     "sphere_g2", "sphere_g3", "sphere_g4", "sphere_g6"),
+    _build_curved,
+)
+_BUILDERS.update(euclidean_cylinder=_build_euclidean, horosphere=_build_horosphere)
 
 
 def _constant_profile(surface):

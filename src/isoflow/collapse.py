@@ -21,9 +21,9 @@ from .errors import AnalysisIncompleteError
 from .spaceform import focal_offset, parallel_curvature, parallel_metric_factor
 
 # Evaluation offset below the collapse time: inside double-precision
-# resolution of t_star while avoiding the singular cancellation zone.
+# resolution of t_star, clear of the singular cancellation zone and of t = 0.
 def _limit_eval_offset(t_star: float) -> float:
-    return max(1e-8, 1e-8 * t_star)
+    return min(max(1e-8, 1e-8 * t_star), 0.5 * t_star)
 
 
 # Horizon for judging eternal flows.

@@ -10,9 +10,11 @@ Integration uses an adaptive high-order embedded Runge-Kutta pair with dense
 output.  A singularity guard watches the metric factors of the blocks whose
 factor has a finite zero in the flow direction and stops when the smallest
 one drops below ``singularity_guard``; the collapse time is then refined by
-bisection on the factor zero plus a quadrature of dt = d(xi)/H over the
-remaining offset (the blow-up is a simple zero of the denominator, so the
-tail integrand is smooth after a square-root substitution).
+a quadrature of dt = d(xi)/H from the guard stop to the analytic focal
+offset of the nearest block (the blow-up is a simple zero of the
+denominator, so the tail integrand is smooth after a square-root
+substitution).  A guard stop already past that offset is an integration
+failure.
 
 Distinct trajectories share no mutable state and may run in parallel.
 """
@@ -27,7 +29,7 @@ from scipy.integrate import solve_ivp
 
 from .catalog import MINIMAL_TOL, IsoparametricSurface, mean_curvature
 from .errors import IntegrationFailureError, InvalidInputError
-from .spaceform import focal_offset, parallel_denominator, parallel_metric_factor
+from .spaceform import focal_offset, parallel_metric_factor
 
 # Horizon for declaring a flow free of finite-time collapse.
 DEFAULT_HORIZON = 50.0
@@ -242,43 +244,16 @@ def integrate(surface: IsoparametricSurface, t_end: float, opts: OdeOptions = DE
 def _refine_tstar(surface, direction, watched, t_stop, xi_stop, opts):
     """Refine the collapse time past the guard stop.
 
-    Bisection locates the zero xi* of the degenerate block's denominator
-    beyond xi_stop; the remaining time is the quadrature of d(xi)/H over
+    The collapse offset xi* is the analytic focal offset of the nearest
+    watched block; the remaining time is the quadrature of d(xi)/H over
     [xi_stop, xi*] with the square-root endpoint substitution
     zeta = xi* - direction * u^2.
     """
-    sf = surface.space_form
-    deg_idx, off = min(watched, key=lambda pair: abs(pair[1]))
-    deg_kappa = surface.blocks[deg_idx].kappa
-
-    def den(x):
-        return float(parallel_denominator(sf, deg_kappa, x))
-
-    # Expand a bracket beyond the zero, seeded by the analytic offset.
-    step = max(2.0 * abs(off - xi_stop), 1e-12)
-    a = xi_stop
-    fa = den(a)
-    b = a
-    for _ in range(200):
-        b = a + direction * step
-        if fa * den(b) < 0.0:
-            break
-        step *= 2.0
-    else:
-        raise IntegrationFailureError("could not bracket the focal offset")
-    lo, hi = (a, b)
-    flo = fa
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        fmid = den(mid)
-        if fmid == 0.0:
-            lo = hi = mid
-            break
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    xi_star = 0.5 * (lo + hi)
+    _, xi_star = min(watched, key=lambda pair: abs(pair[1]))
+    if direction * (xi_star - xi_stop) < 0.0:
+        raise IntegrationFailureError(
+            f"the guard stopped at xi = {xi_stop!r}, past the focal offset {xi_star!r}"
+        )
 
     f = _rhs_clamped(surface)
     u0 = math.sqrt(abs(xi_star - xi_stop))

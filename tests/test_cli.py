@@ -140,6 +140,19 @@ class TestCollapse:
         assert doc["closed"]["focal_dimension"] == 1
         assert doc["ode"]["report"]["focal_dimension"] == 1
 
+    def test_collapse_time_below_evaluation_offset(self, capsys):
+        # t* = 2.5e-9 lies below the 1e-8 offset the limit is evaluated at.
+        rc, out, _ = run_cli(
+            capsys, "collapse", "--family", "sphere-umbilic", "--n", "2",
+            "--kappa", "1e4",
+        )
+        assert rc == 0
+        doc = json.loads(out)
+        expected = math.log1p(1e-8) / 4.0
+        assert doc["closed"]["t_star"] == pytest.approx(expected, rel=1e-12)
+        assert doc["ode"]["t_star"] == pytest.approx(expected, rel=1e-7)
+        assert doc["closed"]["limit_kind"] == "point"
+
     def test_eternal_reports_null(self, capsys):
         rc, out, _ = run_cli(
             capsys, "collapse", "--family", "horosphere", "--n", "3", "--kappa", "1",

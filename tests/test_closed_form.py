@@ -117,6 +117,18 @@ class TestHyperbolicCylinder:
         assert 1.0 / math.tanh(xi_star) == pytest.approx(3.0, abs=1e-6)
 
 
+    @pytest.mark.parametrize("kappa1", [1.0 + 1e-9, 1.0 + 1e-6])
+    def test_kappa_near_one_matches_cosh_relation(self, kappa1):
+        # For m1 = m2 the flow obeys cosh(2 (r - xi)) = cosh(2 r) e^{-2 n t}
+        # with coth r = kappa1; a^2 - 4 cancels to rounding noise here.
+        surface = make_hyperbolic_cylinder(1, 1, kappa1)
+        prof = profile_hyperbolic_cylinder(surface)
+        t = 0.5 * prof.t_star
+        r = 0.5 * math.log((kappa1 + 1.0) / (kappa1 - 1.0))
+        expected = r - 0.5 * math.acosh(math.cosh(2.0 * r) * math.exp(-2.0 * surface.n * t))
+        assert prof.xi(t) == pytest.approx(expected, rel=1e-10)
+
+
 class TestSphereUmbilic:
     def test_collapse_time(self):
         prof = profile_sphere_umbilic(make_sphere_umbilic(2, 1.0))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from isoflow import (
+    IntegrationFailureError,
     InvalidInputError,
     OdeOptions,
     estimate_tstar,
@@ -16,6 +17,7 @@ from isoflow import (
     make_hyperbolic_umbilic,
     make_minimal,
     make_sphere_product,
+    make_sphere_umbilic,
     rhs,
     sphere_family_from_kappa1,
 )
@@ -164,3 +166,9 @@ class TestEstimateTstar:
         surface = make_euclidean_cylinder(2, 2, 1.0)  # t* = 0.25
         assert estimate_tstar(surface, horizon=0.1) == math.inf
         assert estimate_tstar(surface, horizon=1.0) == pytest.approx(0.25, abs=1e-8)
+
+    def test_guard_past_focal_offset_raises(self):
+        # t* = 2.5e-15: the guard can only fire past xi* = arccot(1e7), and
+        # the next zero of the denominator lies pi further on.
+        with pytest.raises(IntegrationFailureError):
+            estimate_tstar(make_sphere_umbilic(2, 1e7))
