@@ -131,10 +131,14 @@ def _build_curved(surface):
 
     def parts(t):
         """(beta expm1(kbar g n t), q, root) at t."""
-        be = beta * np.expm1(kbar * g * n * np.asarray(t, dtype=float))
+        t = np.asarray(t, dtype=float)
+        be = beta * np.expm1(kbar * g * n * t)
         qv = a + be
         if d > 0.0:
-            return be, qv, _sqrt_clipped(kbar * (r_minus - be) * (r_plus + be))
+            # At t* the root is exactly 0; the rounding of be would leave
+            # O(sqrt(eps)) there, and xi(t*) would miss the focal offset.
+            root = _sqrt_clipped(kbar * (r_minus - be) * (r_plus + be))
+            return be, qv, np.where(t >= t_star, 0.0, root)
         return be, qv, _sqrt_clipped(qv * qv - d)
 
     if kbar == 1:

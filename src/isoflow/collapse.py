@@ -26,7 +26,8 @@ def _limit_eval_offset(t_star: float) -> float:
     return min(max(1e-8, 1e-8 * t_star), 0.5 * t_star)
 
 
-# Horizon for judging eternal flows.
+# Horizon for judging eternal flows; flow_ode.estimate_tstar integrates their
+# numeric profile this far.
 ETERNAL_CHECK_TIME = 50.0
 
 # Evolved curvatures below this at the horizon mean a totally geodesic limit.

@@ -5,16 +5,14 @@ The flow offset solves the autonomous scalar ODE
     xi'(t) = sum_i m_i (kbar s(xi) + kappa_i c(xi)) / (c(xi) - kappa_i s(xi)),
     xi(0) = 0,
 
-which is exactly the mean curvature of the parallel surface at offset xi.
-Integration uses an adaptive high-order embedded Runge-Kutta pair with dense
-output.  A singularity guard watches the metric factors of the blocks whose
-factor has a finite zero in the flow direction and stops when the smallest
-one drops below ``singularity_guard``; the collapse time is then refined by
-a quadrature of dt = d(xi)/H from the guard stop to the analytic focal
-offset of the nearest block (the blow-up is a simple zero of the
-denominator, so the tail integrand is smooth after a square-root
-substitution).  A guard stop already past that offset is an integration
-failure.
+which is exactly the mean curvature H(xi) of the parallel surface at offset
+xi.  Being autonomous, it gives the collapse time as one integral,
+t* = int_0^{xi*} d(zeta) / H(zeta) up to the analytic focal offset xi* of the
+nearest block, evaluated by a graded composite Gauss-Legendre rule.  The
+profile xi(t) comes from an adaptive high-order embedded Runge-Kutta pair with
+dense output.  Its singularity guard on the metric factors of the blocks with
+a finite zero in the flow direction only ends the integration (a stop already
+past xi* is an integration failure); it does not decide t*.
 
 Distinct trajectories share no mutable state and may run in parallel.
 """
@@ -27,14 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .catalog import MINIMAL_TOL, IsoparametricSurface, mean_curvature
+from .catalog import IsoparametricSurface, mean_curvature
+from .collapse import ETERNAL_CHECK_TIME
 from .errors import IntegrationFailureError, InvalidInputError
 from .spaceform import focal_offset, parallel_metric_factor
 
-# Horizon for declaring a flow free of finite-time collapse.
-DEFAULT_HORIZON = 50.0
-
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(64)
+# Gauss-Legendre rules of 16 and 32 nodes; _NODES holds both node sets on
+# [0, 2], so zeta = lo + half * node keeps its relative precision near lo = 0.
+_X16, _W16 = np.polynomial.legendre.leggauss(16)
+_X32, _W32 = np.polynomial.legendre.leggauss(32)
+_NODES = np.concatenate([_X16, _X32]) + 1.0
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def _kappa_hat_total(kbar: int, kappa: float, xi: float, floor: float = 1e-14) -
 
     The denominator is clamped at ``floor`` so trial steps that overshoot the
     focal point stay finite and get rejected by step control instead of
-    aborting the solve.
+    aborting the solve; coth is 1/tanh, as tanh saturates where sinh overflows.
     """
     k = kappa
     if kbar == 0:
@@ -87,12 +87,11 @@ def _kappa_hat_total(kbar: int, kappa: float, xi: float, floor: float = 1e-14) -
         return k
     if ak < 1.0:
         return math.tanh(math.atanh(k) - xi)
-    delta = math.atanh(1.0 / k) - xi
-    sd = math.sinh(delta)
+    td = math.tanh(math.atanh(1.0 / k) - xi)
     lim = floor / math.sqrt(k * k - 1.0)
-    if abs(sd) < lim:
-        sd = math.copysign(lim, sd if sd != 0.0 else 1.0)
-    return math.cosh(delta) / sd
+    if abs(td) < lim:
+        td = math.copysign(lim, td if td != 0.0 else 1.0)
+    return 1.0 / td
 
 
 def _rhs_clamped(surface: IsoparametricSurface):
@@ -110,8 +109,8 @@ def _rhs_clamped(surface: IsoparametricSurface):
 class NumericProfile:
     """Dense numeric solution xi(t) with its termination record.
 
-    ``t_star`` is the refined collapse-time estimate when the guard fired,
-    +inf when the surface is stationary, and None when integration simply
+    ``t_star`` is the quadrature collapse time when the guard fired, +inf
+    when the flow has no focal target, and None when integration simply
     reached ``t_end`` without establishing either.
     """
 
@@ -143,29 +142,60 @@ class NumericProfile:
         return np.asarray(out, dtype=float)
 
 
-def _watched_blocks(surface: IsoparametricSurface, direction: int):
-    """Indices and offsets of blocks whose metric factor vanishes in this direction."""
+def _focal_blocks(surface: IsoparametricSurface):
+    """Flow direction (+1, -1, or 0 when minimal) and the (kappa, focal offset)
+    pairs of the blocks whose metric factor vanishes in that direction."""
+    if surface.is_minimal:
+        return 0, []
+    direction = 1 if surface.mean_curvature_at_zero > 0 else -1
     sf = surface.space_form
-    out = []
-    for i, b in enumerate(surface.blocks):
-        off = focal_offset(sf, b.kappa, direction)
-        if off is not None:
-            out.append((i, off))
-    return out
+    pairs = [(b.kappa, focal_offset(sf, b.kappa, direction)) for b in surface.blocks]
+    return direction, [(k, off) for k, off in pairs if off is not None]
+
+
+def _collapse_time(surface: IsoparametricSurface, direction: int, watched):
+    """Collapse time t* = int_0^{xi*} d(zeta) / H(zeta) and its error estimate.
+
+    +inf without a focal target.  1/H vanishes linearly at xi*, a smooth end;
+    near-minimal surfaces put a zero of H near -H(0)/H'(0), close to 0.  The
+    panels are graded (ratio 4) toward zeta = 0 until the innermost is
+    narrower than a quarter of that distance; in a curved ambient none is
+    wider than 0.5 (hyperbolic kappa -> 1+), while Euclidean 1/H is linear.
+    The error estimate is |Q32 - Q16|, floored at a few ulp of t*.
+    """
+    if not watched:
+        return math.inf, 0.0
+    kbar = surface.space_form.curvature
+    slope = sum(b.mult * (b.kappa * b.kappa + kbar) for b in surface.blocks)
+    near = abs(surface.mean_curvature_at_zero / slope) if slope else math.inf
+    cuts = [min(abs(off) for _, off in watched)]
+    while cuts[-1] >= 0.25 * near and len(cuts) < 60:  # near = 0 if slope overflows
+        cuts.append(0.25 * cuts[-1])
+    width = 0.5 if kbar else cuts[0]
+    breaks = [0.0]
+    for hi in reversed(cuts):
+        lo = breaks[-1]
+        breaks.extend(np.linspace(lo, hi, math.ceil((hi - lo) / width) + 1)[1:])
+    lo = np.array(breaks[:-1])[:, None]
+    half = 0.5 * np.diff(breaks)[:, None]
+    inv_h = direction / mean_curvature(surface, direction * (lo + half * _NODES))
+    q16 = float(np.sum(half * _W16 * inv_h[:, :16]))
+    q32 = float(np.sum(half * _W32 * inv_h[:, 16:]))
+    return q32, max(abs(q32 - q16), 4.0 * math.ulp(q32))
 
 
 def integrate(surface: IsoparametricSurface, t_end: float, opts: OdeOptions = DEFAULT_OPTIONS) -> NumericProfile:
     """Integrate the flow ODE from xi(0) = 0 to t_end (either sign).
 
-    Stops early with termination "hit_singularity" when the guard triggers,
-    recording a bracketing interval and refined estimate for the collapse
-    time.  Raises IntegrationFailureError if the solver gives up first.
+    Stops early with termination "hit_singularity" when the guard triggers;
+    the profile then carries the collapse time of ``estimate_tstar`` with its
+    error bound and bracket.  Raises IntegrationFailureError if the solver
+    gives up first or the guard fired past the focal offset.
     """
     t_end = float(t_end)
     if not math.isfinite(t_end):
         raise InvalidInputError(f"t_end must be finite, got {t_end!r}")
-    h0 = surface.mean_curvature_at_zero
-    direction = 0 if abs(h0) < MINIMAL_TOL else (1 if h0 > 0 else -1)
+    direction, watched = _focal_blocks(surface)
 
     if t_end == 0.0 or direction == 0:
         # Stationary flow or empty window: xi stays identically zero.
@@ -181,22 +211,16 @@ def integrate(surface: IsoparametricSurface, t_end: float, opts: OdeOptions = DE
         )
 
     events = None
-    watched = []
-    if t_end > 0:
-        watched = _watched_blocks(surface, direction)
-        if watched:
-            sf = surface.space_form
-            kappas = [surface.blocks[i].kappa for i, _ in watched]
-            guard_level = opts.singularity_guard
+    if t_end > 0 and watched:
+        sf = surface.space_form
+        guard_level = opts.singularity_guard
 
-            def guard(t, y):
-                return min(
-                    parallel_metric_factor(sf, k, y[0]) for k in kappas
-                ) - guard_level
+        def guard(t, y):
+            return min(parallel_metric_factor(sf, k, y[0]) for k, _ in watched) - guard_level
 
-            guard.terminal = True
-            guard.direction = -1
-            events = [guard]
+        guard.terminal = True
+        guard.direction = -1
+        events = [guard]
 
     f = _rhs_clamped(surface)
     sol = solve_ivp(
@@ -218,7 +242,13 @@ def integrate(surface: IsoparametricSurface, t_end: float, opts: OdeOptions = DE
     if sol.status == 1 and events is not None and len(sol.t_events[0]):
         t_stop = float(sol.t_events[0][0])
         xi_stop = float(sol.sol(t_stop)[0])
-        t_star, bracket, bound = _refine_tstar(surface, direction, watched, t_stop, xi_stop, opts)
+        xi_star = min((off for _, off in watched), key=abs)
+        if direction * (xi_star - xi_stop) < 0.0:
+            raise IntegrationFailureError(
+                f"the guard stopped at xi = {xi_stop!r}, past the focal offset {xi_star!r}"
+            )
+        t_star, bound = _collapse_time(surface, direction, watched)
+        bracket = (t_star - bound, t_star + bound)
         lo, hi = 0.0, t_stop
         termination = "hit_singularity"
     else:
@@ -241,73 +271,23 @@ def integrate(surface: IsoparametricSurface, t_end: float, opts: OdeOptions = DE
     )
 
 
-def _refine_tstar(surface, direction, watched, t_stop, xi_stop, opts):
-    """Refine the collapse time past the guard stop.
-
-    The collapse offset xi* is the analytic focal offset of the nearest
-    watched block; the remaining time is the quadrature of d(xi)/H over
-    [xi_stop, xi*] with the square-root endpoint substitution
-    zeta = xi* - direction * u^2.
-    """
-    _, xi_star = min(watched, key=lambda pair: abs(pair[1]))
-    if direction * (xi_star - xi_stop) < 0.0:
-        raise IntegrationFailureError(
-            f"the guard stopped at xi = {xi_stop!r}, past the focal offset {xi_star!r}"
-        )
-
-    f = _rhs_clamped(surface)
-    u0 = math.sqrt(abs(xi_star - xi_stop))
-    u = 0.5 * u0 * (_GAUSS_NODES + 1.0)
-    w = 0.5 * u0 * _GAUSS_WEIGHTS
-    dt_tail = 0.0
-    for ui, wi in zip(u, w):
-        zeta = xi_star - direction * ui * ui
-        dt_tail += wi * 2.0 * ui / abs(f(zeta))
-
-    t_star = t_stop + dt_tail
-    bracket = (t_stop, t_stop + 2.0 * dt_tail + 1e-12)
-    bound = max(1e-10, 100.0 * opts.rel_tol * max(1.0, abs(t_stop)))
-    return t_star, bracket, bound
-
-
 def estimate_tstar(
     surface: IsoparametricSurface,
     opts: OdeOptions = DEFAULT_OPTIONS,
-    horizon: float = DEFAULT_HORIZON,
     full_output: bool = False,
 ):
-    """Collapse-time estimate from the ODE alone, or +inf for eternal flows.
+    """Collapse time of the flow ODE, or +inf for flows without a focal target.
 
-    Integrates with the singularity guard, widening the window until the
-    guard fires; a flow with no guard trigger up to ``horizon`` and bounded
-    speed there is reported eternal (+inf).  At default tolerances the
-    refined estimate carries an absolute error bound of 1e-8 for unit-scale
-    collapse times (``full_output=True`` returns estimate, error bound,
-    bracket and the underlying profile).
+    The value is the graded Gauss-Legendre quadrature of t* = int_0^{xi*}
+    d(zeta) / H(zeta), with the measured |Q32 - Q16| as error bound.
+    ``full_output=True`` returns (estimate, error bound, bracket, profile):
+    ``integrate`` up to 2 t* (the guard ends it first) or, for an eternal
+    flow, up to ``ETERNAL_CHECK_TIME``, where ``collapse.analyze`` reads it.
+    Only the profile uses ``opts``.
     """
-    h0 = surface.mean_curvature_at_zero
-    if abs(h0) < MINIMAL_TOL:
-        profile = integrate(surface, horizon, opts)
-        return (math.inf, 0.0, None, profile) if full_output else math.inf
-    direction = 1 if h0 > 0 else -1
-
-    if not _watched_blocks(surface, direction):
-        profile = integrate(surface, horizon, opts)
-        if profile.termination != "reached_t_end":
-            raise IntegrationFailureError(
-                "flow without a focal target still triggered the guard"
-            )
-        return (math.inf, 0.0, None, profile) if full_output else math.inf
-
-    t_try = min(1.0, horizon)
-    while True:
-        profile = integrate(surface, t_try, opts)
-        if profile.termination == "hit_singularity":
-            break
-        if t_try >= horizon:
-            return (math.inf, 0.0, None, profile) if full_output else math.inf
-        t_try = min(4.0 * t_try, horizon)
-
-    if full_output:
-        return profile.t_star, profile.t_star_error_bound, profile.t_star_bracket, profile
-    return profile.t_star
+    t_star, bound = _collapse_time(surface, *_focal_blocks(surface))
+    if not full_output:
+        return t_star
+    t_end = 2.0 * t_star if math.isfinite(t_star) else ETERNAL_CHECK_TIME
+    profile = integrate(surface, t_end, opts)
+    return t_star, bound, (t_star - bound, t_star + bound), profile

@@ -35,8 +35,8 @@ ODE_RESIDUAL_TOL = 1e-6
 TSTAR_TOL = 1e-7
 PYTHAGOREAN_TOL = 1e-10
 XI_ZERO_TOL = 1e-12
-# Evaluating xi at t* itself clamps q to its analytic zero, leaving an
-# O(sqrt(eps)) ~ 1e-8 limit error; 1e-6 is the stated focal-residual bound.
+# The closed form reaches the focal offset exactly at t* (about 1e-15
+# relative); 1e-6 is the stated focal-residual bound.
 FOCAL_LIMIT_TOL = 1e-6
 ETERNAL_WINDOW = 10.0
 

@@ -30,6 +30,8 @@ from isoflow import (
     sphere_family_from_kappa1,
 )
 from isoflow.catalog import SPHERE, parallel_curvature
+from isoflow.spaceform import focal_offset
+from isoflow.verification import builtin_grid
 
 
 def fd_slope_at_zero(profile, h=1e-7):
@@ -308,6 +310,17 @@ class TestResolveDispatch:
         prof = resolve_profile(make_sphere_umbilic(2, 1.0))
         # the collapse offset of a unit-curvature sphere is arccot(1) = pi/4
         assert prof.xi_star == pytest.approx(math.pi / 4, abs=1e-7)
+
+    def test_limit_is_the_focal_offset_on_grid(self):
+        for label, surface in builtin_grid():
+            prof = resolve_profile(surface)
+            if not math.isfinite(prof.t_star):
+                continue
+            direction = 1 if surface.mean_curvature_at_zero > 0 else -1
+            offsets = (focal_offset(surface.space_form, b.kappa, direction)
+                       for b in surface.blocks)
+            nearest = min((o for o in offsets if o is not None), key=abs)
+            assert prof.xi_star == pytest.approx(nearest, rel=1e-13), label
 
     def test_sign_restoration_on_flip(self):
         surface = make_sphere_umbilic(3, -0.5)

@@ -18,6 +18,7 @@ from isoflow import (
     make_minimal,
     make_sphere_product,
     make_sphere_umbilic,
+    resolve_profile,
     rhs,
     sphere_family_from_kappa1,
 )
@@ -161,14 +162,32 @@ class TestEstimateTstar:
         value = estimate_tstar(surface)
         assert math.isfinite(value) and value > 0
 
-    def test_horizon_cutoff_reports_eternal(self):
-        # collapse beyond the configured horizon is reported as no collapse
-        surface = make_euclidean_cylinder(2, 2, 1.0)  # t* = 0.25
-        assert estimate_tstar(surface, horizon=0.1) == math.inf
-        assert estimate_tstar(surface, horizon=1.0) == pytest.approx(0.25, abs=1e-8)
+    def test_collapse_past_fifty_is_finite(self):
+        # t* = 1 / (2 m kappa^2) = 200/3: a late collapse is still a collapse.
+        got = estimate_tstar(make_euclidean_cylinder(3, 3, 0.05))
+        assert got == pytest.approx(200.0 / 3.0, rel=1e-12)
 
     def test_guard_past_focal_offset_raises(self):
-        # t* = 2.5e-15: the guard can only fire past xi* = arccot(1e7), and
-        # the next zero of the denominator lies pi further on.
+        # t* = 2.5e-15: the guard can only fire past xi* = arccot(1e7), so the
+        # numeric profile fails, while the quadrature still gives t*.
+        surface = make_sphere_umbilic(2, 1e7)
         with pytest.raises(IntegrationFailureError):
-            estimate_tstar(make_sphere_umbilic(2, 1e7))
+            integrate(surface, 1.0)
+        assert estimate_tstar(surface) == pytest.approx(math.log1p(1e-14) / 4, rel=1e-12)
+
+    def test_hyperbolic_overshoot_stays_finite(self):
+        # Trial steps past xi* = artanh(1e-7) must stay finite in the clamped RHS.
+        prof = integrate(make_hyperbolic_umbilic(2, 1e7), 1.0)
+        assert prof.t_star == pytest.approx(-math.log1p(-1e-14) / 4, rel=1e-12)
+
+    def test_near_minimal_product(self):
+        # The zero of H near zeta = -H(0)/H'(0) sits just outside the interval.
+        surface = make_sphere_product(1, 3, math.sqrt(2.0) + 1e-8)
+        exact = resolve_profile(surface).t_star
+        assert estimate_tstar(surface) == pytest.approx(exact, rel=1e-8)
+
+    def test_integrate_reports_the_same_tstar(self, euclidean_sphere):
+        for surface in (euclidean_sphere, sphere_family_from_kappa1(4, 2.0),
+                        make_hyperbolic_cylinder(1, 2, 1.5)):
+            t_star = estimate_tstar(surface)
+            assert integrate(surface, 2.0 * t_star).t_star == t_star
