@@ -254,12 +254,15 @@ def export_csv(sampled: SampledSurface, path) -> None:
     header = ",".join(
         [f"x{i}" for i in range(d)] + [f"nx{i}" for i in range(d)] + ["t"]
     )
+    rows = np.column_stack([sampled.points, sampled.normals,
+                            np.full(len(sampled.points), sampled.t)])
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for p, nv in zip(sampled.points, sampled.normals):
-            row = [f"{v:.17g}" for v in p] + [f"{v:.17g}" for v in nv]
-            row.append(f"{sampled.t:.17g}")
-            fh.write(",".join(row) + "\n")
+        # One % per 1,024 rows: one per file would hold the whole text at once.
+        for start in range(0, len(rows), 1024):
+            chunk = rows[start:start + 1024]
+            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def export_metadata(sampled: SampledSurface, path) -> None:

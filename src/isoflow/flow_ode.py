@@ -23,12 +23,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .catalog import IsoparametricSurface, mean_curvature
 from .collapse import ETERNAL_CHECK_TIME
 from .errors import IntegrationFailureError, InvalidInputError
-from .spaceform import focal_offset, parallel_metric_factor
+from .spaceform import focal_offset
 
 # Gauss-Legendre rules of 16 and 32 nodes; _NODES holds both node sets on
 # [0, 2], so zeta = lo + half * node keeps its relative precision near lo = 0.
@@ -57,52 +56,74 @@ class OdeOptions:
 DEFAULT_OPTIONS = OdeOptions()
 
 
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on first use: most of the package's import time."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
+
+
 def rhs(surface: IsoparametricSurface, xi):
     """Right-hand side of the flow ODE; identical to catalog.mean_curvature."""
     return mean_curvature(surface, xi)
 
 
-def _kappa_hat_total(kbar: int, kappa: float, xi: float, floor: float = 1e-14) -> float:
-    """Evolved curvature through the stable angle-addition forms, never raising.
+def _kernel(surface: IsoparametricSurface, watched, level: float, floor: float = 1e-14):
+    """solve_ivp's right-hand side fun(t, y) and guard event for one surface, in math scalars.
 
-    The denominator is clamped at ``floor`` so trial steps that overshoot the
-    focal point stay finite and get rejected by step control instead of
-    aborting the solve; coth is 1/tanh, as tanh saturates where sinh overflows.
+    Each block's constants are formed once: its anchor atan2(1, k), atanh(1/k)
+    or atanh(k), its scale sqrt(1+k^2) or sqrt(k^2-1), and the clamp limit
+    floor / scale of its denominator.  The clamp keeps trial steps that
+    overshoot the focal point finite, so step control rejects them instead of
+    aborting the solve; coth is 1/tanh, as tanh saturates where sinh
+    overflows.  The guard is the least squared metric factor of the watched
+    blocks less ``level``, formed as parallel_metric_factor forms it.
     """
-    k = kappa
-    if kbar == 0:
-        den = 1.0 - k * xi
-        if abs(den) < floor:
-            den = math.copysign(floor, den if den != 0.0 else 1.0)
-        return k / den
-    if kbar == 1:
-        delta = math.atan2(1.0, k) - xi
-        sd = math.sin(delta)
-        lim = floor / math.sqrt(1.0 + k * k)
-        if abs(sd) < lim:
-            sd = math.copysign(lim, sd if sd != 0.0 else 1.0)
-        return math.cos(delta) / sd
-    ak = abs(k)
-    if ak == 1.0:
-        return k
-    if ak < 1.0:
-        return math.tanh(math.atanh(k) - xi)
-    td = math.tanh(math.atanh(1.0 / k) - xi)
-    lim = floor / math.sqrt(k * k - 1.0)
-    if abs(td) < lim:
-        td = math.copysign(lim, td if td != 0.0 else 1.0)
-    return 1.0 / td
-
-
-def _rhs_clamped(surface: IsoparametricSurface):
-    """Total version of the RHS for use inside the integrator."""
     kbar = surface.space_form.curvature
-    terms = [(b.mult, b.kappa) for b in surface.blocks]
 
-    def f(xi: float) -> float:
-        return sum(m * _kappa_hat_total(kbar, k, xi) for m, k in terms)
+    def consts(k):
+        """(form, anchor, scale): kappa_hat is cot, coth or tanh of anchor - xi."""
+        if kbar == 0:
+            return "flat", 0.0, 1.0
+        if kbar == 1:
+            return "cot", math.atan2(1.0, k), math.sqrt(1.0 + k * k)
+        if abs(k) > 1.0:
+            return "coth", math.atanh(1.0 / k), math.sqrt(k * k - 1.0)
+        return ("tanh", math.atanh(k), math.inf) if abs(k) < 1.0 else ("const", 0.0, math.inf)
 
-    return f
+    blocks = [(b.mult, b.kappa, form, anchor, floor / scale)
+              for b in surface.blocks for form, anchor, scale in [consts(b.kappa)]]
+
+    def fun(t, y):
+        xi = float(y[0])
+        total = 0
+        for m, k, form, anchor, lim in blocks:
+            if form == "cot":
+                num, den = math.cos(anchor - xi), math.sin(anchor - xi)
+            elif form == "coth":
+                num, den = 1.0, math.tanh(anchor - xi)
+            elif form == "flat":
+                num, den = k, 1.0 - k * xi
+            else:
+                num, den = (math.tanh(anchor - xi) if form == "tanh" else k), 1.0
+            if abs(den) < lim:
+                den = math.copysign(lim, den if den != 0.0 else 1.0)
+            total += m * (num / den)
+        return [total]
+
+    # np.sinh: math.sinh differs from it in the last bit, and the event times
+    # depend on the guard being parallel_metric_factor's value.
+    sin_like = math.sin if kbar == 1 else np.sinh
+    focal = [(k, *consts(k)) for k, _ in watched]
+
+    def guard(t, y):
+        xi = float(y[0])
+        dens = [1.0 - k * xi if kbar == 0 else s * sin_like(a - xi) for k, _, a, s in focal]
+        return min(d * d for d in dens) - level
+
+    guard.terminal = True
+    guard.direction = -1
+    return fun, guard
 
 
 @dataclass
@@ -210,21 +231,10 @@ def integrate(surface: IsoparametricSurface, t_end: float, opts: OdeOptions = DE
             t_star=math.inf if direction == 0 else None,
         )
 
-    events = None
-    if t_end > 0 and watched:
-        sf = surface.space_form
-        guard_level = opts.singularity_guard
-
-        def guard(t, y):
-            return min(parallel_metric_factor(sf, k, y[0]) for k, _ in watched) - guard_level
-
-        guard.terminal = True
-        guard.direction = -1
-        events = [guard]
-
-    f = _rhs_clamped(surface)
+    fun, guard = _kernel(surface, watched, opts.singularity_guard)
+    events = [guard] if t_end > 0 and watched else None
     sol = solve_ivp(
-        lambda t, y: [f(y[0])],
+        fun,
         (0.0, t_end),
         [0.0],
         method="DOP853",

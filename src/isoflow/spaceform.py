@@ -44,10 +44,6 @@ class SpaceForm:
     def cs(self, xi):
         return cs_eval(self, xi)
 
-    @property
-    def ambient_is_lorentzian(self) -> bool:
-        return self.curvature == -1
-
 
 EUCLIDEAN = SpaceForm(0)
 SPHERE = SpaceForm(1)

@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import isoflow
 from isoflow.cli import main
 
 
@@ -217,6 +221,29 @@ class TestExport:
         assert sorted(p.name for p in tmp_path.glob("snap_*.csv")) == [
             "snap_000.csv", "snap_001.csv",
         ]
+
+    def test_export_and_help_leave_scipy_unloaded(self, tmp_path):
+        # Only the integrator needs scipy; a fresh interpreter shows what loads.
+        code = f"""
+import sys
+import isoflow.cli as cli
+assert cli.main(["export", "--family", "sphere-product", "--l", "1", "--n", "2",
+                 "--kappa1", "2", "--times", "0,0.05", "--resolution", "6",
+                 "--output-dir", {str(tmp_path)!r}]) == 0
+try:
+    cli.main(["--help"])
+except SystemExit as exc:
+    assert exc.code == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+        src = os.path.dirname(os.path.dirname(isoflow.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert len(list(tmp_path.glob("*.csv"))) == 2
 
 
 class TestToleranceOverride:

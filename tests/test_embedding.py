@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,18 @@ from isoflow import (
 
 def snapshot(surface, resolution, t, **kw):
     return sample(surface, resolution, t, resolve_profile(surface), **kw)
+
+
+def row_writer_csv(sampled, path):
+    """Reference writer: one formatted value at a time, one row at a time."""
+    d = sampled.ambient_dim
+    header = ",".join([f"x{i}" for i in range(d)] + [f"nx{i}" for i in range(d)] + ["t"])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for p, nv in zip(sampled.points, sampled.normals):
+            row = [f"{v:.17g}" for v in p] + [f"{v:.17g}" for v in nv]
+            row.append(f"{sampled.t:.17g}")
+            fh.write(",".join(row) + "\n")
 
 
 class TestSupportedFamilies:
@@ -134,6 +147,20 @@ class TestExport:
         np.testing.assert_array_equal(parsed[:, :d], snap.points)
         np.testing.assert_array_equal(parsed[:, d : 2 * d], snap.normals)
         np.testing.assert_array_equal(parsed[:, 2 * d], np.full(len(data), snap.t))
+
+    @pytest.mark.parametrize("surface, resolution, t", [
+        (make_euclidean_cylinder(2, 3, -1.3), (12, 12, 12), 0.05),  # 1,728 rows
+        (make_sphere_product(1, 3, 2.5), (16, 16, 8), 0.02),  # 2,048 rows
+        (make_horosphere(2, -1.0), (40, 41), 0.7),  # 1,640 rows
+        (make_hyperbolic_cylinder(2, 2, 2.0), (6, 6, 6, 5), 0.01),  # 1,080 rows
+    ])
+    def test_bytes_equal_row_writer(self, tmp_path, surface, resolution, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # ambient dimension above 4
+            snap = snapshot(surface, resolution, t)
+        export_csv(snap, tmp_path / "chunked.csv")
+        row_writer_csv(snap, tmp_path / "rows.csv")
+        assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
     def test_metadata_sidecar(self, tmp_path):
         import json

@@ -19,11 +19,14 @@ from isoflow import (
     make_sphere_product,
     make_sphere_umbilic,
     resolve_profile,
+    flow_ode,
     rhs,
     sphere_family_from_kappa1,
+    verification,
 )
-from isoflow.catalog import SPHERE
+from isoflow.catalog import SPHERE, mean_curvature
 from isoflow.flow_ode import DEFAULT_OPTIONS
+from isoflow.spaceform import parallel_metric_factor
 
 
 @pytest.fixture(scope="module")
@@ -191,3 +194,47 @@ class TestEstimateTstar:
                         make_hyperbolic_cylinder(1, 2, 1.5)):
             t_star = estimate_tstar(surface)
             assert integrate(surface, 2.0 * t_star).t_star == t_star
+
+
+def _grid_offsets(surface):
+    """20 offsets strictly between 0 and xi* in the flow direction (up to 1 without xi*)."""
+    direction, watched = flow_ode._focal_blocks(surface)
+    end = min(abs(off) for _, off in watched) if watched else 1.0
+    return (direction or 1) * np.linspace(0.0, end, 22)[1:-1]
+
+
+class TestKernel:
+    """The integrator's math-scalar kernel against the numpy formulas it replaces."""
+
+    def test_rhs_matches_mean_curvature(self):
+        for label, surface in verification.builtin_grid():
+            _, watched = flow_ode._focal_blocks(surface)
+            fun, _ = flow_ode._kernel(surface, watched, DEFAULT_OPTIONS.singularity_guard)
+            for xi in _grid_offsets(surface):
+                h = mean_curvature(surface, float(xi))
+                got = fun(0.0, np.array([xi]))[0]
+                assert abs(got - h) <= 4 * math.ulp(max(1.0, abs(h))), (label, xi, got, h)
+
+    def test_rhs_is_finite_at_the_focal_offset(self):
+        # Trial steps land on or past xi*; the clamped denominators keep H finite.
+        for surface in (make_euclidean_cylinder(2, 2, 1.0), make_sphere_umbilic(2, 1.0),
+                        make_hyperbolic_umbilic(2, 2.0)):
+            _, watched = flow_ode._focal_blocks(surface)
+            fun, _ = flow_ode._kernel(surface, watched, DEFAULT_OPTIONS.singularity_guard)
+            for _, xi_star in watched:
+                assert math.isfinite(fun(0.0, np.array([xi_star]))[0])
+
+    def test_guard_is_least_metric_factor(self):
+        level = DEFAULT_OPTIONS.singularity_guard
+        checked = 0
+        for label, surface in verification.builtin_grid():
+            _, watched = flow_ode._focal_blocks(surface)
+            if not watched:
+                continue
+            _, guard = flow_ode._kernel(surface, watched, level)
+            sf = surface.space_form
+            for xi in _grid_offsets(surface):
+                least = min(parallel_metric_factor(sf, k, float(xi)) for k, _ in watched)
+                assert guard(0.0, np.array([xi])) == least - level, (label, xi)
+            checked += 1
+        assert checked >= 40
