@@ -246,6 +246,13 @@ def cmd_collapse(args) -> int:
             "t_star": None if math.isinf(t_ode) else t_ode,
             "error_bound": err_bound,
             "report": report_ode.to_dict(),
+            "integrator": {
+                "nfev": numeric.nfev,
+                "accepted_steps": numeric.accepted_steps,
+                "rejected_steps": numeric.rejected_steps,
+                "guard_trigger": None if numeric.guard_trigger is None
+                else dict(zip(("t", "xi", "factor"), numeric.guard_trigger)),
+            },
         },
         "delta_t_star": delta,
     }

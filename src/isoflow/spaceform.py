@@ -142,8 +142,12 @@ def parallel_curvature(sf: SpaceForm, kappa: float, xi):
     """Principal curvature of the parallel hypersurface at offset xi.
 
     Returns (kbar s + kappa c) / (c - kappa s), evaluated through the
-    angle-addition forms cot(theta - xi), coth(r - xi), tanh(r - xi) or
-    kappa/(1 - kappa xi) so that accuracy survives close to the focal point.
+    angle-addition forms coth(r - xi), tanh(r - xi) or kappa/(1 - kappa xi)
+    so that accuracy survives close to the focal point.  On the sphere the
+    numerator sin(xi) + kappa cos(xi) is formed directly and only the
+    denominator is anchored, as sqrt(1+kappa^2) sin(theta - xi): the anchor
+    theta = arccot(kappa) carries an absolute rounding that a small |kappa|
+    numerator cannot afford.
     Raises SingularParallelError when |c - kappa s| < SINGULAR_DEN_TOL.
     """
     arr = _check_finite(xi)
@@ -155,11 +159,9 @@ def parallel_curvature(sf: SpaceForm, kappa: float, xi):
         _require_nonsingular(den, k, xi)
         out = k / den
     elif sf.curvature == 1:
-        theta = math.atan2(1.0, k)
-        delta = theta - arr
-        sd = np.sin(delta)
-        _require_nonsingular(math.sqrt(1.0 + k * k) * sd, k, xi)
-        out = np.cos(delta) / sd
+        den = math.sqrt(1.0 + k * k) * np.sin(math.atan2(1.0, k) - arr)
+        _require_nonsingular(den, k, xi)
+        out = (np.sin(arr) + k * np.cos(arr)) / den
     else:
         ak = abs(k)
         if ak == 1.0:

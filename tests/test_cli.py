@@ -166,6 +166,23 @@ class TestCollapse:
         assert doc["ode"]["t_star"] is None
         assert doc["closed"]["limit_kind"] == "eternal"
 
+    def test_integrator_counters(self, capsys):
+        counters = {}
+        for family in ("sphere-umbilic", "horosphere"):
+            rc, out, _ = run_cli(capsys, "collapse", "--family", family, "--n", "2",
+                                 "--kappa", "1")
+            assert rc == 0
+            ode = json.loads(out)["ode"]
+            counters[family] = c = ode["integrator"]
+            # 2 calls pick the first step, 12 per attempt, 3 per accepted step's interpolant.
+            assert c["nfev"] == 2 + 15 * c["accepted_steps"] + 12 * c["rejected_steps"]
+        assert counters["horosphere"]["guard_trigger"] is None  # it never collapses
+        trigger = counters["sphere-umbilic"]["guard_trigger"]
+        # The guard stops where c - kappa s = sqrt(singularity_guard), just before t*.
+        assert trigger["factor"] == pytest.approx(math.sqrt(1e-9), rel=1e-3)
+        assert 0.0 < math.log(2.0) / 4.0 - trigger["t"] < 1e-6
+        assert 0.0 < math.pi / 4 - trigger["xi"] < 1e-4
+
 
 class TestVerify:
     def test_subset_check_on_single_surface(self, capsys):
