@@ -15,12 +15,16 @@ with its 7th-order dense output (Hairer, Norsett & Wanner, Solving ODEs I,
 II.5-II.6).  ``solve_ivp`` here steps it in Python floats: the tableau is
 scipy's and so is the step control, but no step goes through numpy, since on
 a scalar ODE scipy's per-step array work costs ten times the right-hand
-side.  Its singularity guard is the least signed denominator c - kappa s of
-the blocks with a finite zero in the flow direction, less
-sqrt(singularity_guard).  Each is 1 at xi = 0 and changes sign at its focal
-offset, so a step that jumps past xi* still ends the run.  The guard only
-ends the integration (a stop already past xi* is an integration failure); it
-does not decide t*.
+side.  Each step is straight-line code generated once from the tableau
+(_dop853_step), and the right-hand side is written once per ambient.  Its
+singularity guard is the least signed denominator c - kappa s of the blocks
+with a finite zero in the flow direction, less sqrt(singularity_guard).
+Each is 1 at xi = 0 and changes sign at its focal offset, so a step that
+jumps past xi* still ends the run.  The stop is the guard's root on the
+step's interpolant by _brentq, a port of scipy's brentq.c (Brent 1973).  So
+no scipy module is imported: scipy is only the file the tableau is read
+from.  The guard only ends the integration (a stop already past xi* is an
+integration failure); it does not decide t*.
 
 Distinct trajectories share no mutable state and may run in parallel.
 """
@@ -32,7 +36,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -78,61 +81,85 @@ def rhs(surface: IsoparametricSurface, xi):
 def _kernel(surface: IsoparametricSurface, watched, level: float, floor: float = 1e-14):
     """The right-hand side fun(xi) and the guard(xi) of one surface, in math scalars.
 
-    Each block's constants are formed once: its anchor atan2(1, k), atanh(1/k)
-    or atanh(k), its scale sqrt(1+k^2) or sqrt(k^2-1), and the clamp limit of
-    its denominator.  On the sphere the numerator sin(xi) + k cos(xi) is
-    formed directly, as spaceform.parallel_curvature forms it.  The clamp
-    keeps trial steps that overshoot the focal point finite, so step control
-    rejects them instead of aborting the solve; coth is 1/tanh, as tanh
-    saturates where sinh overflows.  The guard is the least signed
-    denominator c - kappa s of the watched blocks, formed as
+    fun is written once per ambient, so a call only runs its ambient's
+    formula.  Each block's constants are formed here: its anchor
+    atan2(1, k), atanh(1/k) or atanh(k), its scale sqrt(1+k^2) or
+    sqrt(k^2-1), and the clamp limit of its denominator.  On the sphere the
+    numerator sin(xi) + k cos(xi) is formed directly, as
+    spaceform.parallel_curvature forms it.  The clamp keeps trial steps that
+    overshoot the focal point finite, so step control rejects them instead of
+    aborting the solve; in H^n coth is 1/tanh, as tanh saturates where sinh
+    overflows, and a block with |k| = 1 is tanh at the anchor +-inf, which is
+    k itself.  The terms add up in block order.  The guard is the least
+    signed denominator c - kappa s of the watched blocks, formed as
     spaceform.parallel_denominator forms it, less sqrt(level).  Every
     denominator is 1 at xi = 0 and changes sign at its focal offset, so a step
     that jumps past xi* still ends with a negative guard.
     """
     kbar = surface.space_form.curvature
+    copysign, sin, cos, tanh = math.copysign, math.sin, math.cos, math.tanh
 
-    def consts(k):
-        """(form, anchor, scale) of a block's kappa_hat and its denominator."""
-        if kbar == 0:
-            return "flat", 0.0, 1.0
-        if kbar == 1:
-            return "sphere", math.atan2(1.0, k), math.sqrt(1.0 + k * k)
-        if abs(k) > 1.0:
-            return "coth", math.atanh(1.0 / k), math.sqrt(k * k - 1.0)
-        return ("tanh", math.atanh(k), math.inf) if abs(k) < 1.0 else ("const", 0.0, math.inf)
+    if kbar == 0:
+        blocks = [(float(b.mult), b.kappa) for b in surface.blocks]
 
-    blocks = [(b.mult, b.kappa, form, anchor, scale, floor / scale if form == "coth" else floor)
-              for b in surface.blocks for form, anchor, scale in [consts(b.kappa)]]
+        def fun(xi):
+            total = 0.0
+            for m, k in blocks:
+                den = 1.0 - k * xi
+                if -floor < den < floor:
+                    den = copysign(floor, den if den != 0.0 else 1.0)
+                total += m * (k / den)
+            return total
 
-    def fun(xi):
-        if kbar == 1:
-            sx, cx = math.sin(xi), math.cos(xi)
-        total = 0
-        for m, k, form, anchor, scale, lim in blocks:
-            if form == "sphere":
-                num, den = sx + k * cx, scale * math.sin(anchor - xi)
-            elif form == "coth":
-                num, den = 1.0, math.tanh(anchor - xi)
-            elif form == "flat":
-                num, den = k, 1.0 - k * xi
-            else:
-                num, den = (math.tanh(anchor - xi) if form == "tanh" else k), 1.0
-            if abs(den) < lim:
-                den = math.copysign(lim, den if den != 0.0 else 1.0)
-            total += m * (num / den)
-        return total
+    elif kbar == 1:
+        blocks = [(float(b.mult), b.kappa, math.atan2(1.0, b.kappa),
+                   math.sqrt(1.0 + b.kappa * b.kappa)) for b in surface.blocks]
 
+        def fun(xi):
+            sx, cx = sin(xi), cos(xi)
+            total = 0.0
+            for m, k, anchor, scale in blocks:
+                den = scale * sin(anchor - xi)
+                if -floor < den < floor:
+                    den = copysign(floor, den if den != 0.0 else 1.0)
+                total += m * ((sx + k * cx) / den)
+            return total
+
+    else:
+        def hyperbolic(m, k):
+            """(m, anchor, clamp limit): a coth block carries its limit, a tanh block None."""
+            if abs(k) > 1.0:
+                return m, math.atanh(1.0 / k), floor / math.sqrt(k * k - 1.0)
+            return m, math.atanh(k) if abs(k) < 1.0 else copysign(math.inf, k), None
+
+        blocks = [hyperbolic(float(b.mult), b.kappa) for b in surface.blocks]
+
+        def fun(xi):
+            total = 0.0
+            for m, anchor, lim in blocks:
+                if lim is None:
+                    total += m * tanh(anchor - xi)
+                    continue
+                den = tanh(anchor - xi)
+                if -lim < den < lim:
+                    den = copysign(lim, den if den != 0.0 else 1.0)
+                total += m * (1.0 / den)
+            return total
+
+    if kbar == 0:
+        focal = [(k, 0.0, 1.0) for k, _ in watched]
+    elif kbar == 1:
+        focal = [(k, math.atan2(1.0, k), math.sqrt(1.0 + k * k)) for k, _ in watched]
+    else:
+        focal = [(k, math.atanh(1.0 / k), copysign(math.sqrt(k * k - 1.0), k)) for k, _ in watched]
     # np.sinh: math.sinh differs from it in the last bit, and the stop
     # depends on the guard being parallel_denominator's value.
     sin_like = math.sin if kbar == 1 else np.sinh
-    focal = [(k, a, s if kbar == 1 else math.copysign(s, k))
-             for k, _ in watched for _, a, s in [consts(k)]]
     root_level = math.sqrt(level)
 
     def guard(xi):
         dens = (1.0 - k * xi if kbar == 0 else s * sin_like(a - xi) for k, a, s in focal)
-        return min(dens) - root_level
+        return float(min(dens) - root_level)
 
     return fun, guard
 
@@ -164,6 +191,105 @@ def _dop853():
     return (rows(table.A[1:n], 1), tuple(table.B.tolist()), tuple(table.E5.tolist()),
             tuple(table.E3.tolist()), rows(table.A[n + 1:], n + 1),
             tuple(map(tuple, table.D.tolist())))
+
+
+@functools.cache
+def _dop853_step():
+    """One DOP853 step as straight-line code, generated from _dop853()'s table.
+
+    Returns (attempt, dense).  attempt(fun, y, f, h) runs the 12 stages of
+    one trial step from (y, f = fun(y)) and returns (y_new, f_new, the two
+    unscaled error sums E5.k and E3.k, k), where k holds the 13 stage
+    derivatives; dense(fun, y, h, k) runs the 3 extra stages of an accepted
+    step and returns the last four terms of its interpolant, h D.k.  Every
+    sum c_0 k_0 + c_1 k_1 + ... is one expression without its zero
+    coefficients, added left to right.  That rounds as the sum() of the same
+    products does on CPython <= 3.11; from 3.12 on sum() adds floats with
+    compensation, so its result depended on the interpreter version.  Dropping
+    a zero term changes at most the sign of an exactly zero sum.
+    """
+    stages, b, e5, e3, extra, d = _dop853()
+
+    def dot(row):
+        return " + ".join(f"{c!r} * k{j}" for j, c in enumerate(row) if c)
+
+    last = len(stages) + 1
+    ks = ", ".join(f"k{j}" for j in range(last + 1))
+    source = [
+        "def attempt(fun, y, k0, h):",
+        *(f"    k{s} = fun(y + ({dot(a)}) * h)" for s, a in enumerate(stages, start=1)),
+        f"    y_new = y + h * ({dot(b)})",
+        f"    k{last} = fun(y_new)",
+        f"    return y_new, k{last}, {dot(e5)}, {dot(e3)}, ({ks})",
+        "def dense(fun, y, h, k):",
+        f"    {ks} = k",
+        *(f"    k{s} = fun(y + ({dot(a)}) * h)" for s, a in enumerate(extra, start=last + 1)),
+        f"    return {', '.join(f'h * ({dot(r)})' for r in d)}",
+    ]
+    namespace = {}
+    exec(compile("\n".join(source), "<DOP853 step>", "exec"), namespace)
+    return namespace["attempt"], namespace["dense"]
+
+
+def _brentq(f, xa: float, xb: float, maxiter: int = 100) -> float:
+    """A zero of f in [xa, xb] by Brent's method (Brent 1973, Algorithms for
+    Minimization without Derivatives, ch. 4).
+
+    A line-for-line port of scipy.optimize.brentq (its C source Zeros/brentq.c
+    and its Python wrapper) at xtol = rtol = 4 eps, scipy's least rtol:
+    the same iterates, the same root, ValueError when f(xa) and f(xb) have
+    one sign or f returns NaN, RuntimeError after maxiter iterations without
+    convergence.
+    """
+    xtol = rtol = 4 * _EPS
+
+    def value(x):
+        fx = f(x)
+        if fx != fx:
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = xa, xb
+    fpre, fcur = value(xpre), value(xcur)
+    xblk = fblk = spre = scur = 0.0
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # inf or nan in C, and either bisects below
+                stry = math.inf
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):  # a good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def _interpolant(coef, x, y0):
@@ -200,14 +326,13 @@ def solve_ivp(fun, t_end: float, opts: OdeOptions, guard=None) -> _Run:
     error norm, safety 0.9, step factors between 0.2 and 10 (at most 1 right
     after a rejection), exponent -1/8, a minimum step of 10 ulp of t, and
     per accepted step the 7-term interpolant, which costs 3 more stages.  The
-    guard is checked at each step end; when it falls to zero the stop is the
-    brentq root of the guard on that step's interpolant.  ``nfev`` counts RHS
-    calls as scipy does: 2 for the initial step, 12 per attempt, 3 per
-    accepted step.
+    stages run as the straight-line code of _dop853_step.  The guard is
+    checked at each step end; when it falls to zero the stop is the _brentq
+    root (scipy's brentq, ported) of the guard on that step's interpolant.
+    ``nfev`` counts RHS calls as scipy does: 2 for the initial step, 12 per
+    attempt, 3 per accepted step.
     """
-    from scipy.optimize import brentq
-
-    stages, b, e5, e3, extra, d = _dop853()
+    attempt, dense = _dop853_step()
     exponent = -1.0 / 8  # -1 / (order of the error estimate + 1)
     rtol, atol, max_step = opts.rel_tol, opts.abs_tol, opts.max_step
     sign, span = math.copysign(1.0, t_end), abs(t_end)
@@ -241,14 +366,10 @@ def solve_ivp(fun, t_end: float, opts: OdeOptions, guard=None) -> _Run:
                 t_new = t_end
             h = t_new - t
             h_abs = abs(h)
-            k = [f]
-            for a in stages:
-                k.append(fun(y + sum(map(mul, a, k)) * h))
-            y_new = y + h * sum(map(mul, b, k))
-            k.append(fun(y_new))
+            y_new, f_new, err5, err3, k = attempt(fun, y, f, h)
             nfev += 12
             scale = atol + max(abs(y), abs(y_new)) * rtol
-            err5, err3 = sum(map(mul, e5, k)) / scale, sum(map(mul, e3, k)) / scale
+            err5, err3 = err5 / scale, err3 / scale
             err5, err3 = err5 * err5, err3 * err3
             if err5 == 0 and err3 == 0:
                 error_norm = 0.0
@@ -263,20 +384,18 @@ def solve_ivp(fun, t_end: float, opts: OdeOptions, guard=None) -> _Run:
             rejected += 1
 
         accepted += 1
-        for a in extra:
-            k.append(fun(y + sum(map(mul, a, k)) * h))
         nfev += 3
         dy = y_new - y
-        coef = (dy, h * f - dy, 2 * dy - h * (k[12] + f), *(h * sum(map(mul, r, k)) for r in d))
+        coef = (dy, h * f - dy, 2 * dy - h * (f_new + f), *dense(fun, y, h, k))
         steps.append(h)
         coeffs.append(coef)
         t_old, y_old = t, y
-        t, y, f = t_new, y_new, k[12]
+        t, y, f = t_new, y_new, f_new
         if guard is not None:
             g_new = guard(y)
             if g >= 0 and g_new <= 0:
-                root = brentq(lambda s: guard(_interpolant(coef, (s - t_old) / h, y_old)),
-                              t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
+                root = _brentq(lambda s: guard(_interpolant(coef, (s - t_old) / h, y_old)),
+                               t_old, t)
                 times.append(root)
                 xis.append(_interpolant(coef, (root - t_old) / h, y_old))
                 return run(1)

@@ -240,13 +240,15 @@ class TestExport:
         ]
 
     def test_export_and_help_leave_scipy_unloaded(self, tmp_path):
-        # Only the integrator needs scipy; a fresh interpreter shows what loads.
+        # No command loads scipy, not even collapse, whose DOP853 profile ends
+        # at a guard stop; a fresh interpreter shows what loads.
         code = f"""
 import sys
 import isoflow.cli as cli
 assert cli.main(["export", "--family", "sphere-product", "--l", "1", "--n", "2",
                  "--kappa1", "2", "--times", "0,0.05", "--resolution", "6",
                  "--output-dir", {str(tmp_path)!r}]) == 0
+assert cli.main(["collapse", "--family", "sphere-umbilic", "--n", "2", "--kappa", "1"]) == 0
 try:
     cli.main(["--help"])
 except SystemExit as exc:

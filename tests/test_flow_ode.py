@@ -1,13 +1,16 @@
 """ODE engine: right-hand side, integration, guard and collapse-time estimates."""
 
+import functools
 import math
 import os
 import subprocess
 import sys
+from operator import add, mul
 
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
 
 from isoflow import (
     IntegrationFailureError,
@@ -29,6 +32,7 @@ from isoflow import (
     verification,
 )
 from isoflow.catalog import SPHERE, mean_curvature
+from isoflow.collapse import ETERNAL_CHECK_TIME
 from isoflow.flow_ode import DEFAULT_OPTIONS
 from isoflow.spaceform import parallel_denominator
 
@@ -306,13 +310,17 @@ class TestDriver:
         assert (b, e5, e3) == (tuple(method.B), tuple(method.E5), tuple(method.E3))
         assert d == tuple(map(tuple, method.D)) and method.error_estimator_order == 7
 
-    def test_integration_leaves_scipy_integrate_unloaded(self):
-        # The coefficient table is read from its file; scipy.integrate's solvers stay out.
+    def test_integration_leaves_scipy_unloaded(self):
+        # The coefficient table is read from its file and the guard's root is
+        # the in-module Brent port, so an integration with a guard stop loads
+        # no scipy module at all.
         code = """
 import sys
 import isoflow
-isoflow.integrate(isoflow.make_sphere_umbilic(2, 1.0), 1.0)
-assert "scipy.integrate" not in sys.modules
+prof = isoflow.integrate(isoflow.make_sphere_umbilic(2, 1.0), 1.0)
+assert prof.termination == "hit_singularity"
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
 """
         src = os.path.dirname(os.path.dirname(flow_ode.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -355,3 +363,221 @@ assert "scipy.integrate" not in sys.modules
             steps = prof.accepted_steps + prof.rejected_steps
             assert prof.nfev == 2 + 12 * steps + 3 * prof.accepted_steps, label
             assert len(prof.times) == prof.accepted_steps + 1, label
+
+
+if sys.version_info < (3, 12):
+    def _dot(a, k):
+        return sum(map(mul, a, k))
+else:  # sum() adds floats with compensation from 3.12 on; add as 3.11 did
+    def _dot(a, k):
+        return functools.reduce(add, map(mul, a, k), 0)
+
+
+def _reference_fun(surface, floor=1e-14):
+    """The right-hand side as one loop that dispatches on each block's form at every call."""
+    kbar = surface.space_form.curvature
+
+    def consts(k):
+        if kbar == 0:
+            return "flat", 0.0, 1.0
+        if kbar == 1:
+            return "sphere", math.atan2(1.0, k), math.sqrt(1.0 + k * k)
+        if abs(k) > 1.0:
+            return "coth", math.atanh(1.0 / k), math.sqrt(k * k - 1.0)
+        return ("tanh", math.atanh(k), math.inf) if abs(k) < 1.0 else ("const", 0.0, math.inf)
+
+    blocks = [(b.mult, b.kappa, form, anchor, scale, floor / scale if form == "coth" else floor)
+              for b in surface.blocks for form, anchor, scale in [consts(b.kappa)]]
+
+    def fun(xi):
+        if kbar == 1:
+            sx, cx = math.sin(xi), math.cos(xi)
+        total = 0
+        for m, k, form, anchor, scale, lim in blocks:
+            if form == "sphere":
+                num, den = sx + k * cx, scale * math.sin(anchor - xi)
+            elif form == "coth":
+                num, den = 1.0, math.tanh(anchor - xi)
+            elif form == "flat":
+                num, den = k, 1.0 - k * xi
+            else:
+                num, den = (math.tanh(anchor - xi) if form == "tanh" else k), 1.0
+            if abs(den) < lim:
+                den = math.copysign(lim, den if den != 0.0 else 1.0)
+            total += m * (num / den)
+        return total
+
+    return fun
+
+
+def _reference_solve_ivp(fun, t_end, opts, guard=None):
+    """The DOP853 loop with every stage sum as sum(map(mul, a, k)) and scipy's brentq."""
+    stages, b, e5, e3, extra, d = flow_ode._dop853()
+    exponent = -1.0 / 8
+    rtol, atol, max_step = opts.rel_tol, opts.abs_tol, opts.max_step
+    sign, span = math.copysign(1.0, t_end), abs(t_end)
+    f = fun(0.0)
+    h0 = min(1e-6, span)
+    d1 = abs(f / atol)
+    d2 = abs((fun(h0 * sign * f) - f) / atol) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h_abs = max(1e-6, h0 * 1e-3)
+    else:
+        h_abs = (0.01 / max(d1, d2)) ** -exponent
+    h_abs = min(100 * h0, h_abs, span, max_step)
+
+    t, y, nfev, accepted, rejected = 0.0, 0.0, 2, 0, 0
+    times, xis, steps, coeffs = [0.0], [0.0], [], []
+    g = guard(0.0) if guard is not None else None
+
+    def run(status, message=""):
+        return flow_ode._Run(status, message, times, xis, steps, coeffs, nfev, accepted, rejected)
+
+    while True:
+        min_step = 10 * abs(math.nextafter(t, sign * math.inf) - t)
+        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        retried = False
+        while True:
+            if h_abs < min_step:
+                return run(-1, "Required step size is less than spacing between numbers.")
+            t_new = t + h_abs * sign
+            if sign * (t_new - t_end) > 0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = abs(h)
+            k = [f]
+            for a in stages:
+                k.append(fun(y + _dot(a, k) * h))
+            y_new = y + h * _dot(b, k)
+            k.append(fun(y_new))
+            nfev += 12
+            scale = atol + max(abs(y), abs(y_new)) * rtol
+            err5, err3 = _dot(e5, k) / scale, _dot(e3, k) / scale
+            err5, err3 = err5 * err5, err3 * err3
+            if err5 == 0 and err3 == 0:
+                error_norm = 0.0
+            else:
+                error_norm = h_abs * err5 / math.sqrt(err5 + 0.01 * err3)
+            if error_norm < 1:
+                factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** exponent)
+                h_abs *= min(1, factor) if retried else factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** exponent)
+            retried = True
+            rejected += 1
+
+        accepted += 1
+        for a in extra:
+            k.append(fun(y + _dot(a, k) * h))
+        nfev += 3
+        dy = y_new - y
+        coef = (dy, h * f - dy, 2 * dy - h * (k[12] + f), *(h * _dot(r, k) for r in d))
+        steps.append(h)
+        coeffs.append(coef)
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, k[12]
+        if guard is not None:
+            g_new = guard(y)
+            if g >= 0 and g_new <= 0:
+                interp = flow_ode._interpolant
+                root = scipy.optimize.brentq(
+                    lambda s: guard(interp(coef, (s - t_old) / h, y_old)),
+                    t_old, t, xtol=4 * flow_ode._EPS, rtol=4 * flow_ode._EPS)
+                times.append(root)
+                xis.append(interp(coef, (root - t_old) / h, y_old))
+                return run(1)
+            g = g_new
+        times.append(t)
+        xis.append(y)
+        if sign * (t - t_end) >= 0:
+            return run(0)
+
+
+class TestStraightLine:
+    """The generated stages, the per-ambient kernel and the Brent port change no bit."""
+
+    def test_bits_equal_the_reference_loop(self):
+        # Both windows the engines integrate: the oracle-agreement window
+        # (0.99 t* or 10) and the full_output window (2 t* or 50).
+        level = DEFAULT_OPTIONS.singularity_guard
+        stops = 0
+        for label, surface in verification.builtin_grid():
+            if surface.is_minimal:  # stationary: integrate runs no solver
+                continue
+            _, watched = flow_ode._focal_blocks(surface)
+            _, guard = flow_ode._kernel(surface, watched, level)
+            t_star = estimate_tstar(surface)
+            windows = (verification._window_end(resolve_profile(surface).t_star),
+                       2.0 * t_star if math.isfinite(t_star) else ETERNAL_CHECK_TIME)
+            for t_end in windows:
+                prof = integrate(surface, t_end)
+                ref = _reference_solve_ivp(_reference_fun(surface), t_end, DEFAULT_OPTIONS,
+                                           guard if watched else None)
+                key = (label, t_end)
+                assert prof.times.tobytes() == np.array(ref.times).tobytes(), key
+                assert prof.xi_values.tobytes() == np.array(ref.xi_values).tobytes(), key
+                assert prof._steps.tobytes() == np.array(ref.steps).tobytes(), key
+                assert prof._coeffs.tobytes() == np.array(ref.coeffs).tobytes(), key
+                assert (prof.nfev, prof.accepted_steps, prof.rejected_steps) == (
+                    ref.nfev, ref.accepted, ref.rejected), key
+                if ref.status == 1:
+                    xi_stop = ref.xi_values[-1]
+                    trigger = (ref.times[-1], xi_stop, guard(xi_stop) + math.sqrt(level))
+                    stops += 1
+                else:
+                    trigger = None
+                assert prof.guard_trigger == trigger, key
+        assert stops >= 40
+
+    def test_rhs_equals_the_dispatch_loop(self):
+        # Every family and the H^n blocks with |k| = 1 (horosphere) and |k| < 1.
+        surfaces = [s for _, s in verification.builtin_grid()]
+        surfaces += [make_horosphere(3, -1.0), make_hyperbolic_umbilic(2, -0.5)]
+        for surface in surfaces:
+            fun, _ = flow_ode._kernel(surface, [], DEFAULT_OPTIONS.singularity_guard)
+            ref = _reference_fun(surface)
+            for xi in np.linspace(-3.0, 3.0, 241).tolist():
+                assert fun(xi) == ref(xi), (surface.family, xi)
+
+
+def _brent_outcome(solve, f, a, b, **kwargs):
+    try:
+        return solve(f, a, b, **kwargs)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestBrentq:
+    """flow_ode._brentq against scipy.optimize.brentq, outcome for outcome."""
+
+    def test_matches_scipy_on_seeded_brackets(self):
+        rng = np.random.default_rng(20261018)
+        shapes = [
+            lambda r, w: (lambda x: (x - r) * (x + w) * (x - 2 * w)),
+            lambda r, w: (lambda x: math.sin(w * (x - r))),
+            lambda r, w: (lambda x: math.tanh(1e3 * w * (x - r))),
+            lambda r, w: (lambda x: math.expm1(w * (x - r)) * 1e-300),
+            lambda r, w: (lambda x: math.copysign(w, x - r)),  # a jump: Brent falls back to bisection
+            lambda r, w: (lambda x: (x - r) ** 3 + w * 1e-12),
+        ]
+        counts = {"root": 0, ValueError: 0, RuntimeError: 0}
+        for i in range(3000):
+            r, w = rng.uniform(-2.0, 2.0), rng.uniform(0.1, 5.0)
+            f = shapes[i % len(shapes)](r, w)
+            a, b = sorted(rng.uniform(-3.0, 3.0, 2).tolist())
+            maxiter = int(rng.integers(1, 101))
+            got = _brent_outcome(flow_ode._brentq, f, a, b, maxiter=maxiter)
+            want = _brent_outcome(scipy.optimize.brentq, f, a, b, maxiter=maxiter,
+                                  xtol=4 * flow_ode._EPS, rtol=4 * flow_ode._EPS)
+            assert got == want, (i, a, b, maxiter)
+            counts[got[0] if isinstance(got, tuple) else "root"] += 1
+        assert min(counts.values()) >= 100, counts
+
+    def test_errors(self):
+        with pytest.raises(ValueError, match="different signs"):
+            flow_ode._brentq(lambda x: x * x + 1.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="NaN"):
+            flow_ode._brentq(lambda x: math.nan, 0.0, 1.0)
+        with pytest.raises(RuntimeError, match="after 3 iterations"):
+            flow_ode._brentq(lambda x: math.copysign(1.0, x - 1.0 / 3.0), 0.0, 1.0, maxiter=3)
+        assert flow_ode._brentq(lambda x: x, 0.0, 1.0) == 0.0
