@@ -48,6 +48,7 @@ from .embedding import (
     export_metadata,
     get_embedding,
     sample,
+    snapshots,
 )
 from .errors import (
     AnalysisIncompleteError,
@@ -56,6 +57,7 @@ from .errors import (
     InvalidFrameError,
     InvalidInputError,
     IsoflowError,
+    NumericalRangeError,
     SingularParallelError,
     UnsupportedEmbeddingError,
 )

@@ -38,7 +38,8 @@ from .catalog import (
 )
 from .closed_form import resolve_profile
 from .collapse import analyze
-from .embedding import export_csv, export_metadata, sample
+# sample stays importable here: perfbench/layers.py traces it at this module.
+from .embedding import export_csv, export_metadata, sample, snapshots  # noqa: F401
 from .errors import (
     AnalysisIncompleteError,
     IntegrationFailureError,
@@ -308,8 +309,8 @@ def cmd_export(args) -> int:
     )
     os.makedirs(args.output_dir, exist_ok=True)
     stem = args.stem or surface.family
-    for idx, t in enumerate(kept):
-        snap = sample(surface, resolution, t, profile, extent=args.extent)
+    for idx, snap in enumerate(snapshots(surface, resolution, kept, profile,
+                                         extent=args.extent)):
         csv_path = os.path.join(args.output_dir, f"{stem}_{idx:03d}.csv")
         export_csv(snap, csv_path)
         export_metadata(snap, os.path.join(args.output_dir, f"{stem}_{idx:03d}.json"))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import IsoparametricSurface
-from .errors import FamilyMismatchError, InvalidInputError
+from .errors import FamilyMismatchError, InvalidInputError, NumericalRangeError
 
 _INF = math.inf
 
@@ -55,6 +55,8 @@ class ClosedFormProfile:
                 f"time outside the profile domain ({self.t_min}, {self.t_star}]"
             )
         out = self._xi_resolved(t_arr)
+        if not np.all(np.isfinite(out)):
+            raise NumericalRangeError(f"{self.family} closed form gives a non-finite offset")
         if self.orientation_flipped:
             out = -out
         if np.ndim(t) == 0:

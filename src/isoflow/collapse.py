@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import IsoparametricSurface
-from .errors import AnalysisIncompleteError
+from .errors import AnalysisIncompleteError, NumericalRangeError
 from .spaceform import focal_offset, parallel_curvature, parallel_metric_factor
 
 # Evaluation offset below the collapse time: inside double-precision
@@ -63,6 +63,8 @@ class CollapseReport:
 
 def _inverse_slope(space_form, xi: float) -> float:
     """The curvature a block must have for its factor to vanish exactly at xi."""
+    if xi == 0.0:
+        raise NumericalRangeError("focal offset underflows to 0: its curvature is out of range")
     if space_form.curvature == 1:
         return math.cos(xi) / math.sin(xi)
     if space_form.curvature == 0:

@@ -15,8 +15,8 @@ Charts:
   unit normal N = -kappa (F + L), L = (-1, 0, ..., 0, 1).
 
 A snapshot at time t applies the parallel map (F, N) -> (cF + sN, ...) with
-xi = xi(t) from a flow profile, so every exported cloud stays exactly on the
-ambient quadric up to roundoff.
+xi = xi(t) from a flow profile to the t = 0 frame, so every exported cloud
+stays exactly on the ambient quadric up to roundoff.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ import numpy as np
 
 from .catalog import IsoparametricSurface
 from .errors import InvalidInputError, UnsupportedEmbeddingError
-from .spaceform import check_frame, parallel_point
+# parallel_point stays importable here: perfbench/layers.py traces it at this module.
+from .spaceform import check_frame, parallel_map, parallel_point  # noqa: F401
 
 POLAR_MARGIN = 0.2
 
@@ -215,18 +216,17 @@ def get_embedding(surface: IsoparametricSurface) -> Embedding:
     )
 
 
-def sample(
-    surface: IsoparametricSurface,
-    resolution,
-    t: float,
-    profile,
-    extent: float = 1.0,
-) -> SampledSurface:
-    """Evaluate the evolved hypersurface point cloud at time t.
+def snapshots(surface: IsoparametricSurface, resolution, times, profile,
+              extent: float = 1.0):
+    """Yield the evolved hypersurface point cloud at each of ``times``, in order.
 
-    ``profile`` supplies xi(t); t must lie in its domain.  Ambient dimensions
-    above 4 are allowed but flagged with a warning.
+    The flow moves by parallel hypersurfaces, so each snapshot is the parallel
+    map of one intrinsic frame, built and validated once (not at all for no
+    times), at xi(t) from ``profile``; each t must lie in its domain.  Ambient
+    dimensions above 4 are allowed but flagged with a warning.
     """
+    if len(times) == 0:
+        return
     emb = get_embedding(surface)
     if emb.ambient_dim > 4:
         warnings.warn(
@@ -234,18 +234,22 @@ def sample(
             "target of 4; downstream viewers may not cope",
             stacklevel=2,
         )
-    xi = float(np.asarray(profile.xi(t), dtype=float))
     F, N, grid_shape = emb.frame_grid(resolution, extent=extent)
-    F_t, N_t = parallel_point(surface.space_form, F, N, xi)
-    return SampledSurface(
-        family=surface.family,
-        points=F_t,
-        normals=N_t,
-        grid_shape=grid_shape,
-        t=float(t),
-        xi=xi,
-        space_form=surface.space_form,
-    )
+    check_frame(surface.space_form, F, N)
+    for k, t in enumerate(times, 1):
+        xi = float(np.asarray(profile.xi(t), dtype=float))
+        points, normals = parallel_map(surface.space_form, F, N, xi)
+        if k == len(times):
+            del F, N  # so the caller's work on the last cloud runs without the frame
+        yield SampledSurface(surface.family, points, normals, grid_shape, float(t), xi,
+                             surface.space_form)
+        del points, normals  # so the next cloud is built without this one
+
+
+def sample(surface: IsoparametricSurface, resolution, t: float, profile,
+           extent: float = 1.0) -> SampledSurface:
+    """The evolved hypersurface point cloud at time t: one of ``snapshots``."""
+    return next(snapshots(surface, resolution, [t], profile, extent))
 
 
 def export_csv(sampled: SampledSurface, path) -> None:

@@ -34,5 +34,9 @@ class IntegrationFailureError(IsoflowError):
     """The ODE integrator failed before the singularity guard triggered."""
 
 
+class NumericalRangeError(IsoflowError):
+    """A valid input drove a result out of double range: to inf or nan, or to a zero divisor."""
+
+
 class AnalysisIncompleteError(IsoflowError):
     """A flow profile does not carry enough data to classify its limit."""

@@ -246,18 +246,19 @@ def check_frame(sf: SpaceForm, F, N, tol: float = FRAME_TOL):
     N = np.asarray(N, dtype=float)
     if F.shape != N.shape:
         raise InvalidFrameError(f"F and N shapes differ: {F.shape} vs {N.shape}")
-    scale = 1.0 + np.sum(F * F, axis=-1) + np.sum(N * N, axis=-1)
-    nn = inner(sf, N, N)
-    if np.any(np.abs(nn - 1.0) > tol * scale):
+    ff, nn = np.sum(F * F, axis=-1), np.sum(N * N, axis=-1)
+    tol_rows = tol * (1.0 + ff + nn)
+    if sf.curvature == -1:
+        nn = nn - 2.0 * N[..., 0] * N[..., 0]
+    if np.any(np.abs(nn - 1.0) > tol_rows):
         raise InvalidFrameError("normal is not unit in the ambient inner product")
     if sf.curvature != 0:
-        ff = inner(sf, F, F)
-        fn = inner(sf, F, N)
-        if np.any(np.abs(ff - sf.curvature) > tol * scale):
-            raise InvalidFrameError(
-                f"position does not satisfy <F,F> = {sf.curvature}"
-            )
-        if np.any(np.abs(fn) > tol * scale):
+        fn = np.sum(F * N, axis=-1)
+        if sf.curvature == -1:
+            ff, fn = ff - 2.0 * F[..., 0] * F[..., 0], fn - 2.0 * F[..., 0] * N[..., 0]
+        if np.any(np.abs(ff - sf.curvature) > tol_rows):
+            raise InvalidFrameError(f"position does not satisfy <F,F> = {sf.curvature}")
+        if np.any(np.abs(fn) > tol_rows):
             raise InvalidFrameError("position and normal are not orthogonal")
 
 
@@ -274,7 +275,10 @@ def parallel_point(sf: SpaceForm, F, N, xi):
     F = np.asarray(F, dtype=float)
     N = np.asarray(N, dtype=float)
     check_frame(sf, F, N)
-    c, s = cs_eval(sf, float(xi_arr))
-    F_new = c * F + s * N
-    N_new = -sf.curvature * s * F + c * N
-    return F_new, N_new
+    return parallel_map(sf, F, N, float(xi_arr))
+
+
+def parallel_map(sf: SpaceForm, F, N, xi: float):
+    """parallel_point for float arrays F, N that check_frame has accepted."""
+    c, s = cs_eval(sf, xi)
+    return c * F + s * N, -sf.curvature * s * F + c * N

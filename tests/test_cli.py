@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, clipping, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -157,6 +158,20 @@ class TestCollapse:
         assert doc["ode"]["t_star"] == pytest.approx(expected, rel=1e-7)
         assert doc["closed"]["limit_kind"] == "point"
 
+    @pytest.mark.parametrize("argv, code", [
+        # valid surfaces: t* and the evaluation offset underflow to 0 (exit 4)
+        (["--family", "hyperbolic-umbilic", "--n", "2", "--kappa", "1e300"], 4),
+        # valid surfaces: the closed form overflows to a nan offset (exit 4)
+        (["--family", "sphere-umbilic", "--n", "2", "--kappa", "1e200"], 4),
+        (["--family", "sphere-product", "--l", "1", "--n", "2", "--kappa1", "1e160"], 4),
+        # not a surface: invalid input (exit 2)
+        (["--family", "sphere-umbilic", "--n", "2", "--kappa", "inf"], 2),
+    ])
+    def test_extreme_curvature_exit_codes(self, capsys, argv, code):
+        rc, out, err = run_cli(capsys, "collapse", *argv)
+        assert rc == code
+        assert out == "" and err.startswith("error: ")
+
     def test_eternal_reports_null(self, capsys):
         rc, out, _ = run_cli(
             capsys, "collapse", "--family", "horosphere", "--n", "3", "--kappa", "1",
@@ -238,6 +253,30 @@ class TestExport:
         assert sorted(p.name for p in tmp_path.glob("snap_*.csv")) == [
             "snap_000.csv", "snap_001.csv",
         ]
+
+    @pytest.mark.parametrize("surface", [
+        ["--family", "euclidean-cylinder", "--m", "2", "--n", "2", "--kappa", "-1.5"],
+        ["--family", "sphere-product", "--l", "1", "--n", "3", "--kappa1", "2"],
+        ["--family", "horosphere", "--n", "2", "--kappa", "-1"],
+        ["--family", "hyperbolic-cylinder", "--m1", "1", "--m2", "1", "--kappa1", "2"],
+    ])
+    def test_files_equal_one_time_exports(self, capsys, tmp_path, surface):
+        def digests(directory):
+            return [hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in sorted(directory.iterdir())]
+
+        times = ["0", "0.05", "0.1"]
+        common = ["export", *surface, "--resolution", "5"]
+        rc, _, _ = run_cli(capsys, *common, "--times", ",".join(times),
+                           "--output-dir", str(tmp_path / "all"))
+        assert rc == 0
+        for idx, t in enumerate(times):
+            rc, _, _ = run_cli(capsys, *common, "--times", t,
+                               "--output-dir", str(tmp_path / "one"),
+                               "--stem", f"t{idx}")
+            assert rc == 0
+        assert len(digests(tmp_path / "all")) == 6
+        assert digests(tmp_path / "all") == digests(tmp_path / "one")
 
     def test_export_and_help_leave_scipy_unloaded(self, tmp_path):
         # No command loads scipy, not even collapse, whose DOP853 profile ends

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,8 +20,11 @@ from isoflow import (
     make_sphere_product,
     make_sphere_umbilic,
     parallel_metric_factor,
+    parallel_point,
     resolve_profile,
     sample,
+    snapshots,
+    sphere_curvatures_from_g,
     sphere_family_from_kappa1,
 )
 
@@ -95,6 +99,63 @@ class TestSupportedFamilies:
         surface = make_sphere_product(2, 4, 2.0)  # ambient R^6
         with pytest.warns(UserWarning):
             snapshot(surface, 4, 0.0)
+
+
+def reference_sample(surface, resolution, t, profile):
+    """Reference: the single-time sample body, its own frame grid and parallel_point."""
+    xi = float(np.asarray(profile.xi(t), dtype=float))
+    F, N, grid_shape = get_embedding(surface).frame_grid(resolution)
+    F_t, N_t = parallel_point(surface.space_form, F, N, xi)
+    return F_t, N_t, grid_shape, xi
+
+
+class TestSnapshots:
+    @pytest.mark.parametrize("surface, resolution", [
+        (make_euclidean_cylinder(2, 3, -1.3), (6, 5, 4)),  # flipped
+        (make_sphere_product(1, 3, 2.5), (7, 6, 5)),
+        (sphere_curvatures_from_g(2, 1.2, [1, 2]), (5, 5, 5)),  # flipped
+        (make_horosphere(2, -1.0), (9, 8)),  # Lorentzian, flipped
+        (make_hyperbolic_cylinder(2, 2, 2.0), (4, 4, 4, 3)),  # Lorentzian
+    ])
+    def test_bits_equal_one_frame_per_time(self, surface, resolution):
+        prof = resolve_profile(surface)
+        t_star = prof.t_star
+        times = [0.0, 0.7, 2.0] if math.isinf(t_star) else [0.0, 0.4 * t_star, 0.9 * t_star]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # ambient dimension above 4
+            snaps = list(snapshots(surface, resolution, times, prof))
+            single = [sample(surface, resolution, t, prof) for t in times]
+        assert len(snaps) == len(times)
+        for snap, one, t in zip(snaps, single, times):
+            F_t, N_t, grid_shape, xi = reference_sample(surface, resolution, t, prof)
+            for got in (snap, one):
+                assert got.points.tobytes() == F_t.tobytes()
+                assert got.normals.tobytes() == N_t.tobytes()
+                assert (got.grid_shape, got.t, got.xi) == (grid_shape, t, xi)
+
+    def test_last_cloud_is_held_without_the_frame(self):
+        # What stays allocated while the caller works on each cloud, in clouds:
+        # the frame and the cloud for the first time, the cloud alone for the last.
+        surface = make_hyperbolic_cylinder(2, 2, 2.0)
+        gen = snapshots(surface, (8, 8, 8, 8), [0.0, 0.01], resolve_profile(surface))
+        held = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # ambient dimension above 4
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                for snap in gen:
+                    cloud = snap.points.nbytes + snap.normals.nbytes
+                    held.append((tracemalloc.get_traced_memory()[0] - base) / cloud)
+                    del snap
+            finally:
+                tracemalloc.stop()
+        assert held[0] > 1.9
+        assert held[1] < 1.1
+
+    def test_no_times_builds_nothing(self):
+        # Not even the embedding lookup runs, so an unsupported family passes.
+        assert list(snapshots(sphere_family_from_kappa1(3, 2.0), 4, [], None)) == []
 
 
 class TestChordShrink:

@@ -22,6 +22,7 @@ from isoflow import (
     parallel_metric_factor,
     parallel_point,
 )
+from isoflow.spaceform import check_frame
 
 ALL_FORMS = (HYPERBOLIC, EUCLIDEAN, SPHERE)
 
@@ -210,6 +211,47 @@ class TestParallelPoint:
             parallel_point(SPHERE, F, 2.0 * F, 0.1)
         with pytest.raises(InvalidFrameError):
             parallel_point(SPHERE, 1.1 * F, np.array([0.0, 1.0, 0.0]), 0.1)
+
+
+def _valid_frames(sf):
+    """Three (F, N) rows satisfying sf's constraints, at offsets 0, 0.3 and 1.7."""
+    F, N = [], []
+    for a in (0.0, 0.3, 1.7):
+        if sf.curvature == 0:
+            F.append([3.0, -a, 0.5])
+            N.append([0.0, math.cos(a), math.sin(a)])
+        elif sf.curvature == 1:
+            F.append([math.cos(a), math.sin(a), 0.0])
+            N.append([-math.sin(a), math.cos(a), 0.0])
+        else:
+            F.append([math.cosh(a), math.sinh(a), 0.0])
+            N.append([math.sinh(a), math.cosh(a), 0.0])
+    return np.array(F), np.array(N)
+
+
+class TestCheckFrame:
+    @pytest.mark.parametrize("sf", ALL_FORMS)
+    def test_each_constraint_violation_raises(self, sf):
+        F, N = _valid_frames(sf)
+        check_frame(sf, F, N)
+        bad = N.copy()
+        bad[1] *= 1.1
+        with pytest.raises(InvalidFrameError, match="normal is not unit"):
+            check_frame(sf, F, bad)
+        if sf.curvature == 0:  # positions are free, and _valid_frames' are not orthogonal
+            check_frame(sf, 1.1 * F, N)
+            return
+        scaled = F.copy()
+        scaled[0] *= 1.1
+        with pytest.raises(InvalidFrameError, match="position does not satisfy"):
+            check_frame(sf, scaled, N)
+        # N + eps F stays unit after dividing by sqrt(1 + kbar eps^2) and
+        # leans toward F: only orthogonality fails.
+        eps = 0.1
+        leaning = N.copy()
+        leaning[2] = (N[2] + eps * F[2]) / math.sqrt(1.0 + sf.curvature * eps * eps)
+        with pytest.raises(InvalidFrameError, match="not orthogonal"):
+            check_frame(sf, F, leaning)
 
 
 def test_parallel_data_validates_pair():

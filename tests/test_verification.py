@@ -1,11 +1,14 @@
 """The built-in cross-check suite must pass wholesale on the family grid."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from isoflow import resolve_profile, rhs, verification
+from isoflow import EUCLIDEAN, HYPERBOLIC, SPHERE, cs_eval, resolve_profile, rhs, verification
+
+MiB = 2**20
 
 
 @pytest.fixture(scope="module")
@@ -67,3 +70,61 @@ def test_ode_residual_equals_scalar_stencil(grid, family):
     surface = next(s for _, s in grid if s.family == family and not s.is_minimal)
     profile = resolve_profile(surface)
     assert verification._ode_residual(surface, profile) == _scalar_ode_residual(surface, profile)
+
+
+def _one_shot_cs_identity(samples, seed):
+    """Reference: the identities check with one draw of samples // 3 per ambient.
+
+    Returns the worst ulp and the draws, in order.
+    """
+    rng = np.random.default_rng(seed)
+    worst, draws = 0.0, []
+    for kbar, sf in ((-1, HYPERBOLIC), (0, EUCLIDEAN), (1, SPHERE)):
+        xi = rng.uniform(-10.0, 10.0, samples // 3)
+        draws.append(xi)
+        c, s = cs_eval(sf, xi)
+        residual = np.abs(c * c + kbar * s * s - 1.0)
+        scale = np.maximum(1.0, np.maximum(c * c, np.abs(kbar) * s * s))
+        worst = max(worst, float(np.max(residual / np.spacing(scale))))
+    return worst, np.concatenate(draws)
+
+
+@pytest.mark.parametrize("samples, seed", [(10**6, 20240801), (3 * 2**14 + 7, 5)])
+def test_cs_identity_streams_the_one_shot_draws(monkeypatch, samples, seed):
+    seen = []
+
+    def recording_cs_eval(sf, xi):
+        seen.append(np.array(xi))
+        return cs_eval(sf, xi)
+
+    monkeypatch.setattr(verification, "cs_eval", recording_cs_eval)
+    result = verification.check_cs_identity(None, samples=samples, seed=seed)
+    worst, draws = _one_shot_cs_identity(samples, seed)
+    assert max(len(xi) for xi in seen) <= 2**14
+    np.testing.assert_array_equal(np.concatenate(seen), draws)
+    assert result.detail == f"max identity residual = {worst:.2f} ulp (tol 4)"
+    assert result.passed == (worst <= 4.0)
+
+
+def _traced_peak(fn):
+    fn()  # first-call allocations (caches, lazy imports) are not the check's
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_identities_peak_memory():
+    # The one-shot draws peaked at 22.9 MiB.
+    assert _traced_peak(lambda: verification.check_cs_identity(None)) <= 2 * MiB
+
+
+def test_embedding_constraints_holds_one_snapshot(grid):
+    # 16,384 frames in R^9; holding all three snapshots peaked at 10.6 MiB.
+    # The peak is the one frame grid's, as when each time built its own.
+    label, surface = next(p for p in grid if p[0].startswith("sphere product l=3 n=7"))
+    peak = _traced_peak(
+        lambda: verification.check_embedding_constraints(label, surface, None))
+    assert peak <= 6.3 * MiB
