@@ -95,11 +95,12 @@ class Embedding:
             else:
                 axes.append(np.linspace(-extent, extent, r))
         grid_shape = tuple(len(ax) for ax in axes)
-        if any(s == 0 for s in grid_shape):
-            params = np.zeros((0, dims))
-        else:
-            mesh = np.meshgrid(*axes, indexing="ij")
-            params = np.stack([m.ravel() for m in mesh], axis=-1)
+        # Row p of params is grid point p in C order; each axis is broadcast
+        # into its own column, so no meshgrid of all axes is held.
+        params = np.empty((math.prod(grid_shape), dims))
+        grid = params.reshape(*grid_shape, dims)
+        for j, ax in enumerate(axes):
+            grid[..., j] = ax.reshape([-1 if i == j else 1 for i in range(dims)])
         F, N = self._frame(params)
         return F, N, grid_shape
 
@@ -253,20 +254,34 @@ def sample(surface: IsoparametricSurface, resolution, t: float, profile,
 
 
 def export_csv(sampled: SampledSurface, path) -> None:
-    """Write the cloud as CSV: x0..xd, nx0..nxd, t with 17 significant digits."""
+    """Write the cloud as CSV: x0..xd, nx0..nxd, t with 17 significant digits.
+
+    A snapshot is the parallel map of one grid, so each column holds few
+    distinct values; each is formatted with ``%.17g`` once.  Values are told
+    apart by their bits, not as floats, so ``-0.0`` is still written ``-0``.
+    The constant ``t`` is formatted once and ends every line.
+    """
     d = sampled.ambient_dim
     header = ",".join(
         [f"x{i}" for i in range(d)] + [f"nx{i}" for i in range(d)] + ["t"]
     )
-    rows = np.column_stack([sampled.points, sampled.normals,
-                            np.full(len(sampled.points), sampled.t)])
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    texts, indices = [], []
+    for column in (*sampled.points.T, *sampled.normals.T):
+        bits, index = np.unique(column.view(np.int64), return_inverse=True)
+        # Each field carries the comma after it: t is the last column.
+        texts.append(np.array(["%.17g," % v for v in bits.view(np.float64).tolist()],
+                              dtype=object))
+        indices.append(index.astype(np.min_scalar_type(max(len(bits) - 1, 0))))
+    cells = np.empty((1024, 2 * d + 1), dtype=object)
+    cells[:, -1] = "%.17g\n" % sampled.t
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        # One % per 1,024 rows: one per file would hold the whole text at once.
-        for start in range(0, len(rows), 1024):
-            chunk = rows[start:start + 1024]
-            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+        # 1,024 rows at a time: the whole file's text is never held at once.
+        for start in range(0, len(sampled.points), 1024):
+            rows = cells[:len(sampled.points) - start]
+            for j, (text, index) in enumerate(zip(texts, indices)):
+                rows[:, j] = text[index[start:start + 1024]]
+            fh.write("".join(rows.ravel().tolist()))
 
 
 def export_metadata(sampled: SampledSurface, path) -> None:

@@ -1,6 +1,7 @@
 """Ambient embeddings, snapshot sampling and CSV export."""
 
 import csv
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from isoflow import (
+    SampledSurface,
     UnsupportedEmbeddingError,
     export_csv,
     export_metadata,
@@ -27,6 +29,9 @@ from isoflow import (
     sphere_curvatures_from_g,
     sphere_family_from_kappa1,
 )
+from isoflow.embedding import POLAR_MARGIN
+
+MiB = 2**20
 
 
 def snapshot(surface, resolution, t, **kw):
@@ -43,6 +48,37 @@ def row_writer_csv(sampled, path):
             row = [f"{v:.17g}" for v in p] + [f"{v:.17g}" for v in nv]
             row.append(f"{sampled.t:.17g}")
             fh.write(",".join(row) + "\n")
+
+
+def _mixed_zero_cloud():
+    """A snapshot whose second normal column holds both -0.0 and 0.0.
+
+    Every zero of a sampled column comes from the same product of signs, so
+    no grid mixes them; the snapshot's 30 zeros there are all -0.0 (azimuth 0)
+    and every other one is set to 0.0, the same frame as numbers.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # ambient dimension above 4
+        snap = snapshot(make_sphere_product(1, 3, 2.5), (8, 6, 5), 0.02)
+    normals = snap.normals.copy()
+    zeros = np.flatnonzero(normals[:, 1] == 0.0)
+    assert len(zeros) == 30 and np.all(np.signbit(normals[zeros, 1]))
+    normals[zeros[::2], 1] = 0.0
+    return dataclasses.replace(snap, normals=normals)
+
+
+def _distinct_cloud():
+    """1,500 random orthonormal frames on S^4: no value repeats within a column."""
+    surface = make_sphere_product(1, 3, 2.5)
+    rng = np.random.default_rng(10)
+    F = rng.normal(size=(1500, 5))
+    F /= np.linalg.norm(F, axis=1, keepdims=True)
+    N = rng.normal(size=(1500, 5))
+    N -= np.sum(N * F, axis=1, keepdims=True) * F
+    N /= np.linalg.norm(N, axis=1, keepdims=True)
+    for column in (*F.T, *N.T):
+        assert len(np.unique(column)) == len(column)
+    return SampledSurface(surface.family, F, N, (1500,), 0.0, 0.0, surface.space_form)
 
 
 class TestSupportedFamilies:
@@ -158,6 +194,56 @@ class TestSnapshots:
         assert list(snapshots(sphere_family_from_kappa1(3, 2.0), 4, [], None)) == []
 
 
+def reference_frame_grid(emb, resolution, extent=1.0):
+    """Reference: the meshgrid body of Embedding.frame_grid; returns (params, F, N)."""
+    dims = emb.intrinsic_dim
+    if np.ndim(resolution) == 0:
+        resolution = [int(resolution)] * dims
+    axes = []
+    for kind, r in zip(emb.axis_kinds, resolution):
+        if kind == "polar":
+            axes.append(np.linspace(POLAR_MARGIN, math.pi - POLAR_MARGIN, r))
+        elif kind == "azimuth":
+            axes.append(np.linspace(0.0, 2.0 * math.pi, r, endpoint=False))
+        else:
+            axes.append(np.linspace(-extent, extent, r))
+    if any(len(ax) == 0 for ax in axes):
+        params = np.zeros((0, dims))
+    else:
+        mesh = np.meshgrid(*axes, indexing="ij")
+        params = np.stack([m.ravel() for m in mesh], axis=-1)
+    return (params, *emb._frame(params))
+
+
+class TestFrameGrid:
+    @pytest.mark.parametrize("surface, resolution, extent", [
+        (make_euclidean_cylinder(2, 3, -1.3), (6, 5, 4), 1.0),  # flipped
+        (make_euclidean_cylinder(1, 1, 0.7), 9, 2.5),
+        (make_sphere_product(1, 3, 2.5), (7, 6, 5), 1.0),
+        (sphere_curvatures_from_g(2, 1.2, [1, 2]), (5, 5, 5), 1.0),  # flipped
+        (make_sphere_product(3, 7, 2.0), 4, 1.0),  # 16,384 points in R^9
+        (make_horosphere(2, -1.0), (9, 8), 0.5),  # Lorentzian, flipped
+        (make_hyperbolic_cylinder(2, 2, 2.0), (4, 4, 4, 3), 1.5),  # Lorentzian
+        (make_hyperbolic_cylinder(1, 2, 3.0), (5, 0, 4), 1.0),  # no points
+    ])
+    def test_bytes_equal_meshgrid(self, surface, resolution, extent):
+        emb = get_embedding(surface)
+        seen = []
+
+        def recording_frame(params):
+            seen.append(params.copy())
+            return emb._frame(params)
+
+        F, N, grid_shape = dataclasses.replace(emb, _frame=recording_frame).frame_grid(
+            resolution, extent=extent)
+        params_ref, F_ref, N_ref = reference_frame_grid(emb, resolution, extent)
+        assert len(seen) == 1
+        for got, ref in ((seen[0], params_ref), (F, F_ref), (N, N_ref)):
+            assert (got.shape, got.dtype) == (ref.shape, ref.dtype)
+            assert got.tobytes() == ref.tobytes()
+        assert math.prod(grid_shape) == len(F)
+
+
 class TestChordShrink:
     def test_neighbor_chords_scale_with_metric_factor(self):
         # Chords along the azimuth circle shrink by |c - kappa s| (within 5%).
@@ -222,6 +308,42 @@ class TestExport:
         export_csv(snap, tmp_path / "chunked.csv")
         row_writer_csv(snap, tmp_path / "rows.csv")
         assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize("make_cloud", [
+        _mixed_zero_cloud,
+        _distinct_cloud,
+        lambda: snapshot(make_horosphere(2, -1.0), (37, 71), 0.5),  # 2,627 rows
+        lambda: snapshot(make_sphere_product(1, 2, 2.0), 0, 0.0),  # no rows
+    ], ids=["mixed-zero-signs", "all-distinct", "2627-rows", "no-rows"])
+    def test_bytes_equal_row_writer_edges(self, tmp_path, make_cloud):
+        snap = make_cloud()
+        export_csv(snap, tmp_path / "unique.csv")
+        row_writer_csv(snap, tmp_path / "rows.csv")
+        assert (tmp_path / "unique.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_zero_signs_survive(self, tmp_path):
+        snap = _mixed_zero_cloud()
+        export_csv(snap, tmp_path / "cloud.csv")
+        with open(tmp_path / "cloud.csv", newline="") as fh:
+            column = [row[snap.ambient_dim + 1] for row in csv.reader(fh)][1:]
+        assert "-0" in column and "0" in column
+
+    def test_writer_peak_memory(self, tmp_path):
+        # The export-cloud hyperbolic cylinder: 12,672 rows in R^6.  The writer
+        # that formatted every field read 2.04 MiB.
+        surface = make_hyperbolic_cylinder(2, 2, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # ambient dimension above 4
+            snap = snapshot(surface, (12, 12, 11, 8), 0.01)
+        assert len(snap.points) == 12672
+        export_csv(snap, tmp_path / "cloud.csv")  # first-call allocations are not the writer's
+        tracemalloc.start()
+        try:
+            export_csv(snap, tmp_path / "cloud.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * MiB
 
     def test_metadata_sidecar(self, tmp_path):
         import json
