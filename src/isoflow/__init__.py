@@ -67,7 +67,6 @@ from .flow_ode import (
     OdeOptions,
     estimate_tstar,
     integrate,
-    rhs,
 )
 from .spaceform import (
     EUCLIDEAN,

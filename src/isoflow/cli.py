@@ -251,8 +251,7 @@ def cmd_collapse(args) -> int:
                 "nfev": numeric.nfev,
                 "accepted_steps": numeric.accepted_steps,
                 "rejected_steps": numeric.rejected_steps,
-                "guard_trigger": None if numeric.guard_trigger is None
-                else dict(zip(("t", "xi", "factor"), numeric.guard_trigger)),
+                "t_end": float(numeric.times[-1]),
             },
         },
         "delta_t_star": delta,

@@ -22,6 +22,7 @@ from .spaceform import focal_offset, parallel_curvature, parallel_metric_factor
 
 # Evaluation offset below the collapse time: inside double-precision
 # resolution of t_star, clear of the singular cancellation zone and of t = 0.
+# flow_ode.integrate ends a run that reaches t_star at this offset.
 def _limit_eval_offset(t_star: float) -> float:
     return min(max(1e-8, 1e-8 * t_star), 0.5 * t_star)
 
@@ -77,8 +78,8 @@ def analyze(surface: IsoparametricSurface, profile) -> CollapseReport:
     t_star = getattr(profile, "t_star", None)
     if t_star is None:
         raise AnalysisIncompleteError(
-            "profile carries no collapse information; integrate with the guard "
-            "or to a longer horizon"
+            "profile carries no collapse information; integrate past the collapse "
+            "time or to a longer horizon"
         )
     flipped = bool(getattr(profile, "orientation_flipped", False))
     sf = surface.space_form

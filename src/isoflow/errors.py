@@ -31,7 +31,7 @@ class UnsupportedEmbeddingError(IsoflowError):
 
 
 class IntegrationFailureError(IsoflowError):
-    """The ODE integrator failed before the singularity guard triggered."""
+    """The ODE integrator gave up before the end of its run, e.g. on meeting the singularity."""
 
 
 class NumericalRangeError(IsoflowError):

@@ -16,15 +16,12 @@ II.5-II.6).  ``solve_ivp`` here steps it in Python floats: the tableau is
 scipy's and so is the step control, but no step goes through numpy, since on
 a scalar ODE scipy's per-step array work costs ten times the right-hand
 side.  Each step is straight-line code generated once from the tableau
-(_dop853_step), and the right-hand side is written once per ambient.  Its
-singularity guard is the least signed denominator c - kappa s of the blocks
-with a finite zero in the flow direction, less sqrt(singularity_guard).
-Each is 1 at xi = 0 and changes sign at its focal offset, so a step that
-jumps past xi* still ends the run.  The stop is the guard's root on the
-step's interpolant by _brentq, a port of scipy's brentq.c (Brent 1973).  So
-no scipy module is imported: scipy is only the file the tableau is read
-from.  The guard only ends the integration (a stop already past xi* is an
-integration failure); it does not decide t*.
+(_dop853_step), and the right-hand side is written once per ambient.  No
+scipy module is imported: scipy is only the file the tableau is read from.
+A forward run whose window reaches the collapse time t* ends at a time
+known in advance, t* - collapse._limit_eval_offset(t*), where
+collapse.analyze reads the limit; no event or root search decides the stop.  A run that meets the
+singularity before it fails with IntegrationFailureError.
 
 Distinct trajectories share no mutable state and may run in parallel.
 """
@@ -34,14 +31,13 @@ from __future__ import annotations
 import functools
 import math
 import os
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .catalog import IsoparametricSurface, mean_curvature
-from .collapse import ETERNAL_CHECK_TIME
+from .collapse import ETERNAL_CHECK_TIME, _limit_eval_offset
 from .errors import IntegrationFailureError, InvalidInputError
 from .spaceform import focal_offset
 
@@ -50,20 +46,18 @@ from .spaceform import focal_offset
 _X16, _W16 = np.polynomial.legendre.leggauss(16)
 _X32, _W32 = np.polynomial.legendre.leggauss(32)
 _NODES = np.concatenate([_X16, _X32]) + 1.0
-_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
 class OdeOptions:
-    """Error control and guard settings for the integrator."""
+    """Error control settings for the integrator."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_step: float = math.inf
-    singularity_guard: float = 1e-9
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "max_step", "singularity_guard"):
+        for name in ("rel_tol", "abs_tol", "max_step"):
             if not getattr(self, name) > 0.0:
                 raise InvalidInputError(f"{name} must be positive")
         if self.rel_tol < 1e-14:
@@ -73,13 +67,8 @@ class OdeOptions:
 DEFAULT_OPTIONS = OdeOptions()
 
 
-def rhs(surface: IsoparametricSurface, xi):
-    """Right-hand side of the flow ODE; identical to catalog.mean_curvature."""
-    return mean_curvature(surface, xi)
-
-
-def _kernel(surface: IsoparametricSurface, watched, level: float, floor: float = 1e-14):
-    """The right-hand side fun(xi) and the guard(xi) of one surface, in math scalars.
+def _kernel(surface: IsoparametricSurface, floor: float = 1e-14):
+    """The right-hand side fun(xi) of one surface, in math scalars.
 
     fun is written once per ambient, so a call only runs its ambient's
     formula.  Each block's constants are formed here: its anchor
@@ -90,11 +79,7 @@ def _kernel(surface: IsoparametricSurface, watched, level: float, floor: float =
     overshoot the focal point finite, so step control rejects them instead of
     aborting the solve; in H^n coth is 1/tanh, as tanh saturates where sinh
     overflows, and a block with |k| = 1 is tanh at the anchor +-inf, which is
-    k itself.  The terms add up in block order.  The guard is the least
-    signed denominator c - kappa s of the watched blocks, formed as
-    spaceform.parallel_denominator forms it, less sqrt(level).  Every
-    denominator is 1 at xi = 0 and changes sign at its focal offset, so a step
-    that jumps past xi* still ends with a negative guard.
+    k itself.  The terms add up in block order.
     """
     kbar = surface.space_form.curvature
     copysign, sin, cos, tanh = math.copysign, math.sin, math.cos, math.tanh
@@ -146,22 +131,7 @@ def _kernel(surface: IsoparametricSurface, watched, level: float, floor: float =
                 total += m * (1.0 / den)
             return total
 
-    if kbar == 0:
-        focal = [(k, 0.0, 1.0) for k, _ in watched]
-    elif kbar == 1:
-        focal = [(k, math.atan2(1.0, k), math.sqrt(1.0 + k * k)) for k, _ in watched]
-    else:
-        focal = [(k, math.atanh(1.0 / k), copysign(math.sqrt(k * k - 1.0), k)) for k, _ in watched]
-    # np.sinh: math.sinh differs from it in the last bit, and the stop
-    # depends on the guard being parallel_denominator's value.
-    sin_like = math.sin if kbar == 1 else np.sinh
-    root_level = math.sqrt(level)
-
-    def guard(xi):
-        dens = (1.0 - k * xi if kbar == 0 else s * sin_like(a - xi) for k, a, s in focal)
-        return float(min(dens) - root_level)
-
-    return fun, guard
+    return fun
 
 
 @functools.cache
@@ -231,67 +201,6 @@ def _dop853_step():
     return namespace["attempt"], namespace["dense"]
 
 
-def _brentq(f, xa: float, xb: float, maxiter: int = 100) -> float:
-    """A zero of f in [xa, xb] by Brent's method (Brent 1973, Algorithms for
-    Minimization without Derivatives, ch. 4).
-
-    A line-for-line port of scipy.optimize.brentq (its C source Zeros/brentq.c
-    and its Python wrapper) at xtol = rtol = 4 eps, scipy's least rtol:
-    the same iterates, the same root, ValueError when f(xa) and f(xb) have
-    one sign or f returns NaN, RuntimeError after maxiter iterations without
-    convergence.
-    """
-    xtol = rtol = 4 * _EPS
-
-    def value(x):
-        fx = f(x)
-        if fx != fx:
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur = xa, xb
-    fpre, fcur = value(xpre), value(xcur)
-    xblk = fblk = spre = scur = 0.0
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # inf or nan in C, and either bisects below
-                stry = math.inf
-            bound = 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):  # a good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
-
-
 def _interpolant(coef, x, y0):
     """A step's 7-term DOP853 interpolant at x = (t - t_old) / h.
 
@@ -304,7 +213,7 @@ def _interpolant(coef, x, y0):
 
 
 class _Run(NamedTuple):
-    """A DOP853 run: status 0 reached t_end, 1 the guard fired, -1 failed."""
+    """A DOP853 run: status 0 reached t_end, -1 failed."""
 
     status: int
     message: str
@@ -317,18 +226,15 @@ class _Run(NamedTuple):
     rejected: int
 
 
-def solve_ivp(fun, t_end: float, opts: OdeOptions, guard=None) -> _Run:
+def solve_ivp(fun, t_end: float, opts: OdeOptions) -> _Run:
     """DOP853 for xi' = fun(xi), xi(0) = 0, from t = 0 to t_end, in Python floats.
 
     The method and its controller are scipy's solve_ivp(method="DOP853") with
-    dense output and one terminal event that falls through zero: the initial
-    step of select_initial_step, the 12-stage step with the 5th/3rd-order
-    error norm, safety 0.9, step factors between 0.2 and 10 (at most 1 right
-    after a rejection), exponent -1/8, a minimum step of 10 ulp of t, and
-    per accepted step the 7-term interpolant, which costs 3 more stages.  The
-    stages run as the straight-line code of _dop853_step.  The guard is
-    checked at each step end; when it falls to zero the stop is the _brentq
-    root (scipy's brentq, ported) of the guard on that step's interpolant.
+    dense output: the initial step of select_initial_step, the 12-stage step
+    with the 5th/3rd-order error norm, safety 0.9, step factors between 0.2
+    and 10 (at most 1 right after a rejection), exponent -1/8, a minimum step
+    of 10 ulp of t, and per accepted step the 7-term interpolant, which costs
+    3 more stages.  The stages run as the straight-line code of _dop853_step.
     ``nfev`` counts RHS calls as scipy does: 2 for the initial step, 12 per
     attempt, 3 per accepted step.
     """
@@ -349,7 +255,6 @@ def solve_ivp(fun, t_end: float, opts: OdeOptions, guard=None) -> _Run:
 
     t, y, nfev, accepted, rejected = 0.0, 0.0, 2, 0, 0
     times, xis, steps, coeffs = [0.0], [0.0], [], []
-    g = guard(0.0) if guard is not None else None
 
     def run(status, message=""):
         return _Run(status, message, times, xis, steps, coeffs, nfev, accepted, rejected)
@@ -389,17 +294,7 @@ def solve_ivp(fun, t_end: float, opts: OdeOptions, guard=None) -> _Run:
         coef = (dy, h * f - dy, 2 * dy - h * (f_new + f), *dense(fun, y, h, k))
         steps.append(h)
         coeffs.append(coef)
-        t_old, y_old = t, y
         t, y, f = t_new, y_new, f_new
-        if guard is not None:
-            g_new = guard(y)
-            if g >= 0 and g_new <= 0:
-                root = _brentq(lambda s: guard(_interpolant(coef, (s - t_old) / h, y_old)),
-                               t_old, t)
-                times.append(root)
-                xis.append(_interpolant(coef, (root - t_old) / h, y_old))
-                return run(1)
-            g = g_new
         times.append(t)
         xis.append(y)
         if sign * (t - t_end) >= 0:
@@ -410,12 +305,10 @@ def solve_ivp(fun, t_end: float, opts: OdeOptions, guard=None) -> _Run:
 class NumericProfile:
     """Dense numeric solution xi(t) with its termination record and counters.
 
-    ``t_star`` is the quadrature collapse time when the guard fired, +inf
-    when the flow has no focal target, and None when integration simply
+    ``t_star`` is the quadrature collapse time when the run ended at it,
+    +inf when the flow has no focal target, and None when integration simply
     reached ``t_end`` without establishing either.  ``nfev``,
-    ``accepted_steps`` and ``rejected_steps`` count the DOP853 work;
-    ``guard_trigger`` is (t, xi, factor) where the guard stopped the run,
-    ``factor`` being the least signed denominator c - kappa s it watched.
+    ``accepted_steps`` and ``rejected_steps`` count the DOP853 work.
     """
 
     surface: IsoparametricSurface
@@ -429,7 +322,6 @@ class NumericProfile:
     nfev: int = 0
     accepted_steps: int = 0
     rejected_steps: int = 0
-    guard_trigger: tuple | None = None
     _steps: np.ndarray | None = None  # full length h of each step
     _coeffs: np.ndarray | None = None  # (steps, 7) interpolant terms
 
@@ -438,10 +330,13 @@ class NumericProfile:
     def xi(self, t):
         t_arr = np.asarray(t, dtype=float)
         lo, hi = self.t_domain
-        if np.any(t_arr < lo - 1e-15) or np.any(t_arr > hi + 1e-15):
-            raise InvalidInputError(
-                f"time {t!r} outside the integrated domain [{lo}, {hi}]"
-            )
+        if t_arr.size:
+            first, last = float(np.min(t_arr)), float(np.max(t_arr))
+            if first < lo - 1e-15 or last > hi + 1e-15:
+                bad = first if first < lo - 1e-15 else last
+                raise InvalidInputError(
+                    f"time {bad!r} outside the integrated domain [{lo}, {hi}]"
+                )
         if self._coeffs is None:
             out = np.zeros_like(t_arr)
         else:
@@ -503,13 +398,17 @@ def _collapse_time(surface: IsoparametricSurface, direction: int, watched):
     return q32, max(abs(q32 - q16), 4.0 * math.ulp(q32))
 
 
-def integrate(surface: IsoparametricSurface, t_end: float, opts: OdeOptions = DEFAULT_OPTIONS) -> NumericProfile:
+def integrate(surface: IsoparametricSurface, t_end: float, opts: OdeOptions = DEFAULT_OPTIONS,
+              *, _quadrature=None) -> NumericProfile:
     """Integrate the flow ODE from xi(0) = 0 to t_end (either sign).
 
-    Stops early with termination "hit_singularity" when the guard triggers;
-    the profile then carries the collapse time of ``estimate_tstar`` with its
-    error bound and bracket.  Raises IntegrationFailureError if the solver
-    gives up first or the guard fired past the focal offset.
+    A forward run whose window reaches the collapse time t* of a focal
+    target ends at t* - collapse._limit_eval_offset(t*), the time
+    collapse.analyze reads, with termination "hit_singularity"; the profile
+    then carries the collapse time of ``estimate_tstar`` with its error bound
+    and bracket.  ``_quadrature`` is that (t*, bound) when the caller already
+    has it.  A window short of t* runs to t_end.  Raises
+    IntegrationFailureError if the solver gives up first.
     """
     t_end = float(t_end)
     if not math.isfinite(t_end):
@@ -529,46 +428,32 @@ def integrate(surface: IsoparametricSurface, t_end: float, opts: OdeOptions = DE
             t_star=math.inf if direction == 0 else None,
         )
 
-    fun, guard = _kernel(surface, watched, opts.singularity_guard)
-    run = solve_ivp(fun, t_end, opts, guard if t_end > 0 and watched else None)
-    if run.status == -1:
-        raise IntegrationFailureError(
-            f"integration failed before the guard triggered: {run.message}"
-        )
+    t_star = bound = None
+    if t_end > 0 and not watched:
+        t_star = math.inf  # no focal target in the flow direction: no collapse, ever
+    elif t_end > 0:
+        quadrature = _quadrature or _collapse_time(surface, direction, watched)
+        if t_end >= quadrature[0]:
+            t_star, bound = quadrature
+            t_end = t_star - _limit_eval_offset(t_star)
+    collapses = bound is not None
 
-    trigger = None
-    if run.status == 1:
-        t_stop, xi_stop = run.times[-1], run.xi_values[-1]
-        xi_star = min((off for _, off in watched), key=abs)
-        if direction * (xi_star - xi_stop) < 0.0:
-            raise IntegrationFailureError(
-                f"the guard stopped at xi = {xi_stop!r}, past the focal offset {xi_star!r}"
-            )
-        t_star, bound = _collapse_time(surface, direction, watched)
-        bracket = (t_star - bound, t_star + bound)
-        lo, hi = 0.0, t_stop
-        termination = "hit_singularity"
-        trigger = (t_stop, xi_stop, float(guard(xi_stop)) + math.sqrt(opts.singularity_guard))
-    else:
-        # No focal target in the flow direction means no collapse, ever.
-        t_star = math.inf if (t_end > 0 and not watched) else None
-        bracket, bound = None, None
-        lo, hi = min(0.0, t_end), max(0.0, t_end)
-        termination = "reached_t_end"
+    run = solve_ivp(_kernel(surface), t_end, opts)
+    if run.status == -1:
+        raise IntegrationFailureError(f"integration failed before t = {t_end!r}: {run.message}")
 
     return NumericProfile(
         surface=surface,
         times=np.array(run.times),
         xi_values=np.array(run.xi_values),
-        termination=termination,
-        t_domain=(lo, hi),
+        termination="hit_singularity" if collapses else "reached_t_end",
+        t_domain=(min(0.0, t_end), max(0.0, t_end)),
         t_star=t_star,
-        t_star_bracket=bracket,
+        t_star_bracket=(t_star - bound, t_star + bound) if collapses else None,
         t_star_error_bound=bound,
         nfev=run.nfev,
         accepted_steps=run.accepted,
         rejected_steps=run.rejected,
-        guard_trigger=trigger,
         _steps=np.array(run.steps),
         _coeffs=np.array(run.coeffs),
     )
@@ -584,13 +469,13 @@ def estimate_tstar(
     The value is the graded Gauss-Legendre quadrature of t* = int_0^{xi*}
     d(zeta) / H(zeta), with the measured |Q32 - Q16| as error bound.
     ``full_output=True`` returns (estimate, error bound, bracket, profile):
-    ``integrate`` up to 2 t* (the guard ends it first) or, for an eternal
-    flow, up to ``ETERNAL_CHECK_TIME``, where ``collapse.analyze`` reads it.
-    Only the profile uses ``opts``.
+    ``integrate`` toward 2 t* (it ends at the collapse time first) or, for an
+    eternal flow, up to ``ETERNAL_CHECK_TIME``, where ``collapse.analyze``
+    reads it.  Only the profile uses ``opts``.
     """
     t_star, bound = _collapse_time(surface, *_focal_blocks(surface))
     if not full_output:
         return t_star
     t_end = 2.0 * t_star if math.isfinite(t_star) else ETERNAL_CHECK_TIME
-    profile = integrate(surface, t_end, opts)
+    profile = integrate(surface, t_end, opts, _quadrature=(t_star, bound))
     return t_star, bound, (t_star - bound, t_star + bound), profile

@@ -130,7 +130,7 @@ def _ode_residual(surface, profile):
     # One xi call on the (100, 5) stencil array; columns t+2h, t+h, t-h, t-2h, t.
     x = profile.xi(ts[:, None] + h[:, None] * np.array([2.0, 1.0, -1.0, -2.0, 0.0]))
     deriv = (-x[:, 0] + 8 * x[:, 1] - 8 * x[:, 2] + x[:, 3]) / (12.0 * h)
-    return float(np.max(np.abs(deriv - flow_ode.rhs(surface, x[:, 4]))))
+    return float(np.max(np.abs(deriv - catalog.mean_curvature(surface, x[:, 4]))))
 
 
 def check_ode_residual(label, surface, opts):

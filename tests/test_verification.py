@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from isoflow import EUCLIDEAN, HYPERBOLIC, SPHERE, cs_eval, resolve_profile, rhs, verification
+from isoflow import EUCLIDEAN, HYPERBOLIC, SPHERE, cs_eval, mean_curvature, resolve_profile, verification
 
 MiB = 2**20
 
@@ -58,7 +58,7 @@ def _scalar_ode_residual(surface, profile):
             -profile.xi(t + 2 * h) + 8 * profile.xi(t + h)
             - 8 * profile.xi(t - h) + profile.xi(t - 2 * h)
         ) / (12.0 * h)
-        worst = max(worst, abs(deriv - rhs(surface, profile.xi(t))))
+        worst = max(worst, abs(deriv - mean_curvature(surface, profile.xi(t))))
     return worst
 
 
