@@ -21,25 +21,12 @@ from .catalog import (
     make_sphere_product,
     make_sphere_umbilic,
     mean_curvature,
-    metric_factors,
     sphere_curvatures_from_g,
     sphere_family_from_kappa1,
     surface_from_dict,
     surface_from_json,
 )
-from .closed_form import (
-    ClosedFormProfile,
-    profile_euclidean,
-    profile_horosphere,
-    profile_hyperbolic_cylinder,
-    profile_hyperbolic_umbilic,
-    profile_sphere_g2,
-    profile_sphere_g3,
-    profile_sphere_g4,
-    profile_sphere_g6,
-    profile_sphere_umbilic,
-    resolve_profile,
-)
+from .closed_form import ClosedFormProfile, resolve_profile
 from .collapse import CollapseReport, analyze, focal_dimension_expected
 from .embedding import (
     Embedding,
@@ -72,7 +59,6 @@ from .spaceform import (
     EUCLIDEAN,
     HYPERBOLIC,
     SPHERE,
-    ParallelData,
     SpaceForm,
     cs_eval,
     focal_offset,

@@ -38,20 +38,6 @@ BLOCK_SEPARATION_TOL = 1e-9
 # Tolerance for curvature-pattern validation (cotangent ladder, pair products).
 PATTERN_TOL = 1e-8
 
-KNOWN_FAMILIES = (
-    "euclidean_cylinder",
-    "horosphere",
-    "hyperbolic_umbilic",
-    "hyperbolic_cylinder",
-    "sphere_umbilic",
-    "sphere_g2",
-    "sphere_g3",
-    "sphere_g4",
-    "sphere_g6",
-    "minimal",
-)
-
-
 @dataclass(frozen=True)
 class Block:
     """One principal curvature with its multiplicity."""
@@ -94,10 +80,6 @@ class IsoparametricSurface:
     @property
     def curvatures(self) -> tuple:
         return tuple(b.kappa for b in self.blocks)
-
-    @property
-    def multiplicities(self) -> tuple:
-        return tuple(b.mult for b in self.blocks)
 
     @property
     def mean_curvature_at_zero(self) -> float:
@@ -177,6 +159,7 @@ _FAMILY_SHAPE = {
     "sphere_g6": (1, (6,)),
     "minimal": None,
 }
+KNOWN_FAMILIES = tuple(_FAMILY_SHAPE)
 
 
 def _validate_surface(surface: IsoparametricSurface):
@@ -443,12 +426,6 @@ def mean_curvature(surface: IsoparametricSurface, xi):
     if np.ndim(xi) == 0:
         return float(total)
     return total
-
-
-def metric_factors(surface: IsoparametricSurface, xi):
-    """The per-block metric factors (c - kappa_i s)^2 at offset xi."""
-    sf = surface.space_form
-    return tuple(parallel_metric_factor(sf, b.kappa, xi) for b in surface.blocks)
 
 
 @dataclass(frozen=True)

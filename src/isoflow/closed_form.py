@@ -54,7 +54,8 @@ class ClosedFormProfile:
             raise InvalidInputError(
                 f"time outside the profile domain ({self.t_min}, {self.t_star}]"
             )
-        out = self._xi_resolved(t_arr)
+        with np.errstate(all="ignore"):  # a non-finite offset raises below
+            out = self._xi_resolved(t_arr)
         if not np.all(np.isfinite(out)):
             raise NumericalRangeError(f"{self.family} closed form gives a non-finite offset")
         if self.orientation_flipped:
@@ -232,56 +233,3 @@ def resolve_profile(surface: IsoparametricSurface) -> ClosedFormProfile:
         _xi_resolved=built["xi"],
         _pair=built["pair"],
     )
-
-
-def _family_profile(surface, family):
-    if surface.family != family:
-        raise FamilyMismatchError(
-            f"expected a {family!r} surface, got {surface.family!r}"
-        )
-    return resolve_profile(surface)
-
-
-def profile_euclidean(surface):
-    """Profile xi(t) = (1 - sqrt(1 - 2 m kappa^2 t)) / kappa, t* = 1/(2 m kappa^2)."""
-    return _family_profile(surface, "euclidean_cylinder")
-
-
-def profile_horosphere(surface):
-    """Profile xi(t) = kappa n t on all of R; the flow stays a horosphere."""
-    return _family_profile(surface, "horosphere")
-
-
-def profile_hyperbolic_umbilic(surface):
-    """Umbilic hyperbolic profile; eternal for |kappa| < 1, else collapses to a point."""
-    return _family_profile(surface, "hyperbolic_umbilic")
-
-
-def profile_hyperbolic_cylinder(surface):
-    """Hyperbolic cylinder profile via (cosh 2 xi, sinh 2 xi)."""
-    return _family_profile(surface, "hyperbolic_cylinder")
-
-
-def profile_sphere_umbilic(surface):
-    """Umbilic sphere profile; collapses to a point."""
-    return _family_profile(surface, "sphere_umbilic")
-
-
-def profile_sphere_g2(surface):
-    """Product-of-spheres profile via (cos 2 xi, sin 2 xi)."""
-    return _family_profile(surface, "sphere_g2")
-
-
-def profile_sphere_g3(surface):
-    """g = 3 spherical profile via (cos 3 xi, sin 3 xi)."""
-    return _family_profile(surface, "sphere_g3")
-
-
-def profile_sphere_g4(surface):
-    """g = 4 spherical profile via (cos 4 xi, sin 4 xi)."""
-    return _family_profile(surface, "sphere_g4")
-
-
-def profile_sphere_g6(surface):
-    """g = 6 spherical profile via (cos 6 xi, sin 6 xi)."""
-    return _family_profile(surface, "sphere_g6")

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import IsoparametricSurface
-from .errors import AnalysisIncompleteError, NumericalRangeError
-from .spaceform import focal_offset, parallel_curvature, parallel_metric_factor
+from .errors import AnalysisIncompleteError
+from .spaceform import _inverse_slope, focal_offset, parallel_curvature, parallel_metric_factor
 
 # Evaluation offset below the collapse time: inside double-precision
 # resolution of t_star, clear of the singular cancellation zone and of t = 0.
@@ -60,17 +60,6 @@ class CollapseReport:
             "metric_factors_at_limit": list(self.metric_factors_at_limit),
             "orientation_flipped": self.orientation_flipped,
         }
-
-
-def _inverse_slope(space_form, xi: float) -> float:
-    """The curvature a block must have for its factor to vanish exactly at xi."""
-    if xi == 0.0:
-        raise NumericalRangeError("focal offset underflows to 0: its curvature is out of range")
-    if space_form.curvature == 1:
-        return math.cos(xi) / math.sin(xi)
-    if space_form.curvature == 0:
-        return 1.0 / xi
-    return math.cosh(xi) / math.sinh(xi)
 
 
 def analyze(surface: IsoparametricSurface, profile) -> CollapseReport:

@@ -5,14 +5,27 @@ Euclidean cylinders/spheres, horospheres, hyperbolic cylinders in the
 hyperboloid model, and products of spheres.  The remaining spherical families
 (g = 3, 4, 6) have no embedding here and raise UnsupportedEmbeddingError.
 
+Euclidean cylinders, products of spheres and hyperbolic cylinders are
+products of scaled charts (Cecil & Ryan, Geometry of Hypersurfaces, ch. 3):
+each factor puts a * chart into the position F and b * chart into the normal
+N, on its own columns.
+
+* Euclidean cylinder: S^m with (a, b) = (1/|kappa|, -sign kappa) times the
+  flat R^(n-m), whose normal part is 0;
+* product of spheres: S^l with (r1, -r2) times S^(n-l) with (r2, r1),
+  r1 = 1/sqrt(1 + kappa1^2) and r2 = kappa1 r1;
+* hyperbolic cylinder: H^m2 with (cosh w, -sinh w) times S^m1 with
+  (sinh w, -cosh w), sinh w = 1/sqrt(kappa1^2 - 1).
+
 Charts:
 
 * sphere factor S^m: hyperspherical angles, polar angles kept away from the
   poles to avoid duplicate sample points;
 * hyperbolic factor H^m: exponential chart v -> (cosh|v|, sinh|v| v/|v|);
-* horosphere: null-coordinate chart F(u) = (1 + |u|^2/2, u, -|u|^2/2) on the
-  hyperboloid <F,F> = -1 (first coordinate carries the negative sign), with
-  unit normal N = -kappa (F + L), L = (-1, 0, ..., 0, 1).
+* horosphere, a frame of its own: null-coordinate chart
+  F(u) = (1 + |u|^2/2, u, -|u|^2/2) on the hyperboloid <F,F> = -1 (first
+  coordinate carries the negative sign), with unit normal N = -kappa (F + L),
+  L = (-1, 0, ..., 0, 1).
 
 A snapshot at time t applies the parallel map (F, N) -> (cF + sN, ...) with
 xi = xi(t) from a flow profile to the t = 0 frame, so every exported cloud
@@ -135,48 +148,35 @@ def _hyperboloid_chart(v):
     return out
 
 
+def _product_frame(factors, width):
+    """Frame of a product of scaled charts, one block of columns per factor.
+
+    A factor (chart, dims, a, b) maps its ``dims`` parameters by ``chart`` and
+    writes a * chart to F and b * chart to N.  A flat factor (chart and b
+    None) writes its parameters to F and leaves N at 0: 0 * y would give -0.0
+    where y < 0.
+    """
+
+    def frame(params):
+        F, N = np.empty((len(params), width)), np.zeros((len(params), width))
+        start = col = 0
+        for chart, dims, a, b in factors:
+            x = params[:, start:start + dims]
+            if chart is not None:
+                x = chart(x)
+            cols = slice(col, col + x.shape[1])
+            np.multiply(a, x, out=F[:, cols])
+            if b is not None:
+                np.multiply(b, x, out=N[:, cols])
+            start, col = start + dims, cols.stop
+        return F, N
+
+    return frame
+
+
 def get_embedding(surface: IsoparametricSurface) -> Embedding:
     """Ambient embedding of the surface, when one is available."""
     family = surface.family
-    if family == "euclidean_cylinder":
-        b0 = surface.blocks[0]
-        m, kappa = b0.mult, b0.kappa
-        k_flat = surface.n - m
-        r = 1.0 / abs(kappa)
-        sign = math.copysign(1.0, kappa)
-
-        def frame(params):
-            omega = _unit_sphere(params[:, :m])
-            y = params[:, m:]
-            F = np.concatenate([r * omega, y], axis=1)
-            N = np.concatenate([-sign * omega, np.zeros_like(y)], axis=1)
-            return F, N
-
-        return Embedding(
-            family, surface, surface.n + 1, _sphere_axes(m) + ("box",) * k_flat, frame
-        )
-
-    if family == "sphere_g2":
-        b1, b2 = surface.blocks
-        if b1.kappa <= 0:
-            raise UnsupportedEmbeddingError(
-                "product-of-spheres embedding needs the leading curvature positive"
-            )
-        l, k2m = b1.mult, b2.mult
-        r1 = 1.0 / math.sqrt(1.0 + b1.kappa**2)
-        r2 = b1.kappa * r1
-
-        def frame(params):
-            omega = _unit_sphere(params[:, :l])
-            eta = _unit_sphere(params[:, l:])
-            F = np.concatenate([r1 * omega, r2 * eta], axis=1)
-            N = np.concatenate([-r2 * omega, r1 * eta], axis=1)
-            return F, N
-
-        return Embedding(
-            family, surface, surface.n + 2, _sphere_axes(l) + _sphere_axes(k2m), frame
-        )
-
     if family == "horosphere":
         kappa = surface.blocks[0].kappa
         n = surface.n
@@ -194,27 +194,32 @@ def get_embedding(surface: IsoparametricSurface) -> Embedding:
 
         return Embedding(family, surface, n + 2, ("box",) * n, frame)
 
-    if family == "hyperbolic_cylinder":
+    if family == "euclidean_cylinder":
+        m, kappa = surface.blocks[0].mult, surface.blocks[0].kappa
+        factors = [(_unit_sphere, m, 1.0 / abs(kappa), -math.copysign(1.0, kappa)),
+                   (None, surface.n - m, 1.0, None)]
+    elif family == "sphere_g2":
         b1, b2 = surface.blocks
-        m1, m2 = b1.mult, b2.mult
-        k1 = b1.kappa
-        r = 1.0 / math.sqrt(k1 * k1 - 1.0)  # sphere factor radius sinh(w)
-        rho = k1 * r  # hyperbolic factor radius cosh(w)
-
-        def frame(params):
-            chi = _hyperboloid_chart(params[:, :m2])
-            omega = _unit_sphere(params[:, m2:])
-            F = np.concatenate([rho * chi, r * omega], axis=1)
-            N = np.concatenate([-r * chi, -rho * omega], axis=1)
-            return F, N
-
-        return Embedding(
-            family, surface, surface.n + 2, ("box",) * m2 + _sphere_axes(m1), frame
+        if b1.kappa <= 0:
+            raise UnsupportedEmbeddingError(
+                "product-of-spheres embedding needs the leading curvature positive"
+            )
+        r1 = 1.0 / math.sqrt(1.0 + b1.kappa**2)
+        r2 = b1.kappa * r1
+        factors = [(_unit_sphere, b1.mult, r1, -r2), (_unit_sphere, b2.mult, r2, r1)]
+    elif family == "hyperbolic_cylinder":
+        b1, b2 = surface.blocks
+        r = 1.0 / math.sqrt(b1.kappa * b1.kappa - 1.0)  # sphere factor radius sinh(w)
+        rho = b1.kappa * r  # hyperbolic factor radius cosh(w)
+        factors = [(_hyperboloid_chart, b2.mult, rho, -r), (_unit_sphere, b1.mult, r, -rho)]
+    else:
+        raise UnsupportedEmbeddingError(
+            f"family {family!r} has no explicit ambient embedding"
         )
-
-    raise UnsupportedEmbeddingError(
-        f"family {family!r} has no explicit ambient embedding"
-    )
+    width = sum(dims + (chart is not None) for chart, dims, _, _ in factors)
+    axis_kinds = sum((_sphere_axes(dims) if chart is _unit_sphere else ("box",) * dims
+                      for chart, dims, _, _ in factors), ())
+    return Embedding(family, surface, width, axis_kinds, _product_frame(factors, width))
 
 
 def snapshots(surface: IsoparametricSurface, resolution, times, profile,

@@ -19,7 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidFrameError, InvalidInputError, SingularParallelError
+from .errors import (
+    InvalidFrameError,
+    InvalidInputError,
+    NumericalRangeError,
+    SingularParallelError,
+)
 
 # Denominator magnitude below which an offset counts as a focal point.
 # Double-precision cancellation floor, far below any catalog collapse geometry.
@@ -40,9 +45,6 @@ class SpaceForm:
             raise InvalidInputError(
                 f"ambient curvature must be one of -1, 0, +1, got {self.curvature!r}"
             )
-
-    def cs(self, xi):
-        return cs_eval(self, xi)
 
 
 EUCLIDEAN = SpaceForm(0)
@@ -77,31 +79,6 @@ def cs_eval(sf: SpaceForm, xi):
     else:
         c, s = np.cosh(arr), np.sinh(arr)
     return _like(xi, c), _like(xi, s)
-
-
-@dataclass(frozen=True)
-class ParallelData:
-    """A parallel offset together with its (c, s) pair.
-
-    The pair must satisfy c^2 + kbar s^2 = 1 to machine precision.
-    """
-
-    space_form: SpaceForm
-    xi: float
-    cs_pair: tuple
-
-    @classmethod
-    def at(cls, sf: SpaceForm, xi: float) -> "ParallelData":
-        return cls(sf, float(xi), cs_eval(sf, float(xi)))
-
-    def __post_init__(self):
-        c, s = self.cs_pair
-        residual = abs(c * c + self.space_form.curvature * s * s - 1.0)
-        scale = max(1.0, c * c, abs(s * s))
-        if residual > 4.0 * np.spacing(scale):
-            raise InvalidInputError(
-                f"(c, s) pair violates c^2 + kbar s^2 = 1 by {residual:.3e}"
-            )
 
 
 def parallel_denominator(sf: SpaceForm, kappa: float, xi):
@@ -217,6 +194,17 @@ def focal_offset(sf: SpaceForm, kappa: float, direction: int):
         return None
     root = math.atanh(1.0 / k)  # sign of kappa
     return root if root * direction > 0 else None
+
+
+def _inverse_slope(sf: SpaceForm, xi: float) -> float:
+    """Inverse of focal_offset: the curvature whose factor vanishes exactly at xi."""
+    if xi == 0.0:
+        raise NumericalRangeError("focal offset underflows to 0: its curvature is out of range")
+    if sf.curvature == 1:
+        return math.cos(xi) / math.sin(xi)
+    if sf.curvature == 0:
+        return 1.0 / xi
+    return math.cosh(xi) / math.sinh(xi)
 
 
 def inner(sf: SpaceForm, u, v):

@@ -29,8 +29,8 @@ from .catalog import (
     sphere_curvatures_from_g,
     sphere_family_from_kappa1,
 )
-from .errors import UnsupportedEmbeddingError
-from .spaceform import EUCLIDEAN, HYPERBOLIC, SPHERE, cs_eval
+from .errors import IsoflowError, UnsupportedEmbeddingError
+from .spaceform import EUCLIDEAN, HYPERBOLIC, SPHERE, _inverse_slope, cs_eval
 
 ORACLE_TOL = 1e-8
 ODE_RESIDUAL_TOL = 1e-6
@@ -178,7 +178,7 @@ def check_focal_condition(label, surface, opts):
     report = collapse.analyze(surface, profile)
     xi_star = profile.xi_star
     k_deg = surface.blocks[report.degenerate_block_index].kappa
-    residual = abs(collapse._inverse_slope(surface.space_form, xi_star) - k_deg)
+    residual = abs(_inverse_slope(surface.space_form, xi_star) - k_deg)
     return CheckResult(
         "focal-condition", label, residual <= FOCAL_LIMIT_TOL,
         f"|slope(xi*) - kappa_deg| = {residual:.3e} (tol {FOCAL_LIMIT_TOL:g})",
@@ -372,7 +372,10 @@ ALL_CHECKS = tuple(INSTANCE_CHECKS) + tuple(GLOBAL_CHECKS)
 
 
 def run_verification(surfaces=None, checks=None, opts=None):
-    """Run the requested checks; returns a list of CheckResult."""
+    """Run the requested checks; returns a list of CheckResult.
+
+    An instance check that raises an IsoflowError gives a FAIL naming the error.
+    """
     if opts is None:
         opts = flow_ode.DEFAULT_OPTIONS
     if checks is None:
@@ -389,5 +392,8 @@ def run_verification(surfaces=None, checks=None, opts=None):
             continue
         fn = INSTANCE_CHECKS[name]
         for label, surface in surfaces:
-            results.append(fn(label, surface, opts))
+            try:
+                results.append(fn(label, surface, opts))
+            except IsoflowError as exc:  # a check that cannot finish fails
+                results.append(CheckResult(name, label, False, f"{type(exc).__name__}: {exc}"))
     return results

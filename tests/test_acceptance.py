@@ -31,7 +31,7 @@ from isoflow import (
     sample,
     analyze,
 )
-from isoflow.collapse import _inverse_slope
+from isoflow.spaceform import _inverse_slope
 from isoflow.errors import UnsupportedEmbeddingError
 from isoflow.verification import (
     builtin_grid,

@@ -215,6 +215,17 @@ class TestVerify:
         assert rc in (0, 1)
         assert "PASS  oracle-agreement" in out
 
+    def test_check_that_raises_fails_instead_of_ending_the_run(self, capsys):
+        # The frame of this valid surface is off the quadric by more than
+        # check_frame allows; that is one FAIL, not an invalid-input exit (2).
+        rc, out, _ = run_cli(capsys, "verify", "--family", "hyperbolic-cylinder", "--m1", "1",
+                             "--m2", "1", "--kappa1", "1.000000001")
+        assert rc == 1
+        lines = out.splitlines()
+        assert lines[-1].endswith("/12 checks passed")
+        [line] = [x for x in lines if x.split()[1] == "embedding-constraints"]
+        assert line.startswith("FAIL") and "InvalidFrameError: " in line
+
     def test_unknown_check_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "--check", "nonsense"])

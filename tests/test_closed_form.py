@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from isoflow import (
+    EUCLIDEAN,
+    Block,
     FamilyMismatchError,
     InvalidInputError,
+    IsoparametricSurface,
     estimate_tstar,
     make_euclidean_cylinder,
     make_horosphere,
@@ -17,15 +20,6 @@ from isoflow import (
     make_sphere_product,
     make_sphere_umbilic,
     mean_curvature,
-    profile_euclidean,
-    profile_horosphere,
-    profile_hyperbolic_cylinder,
-    profile_hyperbolic_umbilic,
-    profile_sphere_g2,
-    profile_sphere_g3,
-    profile_sphere_g4,
-    profile_sphere_g6,
-    profile_sphere_umbilic,
     resolve_profile,
     sphere_family_from_kappa1,
 )
@@ -40,12 +34,12 @@ def fd_slope_at_zero(profile, h=1e-7):
 
 class TestEuclidean:
     def test_values(self):
-        prof = profile_euclidean(make_euclidean_cylinder(2, 2, 1.0))
+        prof = resolve_profile(make_euclidean_cylinder(2, 2, 1.0))
         assert prof.xi(0.0) == 0.0
         assert prof.t_star == pytest.approx(0.25, abs=1e-16)
 
     def test_cylinder_m1_n3_kappa2(self):
-        prof = profile_euclidean(make_euclidean_cylinder(1, 3, 2.0))
+        prof = resolve_profile(make_euclidean_cylinder(1, 3, 2.0))
         assert prof.t_star == pytest.approx(0.125)
         assert prof.xi(0.1) == pytest.approx((1.0 - math.sqrt(0.2)) / 2.0, rel=1e-14)
         assert estimate_tstar(make_euclidean_cylinder(1, 3, 2.0)) == pytest.approx(
@@ -53,38 +47,39 @@ class TestEuclidean:
         )
 
     def test_family_mismatch(self):
+        # A non-minimal sphere tagged "minimal" has no closed form to dispatch to.
         with pytest.raises(FamilyMismatchError):
-            profile_euclidean(make_horosphere(2, 1.0))
+            resolve_profile(IsoparametricSurface(EUCLIDEAN, (Block(2.0, 2),), "minimal"))
 
 
 class TestHorosphere:
     def test_linear_offset(self):
-        prof = profile_horosphere(make_horosphere(3, 1.0))
+        prof = resolve_profile(make_horosphere(3, 1.0))
         assert prof.xi(2.0) == pytest.approx(6.0, rel=1e-15)
         assert prof.xi(0.0) == 0.0
         assert prof.t_star == math.inf
 
     def test_curvature_constant_along_flow(self):
         surface = make_horosphere(3, 1.0)
-        prof = profile_horosphere(surface)
+        prof = resolve_profile(surface)
         for t in (0.5, 3.0, 20.0):
             assert parallel_curvature(surface.space_form, 1.0, prof.xi(t)) == 1.0
 
     def test_negative_orientation(self):
-        prof = profile_horosphere(make_horosphere(2, -1.0))
+        prof = resolve_profile(make_horosphere(2, -1.0))
         assert prof.orientation_flipped
         assert prof.xi(1.5) == pytest.approx(-3.0, rel=1e-15)
 
 
 class TestHyperbolicUmbilic:
     def test_collapse_time(self):
-        prof = profile_hyperbolic_umbilic(make_hyperbolic_umbilic(2, 2.0))
+        prof = resolve_profile(make_hyperbolic_umbilic(2, 2.0))
         assert prof.t_star == pytest.approx(math.log(4.0 / 3.0) / 4.0, rel=1e-15)
         assert prof.xi(0.0) == pytest.approx(0.0, abs=1e-16)
 
     def test_curvature_decay_for_small_kappa(self):
         surface = make_hyperbolic_umbilic(2, 0.5)
-        prof = profile_hyperbolic_umbilic(surface)
+        prof = resolve_profile(surface)
         assert prof.t_star == math.inf
         n, kappa = 2, 0.5
         for t in (0.5, 2.0, 10.0):
@@ -97,7 +92,7 @@ class TestHyperbolicUmbilic:
 
 class TestHyperbolicCylinder:
     def test_parameters(self):
-        prof = profile_hyperbolic_cylinder(make_hyperbolic_cylinder(1, 1, 2.0))
+        prof = resolve_profile(make_hyperbolic_cylinder(1, 1, 2.0))
         assert prof.params["a"] == pytest.approx(2.5)
         assert prof.params["b"] == pytest.approx(0.0)
         # ell(0) = a makes q(0) = 4 and cosh(2 xi(0)) = 1
@@ -106,7 +101,7 @@ class TestHyperbolicCylinder:
         assert abs(prof.xi(0.0)) < 1e-15
 
     def test_collapse_time(self):
-        prof = profile_hyperbolic_cylinder(make_hyperbolic_cylinder(1, 1, 2.0))
+        prof = resolve_profile(make_hyperbolic_cylinder(1, 1, 2.0))
         assert prof.t_star == pytest.approx(math.log(5.0 / 3.0) / 4.0, rel=1e-15)
         assert estimate_tstar(make_hyperbolic_cylinder(1, 1, 2.0)) == pytest.approx(
             prof.t_star, abs=1e-7
@@ -114,7 +109,7 @@ class TestHyperbolicCylinder:
 
     def test_focal_limit_is_coth_inverse(self):
         surface = make_hyperbolic_cylinder(2, 3, 3.0)
-        prof = profile_hyperbolic_cylinder(surface)
+        prof = resolve_profile(surface)
         xi_star = prof.xi_star
         assert 1.0 / math.tanh(xi_star) == pytest.approx(3.0, abs=1e-6)
 
@@ -124,7 +119,7 @@ class TestHyperbolicCylinder:
         # For m1 = m2 the flow obeys cosh(2 (r - xi)) = cosh(2 r) e^{-2 n t}
         # with coth r = kappa1; a^2 - 4 cancels to rounding noise here.
         surface = make_hyperbolic_cylinder(1, 1, kappa1)
-        prof = profile_hyperbolic_cylinder(surface)
+        prof = resolve_profile(surface)
         t = 0.5 * prof.t_star
         r = 0.5 * math.log((kappa1 + 1.0) / (kappa1 - 1.0))
         expected = r - 0.5 * math.acosh(math.cosh(2.0 * r) * math.exp(-2.0 * surface.n * t))
@@ -133,13 +128,13 @@ class TestHyperbolicCylinder:
 
 class TestSphereUmbilic:
     def test_collapse_time(self):
-        prof = profile_sphere_umbilic(make_sphere_umbilic(2, 1.0))
+        prof = resolve_profile(make_sphere_umbilic(2, 1.0))
         assert prof.t_star == pytest.approx(math.log(2.0) / 4.0, rel=1e-15)
         assert prof.xi(0.0) == pytest.approx(0.0, abs=1e-16)
 
     def test_matches_ode_at_interior_time(self):
         surface = make_sphere_umbilic(2, 1.0)
-        prof = profile_sphere_umbilic(surface)
+        prof = resolve_profile(surface)
         from isoflow import integrate
 
         num = integrate(surface, 0.1)
@@ -148,29 +143,29 @@ class TestSphereUmbilic:
 
 class TestSphereG2:
     def test_parameters(self):
-        prof = profile_sphere_g2(make_sphere_product(1, 2, 2.0))
+        prof = resolve_profile(make_sphere_product(1, 2, 2.0))
         assert prof.params["a"] == pytest.approx(1.5)
         assert prof.params["b"] == pytest.approx(0.0)
         assert prof.params["q"](0.0) == pytest.approx(1.5)
         assert prof.params["q"](0.25) == pytest.approx(1.5 * math.exp(1.0), rel=1e-14)
 
     def test_collapse_time(self):
-        prof = profile_sphere_g2(make_sphere_product(1, 2, 2.0))
+        prof = resolve_profile(make_sphere_product(1, 2, 2.0))
         assert prof.t_star == pytest.approx(math.log(5.0 / 3.0) / 4.0, rel=1e-15)
 
     def test_pair_is_unit_at_zero(self):
-        prof = profile_sphere_g2(make_sphere_product(2, 5, 2.0))
+        prof = resolve_profile(make_sphere_product(2, 5, 2.0))
         co, si, mult, kind = prof.angle_pair(0.0)
         assert (co, si, mult, kind) == (pytest.approx(1.0), pytest.approx(0.0), 2, "circular")
 
 
 class TestSphereG3:
     def test_a_value(self):
-        prof = profile_sphere_g3(sphere_family_from_kappa1(3, 2.0))
+        prof = resolve_profile(sphere_family_from_kappa1(3, 2.0))
         assert prof.params["a"] == pytest.approx(6.0 / 11.0, abs=1e-12)
 
     def test_collapse_time_formula(self):
-        prof = profile_sphere_g3(sphere_family_from_kappa1(3, 2.0))
+        prof = resolve_profile(sphere_family_from_kappa1(3, 2.0))
         a = 6.0 / 11.0
         assert prof.t_star == pytest.approx(math.log(1.0 + 9.0 / a**2) / 18.0, rel=1e-12)
 
@@ -186,7 +181,7 @@ class TestSphereG3:
 class TestSphereG4:
     def test_positive_orientation_values(self):
         surface = sphere_family_from_kappa1(4, 3.0)
-        prof = profile_sphere_g4(surface)
+        prof = resolve_profile(surface)
         assert not prof.orientation_flipped
         assert prof.params["a"] == pytest.approx(7.0 / 6.0, abs=1e-12)
         assert prof.params["b"] == pytest.approx(0.0, abs=1e-12)
@@ -195,7 +190,7 @@ class TestSphereG4:
     def test_flip_applied_for_small_kappa1(self):
         surface = sphere_family_from_kappa1(4, 2.0)
         assert surface.mean_curvature_at_zero < 0
-        prof = profile_sphere_g4(surface)
+        prof = resolve_profile(surface)
         assert prof.orientation_flipped
         # flow moves toward negative offsets but collapses at positive time
         assert prof.xi(prof.t_star / 2) < 0
@@ -203,7 +198,7 @@ class TestSphereG4:
 
     def test_unequal_multiplicities(self):
         surface = sphere_family_from_kappa1(4, 3.0, [2, 1, 2, 1])
-        prof = profile_sphere_g4(surface)
+        prof = resolve_profile(surface)
         n, k1, m1, m2 = surface.n, 3.0, 2, 1
         b = 2.0 * (m1 - m2) * (k1**2 + 1.0) ** 2 / (n * k1 * (k1**2 - 1.0))
         assert not prof.orientation_flipped
@@ -215,7 +210,7 @@ class TestSphereG4:
         # flipped orientation, whose b is computed from the flipped blocks.
         surface = sphere_family_from_kappa1(4, 3.0, [1, 2, 1, 2])
         assert surface.mean_curvature_at_zero < 0
-        prof = profile_sphere_g4(surface)
+        prof = resolve_profile(surface)
         assert prof.orientation_flipped
         flipped = surface.flipped()
         n, k1 = flipped.n, flipped.blocks[0].kappa
@@ -228,7 +223,7 @@ class TestSphereG4:
 class TestSphereG6:
     def test_a_is_ladder_sum(self):
         surface = sphere_family_from_kappa1(6, 4.0)
-        prof = profile_sphere_g6(surface)
+        prof = resolve_profile(surface)
         assert prof.params["a"] == pytest.approx(sum(surface.curvatures), abs=1e-12)
         assert prof.t_star == pytest.approx(
             math.log1p(36.0 / prof.params["a"] ** 2) / 72.0, rel=1e-12
@@ -236,7 +231,7 @@ class TestSphereG6:
 
     def test_flipped_instance_matches_ode(self):
         surface = sphere_family_from_kappa1(6, 3.0)
-        prof = profile_sphere_g6(surface)
+        prof = resolve_profile(surface)
         assert prof.orientation_flipped
         assert estimate_tstar(surface) == pytest.approx(prof.t_star, abs=1e-7)
 

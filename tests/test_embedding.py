@@ -29,7 +29,7 @@ from isoflow import (
     sphere_curvatures_from_g,
     sphere_family_from_kappa1,
 )
-from isoflow.embedding import POLAR_MARGIN
+from isoflow.embedding import POLAR_MARGIN, _hyperboloid_chart, _unit_sphere
 
 MiB = 2**20
 
@@ -242,6 +242,84 @@ class TestFrameGrid:
             assert (got.shape, got.dtype) == (ref.shape, ref.dtype)
             assert got.tobytes() == ref.tobytes()
         assert math.prod(grid_shape) == len(F)
+
+
+def per_family_frame(surface):
+    """Reference: the hand-written frame of each product family, one per family."""
+    b = surface.blocks
+    if surface.family == "euclidean_cylinder":
+        m, kappa = b[0].mult, b[0].kappa
+        r, sign = 1.0 / abs(kappa), math.copysign(1.0, kappa)
+
+        def frame(params):
+            omega = _unit_sphere(params[:, :m])
+            y = params[:, m:]
+            F = np.concatenate([r * omega, y], axis=1)
+            N = np.concatenate([-sign * omega, np.zeros_like(y)], axis=1)
+            return F, N
+
+    elif surface.family == "sphere_g2":
+        l = b[0].mult
+        r1 = 1.0 / math.sqrt(1.0 + b[0].kappa**2)
+        r2 = b[0].kappa * r1
+
+        def frame(params):
+            omega = _unit_sphere(params[:, :l])
+            eta = _unit_sphere(params[:, l:])
+            F = np.concatenate([r1 * omega, r2 * eta], axis=1)
+            N = np.concatenate([-r2 * omega, r1 * eta], axis=1)
+            return F, N
+
+    else:  # hyperbolic_cylinder
+        m2, k1 = b[1].mult, b[0].kappa
+        r = 1.0 / math.sqrt(k1 * k1 - 1.0)
+        rho = k1 * r
+
+        def frame(params):
+            chi = _hyperboloid_chart(params[:, :m2])
+            omega = _unit_sphere(params[:, m2:])
+            F = np.concatenate([rho * chi, r * omega], axis=1)
+            N = np.concatenate([-r * chi, -rho * omega], axis=1)
+            return F, N
+
+    return frame
+
+
+class TestProductFrame:
+    @pytest.mark.parametrize("surface, resolution, extent", [
+        (make_euclidean_cylinder(2, 3, -1.3), (6, 5, 4), 1.0),  # negative kappa
+        (make_euclidean_cylinder(1, 4, 2.0), (7, 3, 3, 3), 2.5),
+        (make_euclidean_cylinder(1, 1, 0.7), 9, 1.0),  # m = n
+        (make_euclidean_cylinder(3, 3, -0.4), 5, 1.0),  # m = n, negative kappa
+        (make_euclidean_cylinder(2, 3, 1.1), (6, 0, 4), 1.0),  # no points
+        (make_sphere_product(1, 3, 2.5), (7, 6, 5), 1.0),
+        (make_sphere_product(3, 7, 2.0), 4, 1.0),
+        (sphere_curvatures_from_g(2, 1.2, [1, 2]), (5, 5, 5), 1.0),  # flipped
+        (make_sphere_product(2, 4, 1.5), 0, 1.0),  # no points
+        (make_hyperbolic_cylinder(2, 2, 2.0), (4, 4, 4, 3), 1.5),
+        (make_hyperbolic_cylinder(1, 1, 1.0 + 1e-9), (8, 7), 1.0),
+        (make_hyperbolic_cylinder(1, 2, 3.0), (5, 0, 4), 1.0),  # no points
+    ])
+    def test_bytes_equal_per_family_frame(self, surface, resolution, extent):
+        emb = get_embedding(surface)
+        params, F, N = reference_frame_grid(emb, resolution, extent)
+        F_ref, N_ref = per_family_frame(surface)(params)
+        assert emb.ambient_dim == F_ref.shape[1]
+        for got, ref in ((F, F_ref), (N, N_ref)):
+            assert (got.shape, got.dtype) == (ref.shape, ref.dtype)
+            assert got.tobytes() == ref.tobytes()
+
+    def test_frame_grid_peak_memory(self):
+        # F and N are 2.25 MiB; concatenating whole per-factor charts peaked at 5.38 MiB.
+        emb = get_embedding(make_sphere_product(3, 7, 2.0))
+        emb.frame_grid(4)  # first-call allocations are not the frame's
+        tracemalloc.start()
+        try:
+            emb.frame_grid(4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.8 * MiB
 
 
 class TestChordShrink:

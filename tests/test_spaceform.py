@@ -13,7 +13,7 @@ from isoflow import (
     SPHERE,
     InvalidFrameError,
     InvalidInputError,
-    ParallelData,
+    NumericalRangeError,
     SingularParallelError,
     SpaceForm,
     cs_eval,
@@ -22,7 +22,7 @@ from isoflow import (
     parallel_metric_factor,
     parallel_point,
 )
-from isoflow.spaceform import check_frame
+from isoflow.spaceform import _inverse_slope, check_frame
 
 ALL_FORMS = (HYPERBOLIC, EUCLIDEAN, SPHERE)
 
@@ -254,8 +254,12 @@ class TestCheckFrame:
             check_frame(sf, F, leaning)
 
 
-def test_parallel_data_validates_pair():
-    pd = ParallelData.at(HYPERBOLIC, 1.3)
-    assert pd.cs_pair == cs_eval(HYPERBOLIC, 1.3)
-    with pytest.raises(InvalidInputError):
-        ParallelData(SPHERE, 0.5, (1.0, 1.0))
+@pytest.mark.parametrize("sf, kappa", [
+    (SPHERE, 2.0), (SPHERE, -0.3), (EUCLIDEAN, 1.5), (EUCLIDEAN, -4.0),
+    (HYPERBOLIC, 3.0), (HYPERBOLIC, -1.2),
+])
+def test_inverse_slope_inverts_focal_offset(sf, kappa):
+    xi = focal_offset(sf, kappa, 1 if kappa > 0 else -1)
+    assert _inverse_slope(sf, xi) == pytest.approx(kappa, rel=1e-14)
+    with pytest.raises(NumericalRangeError):
+        _inverse_slope(sf, 0.0)
