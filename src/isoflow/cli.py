@@ -39,7 +39,7 @@ from .catalog import (
 from .closed_form import resolve_profile
 from .collapse import analyze
 # sample stays importable here: perfbench/layers.py traces it at this module.
-from .embedding import export_csv, export_metadata, sample, snapshots  # noqa: F401
+from .embedding import export_csv, export_metadata, get_embedding, sample, snapshots  # noqa: F401
 from .errors import (
     AnalysisIncompleteError,
     IntegrationFailureError,
@@ -292,8 +292,13 @@ def cmd_verify(args) -> int:
 
 def cmd_export(args) -> int:
     surface = build_surface(args)
-    profile = resolve_profile(surface)
+    get_embedding(surface)  # an unsupported family exits 3 even if every time is clipped
     times = [float(x) for x in args.times.split(",") if x.strip()]
+    if not all(math.isfinite(t) for t in times):
+        raise InvalidInputError(f"snapshot times must be finite, got {args.times!r}")
+    if not (math.isfinite(args.extent) and args.extent > 0.0):
+        raise InvalidInputError(f"--extent must be finite and > 0, got {args.extent!r}")
+    profile = resolve_profile(surface)
     kept = [t for t in times if t <= profile.t_star]
     if len(kept) < len(times):
         print(

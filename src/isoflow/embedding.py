@@ -27,9 +27,18 @@ Charts:
   coordinate carries the negative sign), with unit normal N = -kappa (F + L),
   L = (-1, 0, ..., 0, 1).
 
+Each chart runs on its factor's own axes of the grid only; a * chart and
+b * chart are then broadcast along the other factors' axes.
+
 A snapshot at time t applies the parallel map (F, N) -> (cF + sN, ...) with
 xi = xi(t) from a flow profile to the t = 0 frame, so every exported cloud
 stays exactly on the ambient quadric up to roundoff.
+
+The CSV writer uses the same grid: each column of a snapshot depends on only
+some of its axes.  It cuts a column to length 1 along every axis the column
+is constant on (by bits), runs np.unique on the sub-grid that is left and
+broadcasts the index back to the grid, so each distinct value is formatted
+once.
 """
 
 from __future__ import annotations
@@ -64,6 +73,10 @@ class SampledSurface:
     def __post_init__(self):
         if self.points.shape != self.normals.shape:
             raise InvalidInputError("points and normals must have matching shapes")
+        if math.prod(self.grid_shape) != len(self.points):
+            raise InvalidInputError(
+                f"grid shape {tuple(self.grid_shape)} does not hold {len(self.points)} points"
+            )
         check_frame(self.space_form, self.points, self.normals, tol=1e-10)
 
     @property
@@ -73,7 +86,11 @@ class SampledSurface:
 
 @dataclass(frozen=True)
 class Embedding:
-    """Evaluator mapping intrinsic parameters to ambient (position, normal) pairs."""
+    """Evaluator mapping a parameter grid to ambient (position, normal) pairs.
+
+    ``_frame`` takes the grid's axes, one 1-D array per intrinsic axis, and
+    returns F and N of shape (P, d), one row per grid point in C order.
+    """
 
     family: str
     surface: IsoparametricSurface
@@ -107,15 +124,8 @@ class Embedding:
                 axes.append(np.linspace(0.0, 2.0 * math.pi, r, endpoint=False))
             else:
                 axes.append(np.linspace(-extent, extent, r))
-        grid_shape = tuple(len(ax) for ax in axes)
-        # Row p of params is grid point p in C order; each axis is broadcast
-        # into its own column, so no meshgrid of all axes is held.
-        params = np.empty((math.prod(grid_shape), dims))
-        grid = params.reshape(*grid_shape, dims)
-        for j, ax in enumerate(axes):
-            grid[..., j] = ax.reshape([-1 if i == j else 1 for i in range(dims)])
-        F, N = self._frame(params)
-        return F, N, grid_shape
+        F, N = self._frame(axes)
+        return F, N, tuple(resolution)
 
 
 def _sphere_axes(m):
@@ -148,28 +158,43 @@ def _hyperboloid_chart(v):
     return out
 
 
-def _product_frame(factors, width):
-    """Frame of a product of scaled charts, one block of columns per factor.
+def _grid_params(axes):
+    """(P, len(axes)) parameters of the grid of ``axes``, one row per point in C order."""
+    shape = tuple(len(ax) for ax in axes)
+    params = np.empty((math.prod(shape), len(axes)))
+    # Each axis is broadcast into its own column: no meshgrid of all axes is held.
+    grid = params.reshape(*shape, len(axes))
+    for j, ax in enumerate(axes):
+        grid[..., j] = ax.reshape([-1 if i == j else 1 for i in range(len(axes))])
+    return params
 
-    A factor (chart, dims, a, b) maps its ``dims`` parameters by ``chart`` and
-    writes a * chart to F and b * chart to N.  A flat factor (chart and b
-    None) writes its parameters to F and leaves N at 0: 0 * y would give -0.0
-    where y < 0.
+
+def _product_frame(factors, width):
+    """Frame of a product of scaled charts, one block of axes and columns per factor.
+
+    A factor (chart, dims, a, b) maps the grid of its own ``dims`` axes by
+    ``chart`` and broadcasts a * chart into F and b * chart into N along the
+    other factors' axes.  A flat factor (chart and b None) writes its
+    parameters to F and leaves N at 0: 0 * y would give -0.0 where y < 0.
     """
 
-    def frame(params):
-        F, N = np.empty((len(params), width)), np.zeros((len(params), width))
+    def frame(axes):
+        shape = tuple(len(ax) for ax in axes)
+        F, N = np.empty((*shape, width)), np.zeros((*shape, width))
         start = col = 0
         for chart, dims, a, b in factors:
-            x = params[:, start:start + dims]
+            x = _grid_params(axes[start:start + dims])
             if chart is not None:
                 x = chart(x)
-            cols = slice(col, col + x.shape[1])
-            np.multiply(a, x, out=F[:, cols])
-            if b is not None:
-                np.multiply(b, x, out=N[:, cols])
-            start, col = start + dims, cols.stop
-        return F, N
+            x = x.reshape((1,) * start + shape[start:start + dims]
+                          + (1,) * (len(shape) - start - dims) + (x.shape[1],))
+            # One column at a time, so the inner loop runs along a grid axis.
+            for j in range(x.shape[-1]):
+                np.multiply(a, x[..., j], out=F[..., col + j])
+                if b is not None:
+                    np.multiply(b, x[..., j], out=N[..., col + j])
+            start, col = start + dims, col + x.shape[-1]
+        return F.reshape(-1, width), N.reshape(-1, width)
 
     return frame
 
@@ -181,8 +206,8 @@ def get_embedding(surface: IsoparametricSurface) -> Embedding:
         kappa = surface.blocks[0].kappa
         n = surface.n
 
-        def frame(params):
-            u = params
+        def frame(axes):
+            u = _grid_params(axes)
             uu = np.sum(u * u, axis=1)
             F = np.concatenate(
                 [(1.0 + uu / 2.0)[:, None], u, (-uu / 2.0)[:, None]], axis=1
@@ -261,22 +286,32 @@ def sample(surface: IsoparametricSurface, resolution, t: float, profile,
 def export_csv(sampled: SampledSurface, path) -> None:
     """Write the cloud as CSV: x0..xd, nx0..nxd, t with 17 significant digits.
 
-    A snapshot is the parallel map of one grid, so each column holds few
-    distinct values; each is formatted with ``%.17g`` once.  Values are told
-    apart by their bits, not as floats, so ``-0.0`` is still written ``-0``.
-    The constant ``t`` is formatted once and ends every line.
+    A snapshot is the parallel map of one grid, and each column depends on
+    only some of its axes.  Every column is cut to length 1 along each axis
+    it is constant on, its distinct values are found on the sub-grid that is
+    left, and all of them are formatted with ``%.17g`` in one ``%`` call.
+    Values are told apart by their bits, not as floats, so ``-0.0`` is still
+    written ``-0``.  The constant ``t`` is formatted once and ends every line.
     """
     d = sampled.ambient_dim
     header = ",".join(
         [f"x{i}" for i in range(d)] + [f"nx{i}" for i in range(d)] + ["t"]
     )
+    shape = sampled.grid_shape
     texts, indices = [], []
     for column in (*sampled.points.T, *sampled.normals.T):
-        bits, index = np.unique(column.view(np.int64), return_inverse=True)
+        bits = column.view(np.int64).reshape(shape)
+        for axis in range(len(shape)):
+            head = bits[(slice(None),) * axis + (slice(0, 1),)]
+            if np.all(bits == head):
+                bits = head
+        values, index = np.unique(bits.ravel(), return_inverse=True)
+        floats = values.view(np.float64).tolist()
         # Each field carries the comma after it: t is the last column.
-        texts.append(np.array(["%.17g," % v for v in bits.view(np.float64).tolist()],
+        texts.append(np.array(("%.17g,\n" * len(floats) % tuple(floats)).splitlines(),
                               dtype=object))
-        indices.append(index.astype(np.min_scalar_type(max(len(bits) - 1, 0))))
+        index = index.astype(np.min_scalar_type(max(len(floats) - 1, 0)))
+        indices.append(np.broadcast_to(index.reshape(bits.shape), shape).reshape(-1))
     cells = np.empty((1024, 2 * d + 1), dtype=object)
     cells[:, -1] = "%.17g\n" % sampled.t
     with open(path, "w", encoding="utf-8") as fh:

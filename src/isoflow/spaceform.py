@@ -234,19 +234,23 @@ def check_frame(sf: SpaceForm, F, N, tol: float = FRAME_TOL):
     N = np.asarray(N, dtype=float)
     if F.shape != N.shape:
         raise InvalidFrameError(f"F and N shapes differ: {F.shape} vs {N.shape}")
-    ff, nn = np.sum(F * F, axis=-1), np.sum(N * N, axis=-1)
+    ff, nn = np.einsum("...i,...i->...", F, F), np.einsum("...i,...i->...", N, N)
     tol_rows = tol * (1.0 + ff + nn)
+    # An infinite row would get an infinite tolerance; each test below reads
+    # "not all within", so a NaN row fails it too.
+    if not np.all(np.isfinite(tol_rows)):
+        raise InvalidFrameError("frame is not finite, or its squared norm overflows")
     if sf.curvature == -1:
         nn = nn - 2.0 * N[..., 0] * N[..., 0]
-    if np.any(np.abs(nn - 1.0) > tol_rows):
+    if not np.all(np.abs(nn - 1.0) <= tol_rows):
         raise InvalidFrameError("normal is not unit in the ambient inner product")
     if sf.curvature != 0:
-        fn = np.sum(F * N, axis=-1)
+        fn = np.einsum("...i,...i->...", F, N)
         if sf.curvature == -1:
             ff, fn = ff - 2.0 * F[..., 0] * F[..., 0], fn - 2.0 * F[..., 0] * N[..., 0]
-        if np.any(np.abs(ff - sf.curvature) > tol_rows):
+        if not np.all(np.abs(ff - sf.curvature) <= tol_rows):
             raise InvalidFrameError(f"position does not satisfy <F,F> = {sf.curvature}")
-        if np.any(np.abs(fn) > tol_rows):
+        if not np.all(np.abs(fn) <= tol_rows):
             raise InvalidFrameError("position and normal are not orthogonal")
 
 
@@ -267,6 +271,13 @@ def parallel_point(sf: SpaceForm, F, N, xi):
 
 
 def parallel_map(sf: SpaceForm, F, N, xi: float):
-    """parallel_point for float arrays F, N that check_frame has accepted."""
+    """parallel_point for float arrays F, N that check_frame has accepted.
+
+    Built in place, with the roundings of c F + s N and -kbar s F + c N.
+    """
     c, s = cs_eval(sf, xi)
-    return c * F + s * N, -sf.curvature * s * F + c * N
+    points, normals, term = c * F, c * N, s * N
+    points += term
+    np.multiply(-sf.curvature * s, F, out=term)
+    normals += term
+    return points, normals

@@ -261,6 +261,43 @@ class TestExport:
         )
         assert rc == 3
 
+    def test_unsupported_family_exits_3_with_every_time_clipped(self, capsys, tmp_path):
+        for times in ("0", "1e9"):  # one kept time, then none
+            rc, _, _ = run_cli(
+                capsys, "export", "--family", "sphere-g3", "--kappa1", "2",
+                "--times", times, "--output-dir", str(tmp_path),
+            )
+            assert rc == 3
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags", [
+        ["--times", "nan"],
+        ["--times", "0,inf"],
+        ["--times", "0.1", "--extent", "nan"],
+        ["--times", "0.1", "--extent", "inf"],
+        ["--times", "0.1", "--extent", "0"],
+        ["--times", "0.1", "--extent", "-1"],
+    ])
+    def test_non_finite_times_and_bad_extent_exit_2(self, capsys, tmp_path, flags):
+        rc, _, err = run_cli(
+            capsys, "export", "--family", "euclidean-cylinder", "--m", "1", "--n", "2",
+            "--kappa", "1", "--resolution", "3,3", "--output-dir", str(tmp_path), *flags,
+        )
+        assert rc == 2
+        assert "clipped" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_overflowing_frame_exits_2(self, capsys, tmp_path):
+        # |u|^2 overflows at this extent, so the frame holds inf and NaN rows.
+        with pytest.warns(RuntimeWarning):
+            rc, _, err = run_cli(
+                capsys, "export", "--family", "horosphere", "--n", "2", "--kappa", "1",
+                "--times", "1", "--extent", "1e200", "--output-dir", str(tmp_path),
+            )
+        assert rc == 2
+        assert "error: " in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_custom_stem(self, capsys, tmp_path):
         rc, _, _ = run_cli(
             capsys, "export", "--family", "horosphere", "--n", "2", "--kappa", "1",

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from isoflow import (
+    InvalidInputError,
     SampledSurface,
     UnsupportedEmbeddingError,
     export_csv,
@@ -29,6 +30,7 @@ from isoflow import (
     sphere_curvatures_from_g,
     sphere_family_from_kappa1,
 )
+import isoflow.embedding as embedding
 from isoflow.embedding import POLAR_MARGIN, _hyperboloid_chart, _unit_sphere
 
 MiB = 2**20
@@ -194,11 +196,10 @@ class TestSnapshots:
         assert list(snapshots(sphere_family_from_kappa1(3, 2.0), 4, [], None)) == []
 
 
-def reference_frame_grid(emb, resolution, extent=1.0):
-    """Reference: the meshgrid body of Embedding.frame_grid; returns (params, F, N)."""
-    dims = emb.intrinsic_dim
+def reference_axes(emb, resolution, extent=1.0):
+    """Reference: the axes of Embedding.frame_grid, one linspace per intrinsic axis."""
     if np.ndim(resolution) == 0:
-        resolution = [int(resolution)] * dims
+        resolution = [int(resolution)] * emb.intrinsic_dim
     axes = []
     for kind, r in zip(emb.axis_kinds, resolution):
         if kind == "polar":
@@ -207,47 +208,31 @@ def reference_frame_grid(emb, resolution, extent=1.0):
             axes.append(np.linspace(0.0, 2.0 * math.pi, r, endpoint=False))
         else:
             axes.append(np.linspace(-extent, extent, r))
+    return axes
+
+
+def meshgrid_params(axes):
+    """Reference: the (P, dims) parameters of the grid of ``axes`` by np.meshgrid."""
     if any(len(ax) == 0 for ax in axes):
-        params = np.zeros((0, dims))
-    else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        params = np.stack([m.ravel() for m in mesh], axis=-1)
-    return (params, *emb._frame(params))
-
-
-class TestFrameGrid:
-    @pytest.mark.parametrize("surface, resolution, extent", [
-        (make_euclidean_cylinder(2, 3, -1.3), (6, 5, 4), 1.0),  # flipped
-        (make_euclidean_cylinder(1, 1, 0.7), 9, 2.5),
-        (make_sphere_product(1, 3, 2.5), (7, 6, 5), 1.0),
-        (sphere_curvatures_from_g(2, 1.2, [1, 2]), (5, 5, 5), 1.0),  # flipped
-        (make_sphere_product(3, 7, 2.0), 4, 1.0),  # 16,384 points in R^9
-        (make_horosphere(2, -1.0), (9, 8), 0.5),  # Lorentzian, flipped
-        (make_hyperbolic_cylinder(2, 2, 2.0), (4, 4, 4, 3), 1.5),  # Lorentzian
-        (make_hyperbolic_cylinder(1, 2, 3.0), (5, 0, 4), 1.0),  # no points
-    ])
-    def test_bytes_equal_meshgrid(self, surface, resolution, extent):
-        emb = get_embedding(surface)
-        seen = []
-
-        def recording_frame(params):
-            seen.append(params.copy())
-            return emb._frame(params)
-
-        F, N, grid_shape = dataclasses.replace(emb, _frame=recording_frame).frame_grid(
-            resolution, extent=extent)
-        params_ref, F_ref, N_ref = reference_frame_grid(emb, resolution, extent)
-        assert len(seen) == 1
-        for got, ref in ((seen[0], params_ref), (F, F_ref), (N, N_ref)):
-            assert (got.shape, got.dtype) == (ref.shape, ref.dtype)
-            assert got.tobytes() == ref.tobytes()
-        assert math.prod(grid_shape) == len(F)
+        return np.zeros((0, len(axes)))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 def per_family_frame(surface):
-    """Reference: the hand-written frame of each product family, one per family."""
+    """Reference: the hand-written frame of each family on (P, dims) parameters."""
     b = surface.blocks
-    if surface.family == "euclidean_cylinder":
+    if surface.family == "horosphere":
+        kappa = b[0].kappa
+
+        def frame(u):
+            uu = np.sum(u * u, axis=1)
+            F = np.concatenate([(1.0 + uu / 2.0)[:, None], u, (-uu / 2.0)[:, None]], axis=1)
+            shifted = np.concatenate([(uu / 2.0)[:, None], u, (1.0 - uu / 2.0)[:, None]],
+                                     axis=1)
+            return F, -kappa * shifted
+
+    elif surface.family == "euclidean_cylinder":
         m, kappa = b[0].mult, b[0].kappa
         r, sign = 1.0 / abs(kappa), math.copysign(1.0, kappa)
 
@@ -285,6 +270,43 @@ def per_family_frame(surface):
     return frame
 
 
+def assert_same_arrays(pairs):
+    for got, ref in pairs:
+        assert (got.shape, got.dtype) == (ref.shape, ref.dtype)
+        assert got.tobytes() == ref.tobytes()
+
+
+class TestFrameGrid:
+    @pytest.mark.parametrize("surface, resolution, extent", [
+        (make_euclidean_cylinder(2, 3, -1.3), (6, 5, 4), 1.0),  # flipped
+        (make_euclidean_cylinder(1, 1, 0.7), 9, 2.5),
+        (make_sphere_product(1, 3, 2.5), (7, 6, 5), 1.0),
+        (sphere_curvatures_from_g(2, 1.2, [1, 2]), (5, 5, 5), 1.0),  # flipped
+        (make_sphere_product(3, 7, 2.0), 4, 1.0),  # 16,384 points in R^9
+        (make_horosphere(2, -1.0), (9, 8), 0.5),  # Lorentzian, flipped
+        (make_hyperbolic_cylinder(2, 2, 2.0), (4, 4, 4, 3), 1.5),  # Lorentzian
+        (make_hyperbolic_cylinder(1, 2, 3.0), (5, 0, 4), 1.0),  # no points
+        (make_horosphere(3, 1.0), (5, 1, 4), 2.0),
+        (make_horosphere(2, 1.0), (0, 6), 1.0),  # no points
+    ])
+    def test_bytes_equal_meshgrid(self, surface, resolution, extent):
+        emb = get_embedding(surface)
+        seen = []
+
+        def recording_frame(axes):
+            seen.append([ax.copy() for ax in axes])
+            return emb._frame(axes)
+
+        F, N, grid_shape = dataclasses.replace(emb, _frame=recording_frame).frame_grid(
+            resolution, extent=extent)
+        axes = reference_axes(emb, resolution, extent)
+        assert len(seen) == 1
+        assert_same_arrays(zip(seen[0], axes))
+        F_ref, N_ref = per_family_frame(surface)(meshgrid_params(axes))
+        assert_same_arrays([(F, F_ref), (N, N_ref)])
+        assert grid_shape == tuple(len(ax) for ax in axes)
+
+
 class TestProductFrame:
     @pytest.mark.parametrize("surface, resolution, extent", [
         (make_euclidean_cylinder(2, 3, -1.3), (6, 5, 4), 1.0),  # negative kappa
@@ -299,15 +321,30 @@ class TestProductFrame:
         (make_hyperbolic_cylinder(2, 2, 2.0), (4, 4, 4, 3), 1.5),
         (make_hyperbolic_cylinder(1, 1, 1.0 + 1e-9), (8, 7), 1.0),
         (make_hyperbolic_cylinder(1, 2, 3.0), (5, 0, 4), 1.0),  # no points
+        (make_euclidean_cylinder(2, 4, 1.7), (1, 7, 1, 3), 1.0),  # size-1 axes
+        (make_sphere_product(1, 3, 2.5), (9, 1, 1), 1.0),  # size-1 axes
+        (make_hyperbolic_cylinder(2, 1, 2.5), (1, 6, 5), 1.0),  # size-1 axis
     ])
     def test_bytes_equal_per_family_frame(self, surface, resolution, extent):
         emb = get_embedding(surface)
-        params, F, N = reference_frame_grid(emb, resolution, extent)
-        F_ref, N_ref = per_family_frame(surface)(params)
+        axes = reference_axes(emb, resolution, extent)
+        F, N = emb._frame(axes)
+        F_ref, N_ref = per_family_frame(surface)(meshgrid_params(axes))
         assert emb.ambient_dim == F_ref.shape[1]
-        for got, ref in ((F, F_ref), (N, N_ref)):
-            assert (got.shape, got.dtype) == (ref.shape, ref.dtype)
-            assert got.tobytes() == ref.tobytes()
+        assert_same_arrays([(F, F_ref), (N, N_ref)])
+
+    def test_each_chart_runs_on_its_own_axes(self, monkeypatch):
+        # S^1 x S^2 on a 7 x 6 x 5 grid: the charts see 7 and 30 points, not 210.
+        rows = []
+
+        def recording_sphere(angles):
+            rows.append(len(angles))
+            return _unit_sphere(angles)
+
+        monkeypatch.setattr(embedding, "_unit_sphere", recording_sphere)
+        F, _, _ = get_embedding(make_sphere_product(1, 3, 2.5)).frame_grid((7, 6, 5))
+        assert len(F) == 210
+        assert rows == [7, 30]
 
     def test_frame_grid_peak_memory(self):
         # F and N are 2.25 MiB; concatenating whole per-factor charts peaked at 5.38 MiB.
@@ -378,6 +415,18 @@ class TestExport:
         (make_sphere_product(1, 3, 2.5), (16, 16, 8), 0.02),  # 2,048 rows
         (make_horosphere(2, -1.0), (40, 41), 0.7),  # 1,640 rows
         (make_hyperbolic_cylinder(2, 2, 2.0), (6, 6, 6, 5), 0.01),  # 1,080 rows
+        (make_euclidean_cylinder(2, 3, 0.8), (1, 13, 9), 0.3),  # one polar angle
+        (make_euclidean_cylinder(1, 3, -2.0), (17, 1, 6), 0.1),  # one flat value
+        (make_euclidean_cylinder(2, 3, 1.5), (9, 7, 0), 0.1),  # no rows
+        (make_sphere_product(1, 3, 2.5), (23, 1, 11), 0.03),  # one polar angle
+        (make_sphere_product(2, 3, 1.9), (1, 1, 31), 0.01),  # a whole factor on one point
+        (make_sphere_product(1, 3, 2.5), (0, 6, 5), 0.0),  # no rows
+        (make_horosphere(2, 1.0), (1, 57), 0.3),  # one row of the box
+        (make_horosphere(3, -1.0), (13, 1, 9), 1.1),
+        (make_horosphere(2, 1.0), (7, 0), 0.3),  # no rows
+        (make_hyperbolic_cylinder(2, 2, 2.0), (7, 1, 1, 9), 0.02),  # size-1 axes
+        (make_hyperbolic_cylinder(1, 2, 3.0), (11, 5, 1), 0.005),
+        (make_hyperbolic_cylinder(2, 2, 2.0), (5, 4, 0, 3), 0.01),  # no rows
     ])
     def test_bytes_equal_row_writer(self, tmp_path, surface, resolution, t):
         with warnings.catch_warnings():
@@ -398,6 +447,13 @@ class TestExport:
         export_csv(snap, tmp_path / "unique.csv")
         row_writer_csv(snap, tmp_path / "rows.csv")
         assert (tmp_path / "unique.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_grid_shape_must_hold_the_points(self):
+        snap = snapshot(make_sphere_product(1, 2, 2.0), (6, 5), 0.0)
+        with pytest.raises(InvalidInputError, match="does not hold 30 points"):
+            dataclasses.replace(snap, grid_shape=(6, 6))
+        with pytest.raises(InvalidInputError):
+            dataclasses.replace(snap, grid_shape=(30, 0))
 
     def test_zero_signs_survive(self, tmp_path):
         snap = _mixed_zero_cloud()

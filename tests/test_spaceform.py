@@ -22,7 +22,7 @@ from isoflow import (
     parallel_metric_factor,
     parallel_point,
 )
-from isoflow.spaceform import _inverse_slope, check_frame
+from isoflow.spaceform import _inverse_slope, check_frame, parallel_map
 
 ALL_FORMS = (HYPERBOLIC, EUCLIDEAN, SPHERE)
 
@@ -252,6 +252,37 @@ class TestCheckFrame:
         leaning[2] = (N[2] + eps * F[2]) / math.sqrt(1.0 + sf.curvature * eps * eps)
         with pytest.raises(InvalidFrameError, match="not orthogonal"):
             check_frame(sf, F, leaning)
+
+
+    @pytest.mark.parametrize("sf", ALL_FORMS)
+    @pytest.mark.parametrize("which, col", [("F", 0), ("F", 2), ("N", 0), ("N", 1)])
+    def test_nan_row_raises(self, sf, which, col):
+        F, N = _valid_frames(sf)
+        bad = (F if which == "F" else N).copy()
+        bad[1, col] = math.nan
+        with pytest.raises(InvalidFrameError):
+            check_frame(sf, *((bad, N) if which == "F" else (F, bad)))
+
+    @pytest.mark.parametrize("sf", ALL_FORMS)
+    def test_overflowing_row_raises(self, sf):
+        # <F,F> overflows to inf, and so would a tolerance scaled by it.
+        F, N = _valid_frames(sf)
+        F[2] *= 1e200
+        with pytest.raises(InvalidFrameError, match="not finite"):
+            check_frame(sf, F, N)
+
+
+@pytest.mark.parametrize("sf", ALL_FORMS)
+@pytest.mark.parametrize("xi", [0.0, 0.37, -1.2])
+def test_parallel_map_bytes_equal_formula(sf, xi):
+    # Signed zeros included: 0 * F is -0.0 where F < 0, and -0.0 + 0.0 is 0.0.
+    rng = np.random.default_rng(3)
+    F, N = rng.normal(size=(2, 40, 4))
+    F[::3, 1], N[::4, 2], N[1::4, 2] = -0.0, -0.0, 0.0
+    c, s = cs_eval(sf, xi)
+    points, normals = parallel_map(sf, F, N, xi)
+    assert points.tobytes() == (c * F + s * N).tobytes()
+    assert normals.tobytes() == (-sf.curvature * s * F + c * N).tobytes()
 
 
 @pytest.mark.parametrize("sf, kappa", [
