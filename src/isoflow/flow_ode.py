@@ -41,10 +41,32 @@ from .collapse import ETERNAL_CHECK_TIME, _limit_eval_offset
 from .errors import IntegrationFailureError, InvalidInputError
 from .spaceform import focal_offset
 
-# Gauss-Legendre rules of 16 and 32 nodes; _NODES holds both node sets on
-# [0, 2], so zeta = lo + half * node keeps its relative precision near lo = 0.
-_X16, _W16 = np.polynomial.legendre.leggauss(16)
-_X32, _W32 = np.polynomial.legendre.leggauss(32)
+
+def _rule(nodes, weights):
+    """A symmetric Gauss-Legendre rule on [-1, 1] from its nodes and weights on (0, 1)."""
+    x, w = np.array(nodes), np.array(weights)
+    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
+
+
+# Gauss-Legendre rules of 16 and 32 nodes: the positive half of numpy's
+# leggauss, whose rule is exactly symmetric, written out so that importing
+# this module loads neither numpy.polynomial nor LAPACK.  _NODES holds both
+# node sets on [0, 2], so zeta = lo + half * node keeps its relative
+# precision near lo = 0.
+_X16, _W16 = _rule(
+    [0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+     0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499],
+    [0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+     0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176])
+_X32, _W32 = _rule(
+    [0.048307665687738324, 0.1444719615827965, 0.23928736225213706, 0.33186860228212767,
+     0.42135127613063533, 0.5068999089322294, 0.5877157572407623, 0.6630442669302152,
+     0.7321821187402897, 0.7944837959679424, 0.84936761373257, 0.8963211557660521,
+     0.9349060759377397, 0.9647622555875064, 0.9856115115452684, 0.9972638618494816],
+    [0.09654008851472766, 0.09563872007927471, 0.09384439908080451, 0.09117387869576378,
+     0.08765209300440378, 0.08331192422694671, 0.07819389578707023, 0.07234579410884834,
+     0.06582222277636168, 0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
+     0.034273862913021765, 0.025392065309262024, 0.016274394730905743, 0.007018610009470506])
 _NODES = np.concatenate([_X16, _X32]) + 1.0
 
 

@@ -9,6 +9,7 @@ curvature parametrizations must satisfy.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from collections import deque
@@ -18,6 +19,7 @@ import numpy as np
 
 from . import catalog, closed_form, collapse, embedding, flow_ode
 from .catalog import (
+    IsoparametricSurface,
     make_euclidean_cylinder,
     make_horosphere,
     make_hyperbolic_cylinder,
@@ -99,21 +101,49 @@ def _window_end(t_star):
 # ---------------------------------------------------------------------------
 # per-instance checks
 
-def check_validation(label, surface, opts):
-    rebuilt = catalog.surface_from_dict(surface.to_dict())
-    ok = rebuilt.to_dict() == surface.to_dict()
-    return CheckResult("validation", label, ok, "JSON round-trip re-validates")
+@dataclass
+class Case:
+    """One surface with what its checks share, each computed on first read.
+
+    ``profile`` is its closed form, ``quadrature`` the (t*, error bound)
+    that ``flow_ode.estimate_tstar`` computes, and ``report`` the collapse
+    analysis of the closed form.  A property that raises caches nothing, so
+    every check that reads it raises again and fails on its own.
+    """
+
+    label: str
+    surface: IsoparametricSurface
+    opts: flow_ode.OdeOptions = flow_ode.DEFAULT_OPTIONS
+
+    @functools.cached_property
+    def profile(self):
+        return closed_form.resolve_profile(self.surface)
+
+    @functools.cached_property
+    def quadrature(self):
+        return flow_ode._collapse_time(self.surface, *flow_ode._focal_blocks(self.surface))
+
+    @functools.cached_property
+    def report(self):
+        return collapse.analyze(self.surface, self.profile)
 
 
-def check_oracle_agreement(label, surface, opts):
-    profile = closed_form.resolve_profile(surface)
+def check_validation(case):
+    rebuilt = catalog.surface_from_dict(case.surface.to_dict())
+    ok = rebuilt.to_dict() == case.surface.to_dict()
+    return CheckResult("validation", case.label, ok, "JSON round-trip re-validates")
+
+
+def check_oracle_agreement(case):
+    profile = case.profile
     ts = np.linspace(0.0, _window_end(profile.t_star), 200)
-    numeric = flow_ode.integrate(surface, float(ts[-1]), opts) if ts[-1] > 0 else None
-    if numeric is None:
-        return CheckResult("oracle-agreement", label, True, "degenerate window")
+    if not ts[-1] > 0:
+        return CheckResult("oracle-agreement", case.label, True, "degenerate window")
+    numeric = flow_ode.integrate(case.surface, float(ts[-1]), case.opts,
+                                 _quadrature=case.quadrature)
     diff = float(np.max(np.abs(profile.xi(ts) - numeric.xi(ts))))
     return CheckResult(
-        "oracle-agreement", label, diff <= ORACLE_TOL,
+        "oracle-agreement", case.label, diff <= ORACLE_TOL,
         f"max |xi_closed - xi_ode| = {diff:.3e} (tol {ORACLE_TOL:g})",
     )
 
@@ -133,70 +163,66 @@ def _ode_residual(surface, profile):
     return float(np.max(np.abs(deriv - catalog.mean_curvature(surface, x[:, 4]))))
 
 
-def check_ode_residual(label, surface, opts):
-    worst = _ode_residual(surface, closed_form.resolve_profile(surface))
+def check_ode_residual(case):
+    worst = _ode_residual(case.surface, case.profile)
     return CheckResult(
-        "ode-residual", label, worst <= ODE_RESIDUAL_TOL,
+        "ode-residual", case.label, worst <= ODE_RESIDUAL_TOL,
         f"max |d xi/dt - H| = {worst:.3e} (tol {ODE_RESIDUAL_TOL:g})",
     )
 
 
-def check_tstar_consistency(label, surface, opts):
-    profile = closed_form.resolve_profile(surface)
-    t_num = flow_ode.estimate_tstar(surface, opts)
-    if math.isinf(profile.t_star) or math.isinf(t_num):
-        ok = math.isinf(profile.t_star) and math.isinf(t_num)
-        return CheckResult("tstar-consistency", label, ok,
-                           f"closed {profile.t_star}, ode {t_num}")
-    diff = abs(profile.t_star - t_num)
+def check_tstar_consistency(case):
+    t_closed, t_num = case.profile.t_star, case.quadrature[0]
+    if math.isinf(t_closed) or math.isinf(t_num):
+        ok = math.isinf(t_closed) and math.isinf(t_num)
+        return CheckResult("tstar-consistency", case.label, ok,
+                           f"closed {t_closed}, ode {t_num}")
+    diff = abs(t_closed - t_num)
     return CheckResult(
-        "tstar-consistency", label, diff <= TSTAR_TOL,
+        "tstar-consistency", case.label, diff <= TSTAR_TOL,
         f"|t*_closed - t*_ode| = {diff:.3e} (tol {TSTAR_TOL:g})",
     )
 
 
-def check_focal_dimension(label, surface, opts):
-    profile = closed_form.resolve_profile(surface)
-    report = collapse.analyze(surface, profile)
-    expected = collapse.focal_dimension_expected(surface)
+def check_focal_dimension(case):
+    report = case.report
+    expected = collapse.focal_dimension_expected(case.surface)
     if expected is None:
-        return CheckResult("focal-dimension", label, True,
+        return CheckResult("focal-dimension", case.label, True,
                            f"no stated claim (limit {report.limit_kind})")
     ok = report.focal_dimension == expected
     return CheckResult(
-        "focal-dimension", label, ok,
+        "focal-dimension", case.label, ok,
         f"analyze {report.focal_dimension} vs predicted {expected}",
     )
 
 
-def check_focal_condition(label, surface, opts):
+def check_focal_condition(case):
     """Focal identity at the exact collapse limit: the degenerate block's
     curvature equals the cot/coth/1-over slope of xi(t*)."""
-    profile = closed_form.resolve_profile(surface)
+    surface, profile = case.surface, case.profile
     if not math.isfinite(profile.t_star):
-        return CheckResult("focal-condition", label, True, "eternal flow")
-    report = collapse.analyze(surface, profile)
-    xi_star = profile.xi_star
-    k_deg = surface.blocks[report.degenerate_block_index].kappa
-    residual = abs(_inverse_slope(surface.space_form, xi_star) - k_deg)
+        return CheckResult("focal-condition", case.label, True, "eternal flow")
+    k_deg = surface.blocks[case.report.degenerate_block_index].kappa
+    residual = abs(_inverse_slope(surface.space_form, profile.xi_star) - k_deg)
     return CheckResult(
-        "focal-condition", label, residual <= FOCAL_LIMIT_TOL,
+        "focal-condition", case.label, residual <= FOCAL_LIMIT_TOL,
         f"|slope(xi*) - kappa_deg| = {residual:.3e} (tol {FOCAL_LIMIT_TOL:g})",
     )
 
 
-def check_pythagorean(label, surface, opts):
-    profile = closed_form.resolve_profile(surface)
+def check_pythagorean(case):
+    profile = case.profile
     pair_probe = profile.angle_pair(0.0)
     if pair_probe is None:
-        return CheckResult("pythagorean", label, True, "family has no pair form")
+        return CheckResult("pythagorean", case.label, True, "family has no pair form")
     _, _, _, geometry = pair_probe
     t_star = profile.t_star
     hi = t_star if math.isfinite(t_star) else ETERNAL_WINDOW
     # Hyperbolic pairs grow exponentially backward in time; keep the sampled
     # window where the identity is representable in doubles.
     if geometry == "hyperbolic":
-        lo = -2.0 / surface.n
+        lo = -2.0 / case.surface.n
     else:
         lo = -2.0
     ts = np.linspace(lo, hi, 1000)
@@ -206,33 +232,32 @@ def check_pythagorean(label, surface, opts):
     else:
         worst = float(np.max(np.abs(co * co - si * si - 1.0)))
     return CheckResult(
-        "pythagorean", label, worst <= PYTHAGOREAN_TOL,
+        "pythagorean", case.label, worst <= PYTHAGOREAN_TOL,
         f"max |pair identity residual| = {worst:.3e} (tol {PYTHAGOREAN_TOL:g})",
     )
 
 
-def check_xi_zero(label, surface, opts):
-    profile = closed_form.resolve_profile(surface)
-    value = abs(profile.xi(0.0))
+def check_xi_zero(case):
+    value = abs(case.profile.xi(0.0))
     return CheckResult(
-        "xi-zero", label, value <= XI_ZERO_TOL,
+        "xi-zero", case.label, value <= XI_ZERO_TOL,
         f"|xi(0)| = {value:.3e} (tol {XI_ZERO_TOL:g})",
     )
 
 
-def check_embedding_constraints(label, surface, opts):
+def check_embedding_constraints(case):
     try:
-        embedding.get_embedding(surface)
+        embedding.get_embedding(case.surface)
     except UnsupportedEmbeddingError:
-        return CheckResult("embedding-constraints", label, True, "no embedding")
-    profile = closed_form.resolve_profile(surface)
+        return CheckResult("embedding-constraints", case.label, True, "no embedding")
+    profile = case.profile
     t_star = profile.t_star
     times = [0.0, 0.5, 1.0] if math.isinf(t_star) else [0.0, 0.5 * t_star, 0.9 * t_star]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         # Each SampledSurface checks its quadric to 1e-10; deque(maxlen=0) drops it at once.
-        deque(embedding.snapshots(surface, 4, times, profile), maxlen=0)
-    return CheckResult("embedding-constraints", label, True,
+        deque(embedding.snapshots(case.surface, 4, times, profile), maxlen=0)
+    return CheckResult("embedding-constraints", case.label, True,
                        f"frames on the quadric at {len(times)} times")
 
 
@@ -345,17 +370,26 @@ def check_typo_resolution(opts):
 
 def check_cs_identity(opts, samples=10**6, seed=20240801):
     """c^2 + kbar s^2 = 1 within 4 ulp of the largest intermediate; the samples // 3
-    draws per ambient stream in 2^14 chunks: the same draws and result, in about 1 MB."""
+    draws per ambient stream in 2^14 chunks: the same draws and result, in about 1 MB.
+    Each chunk is worked in place; the intermediate is >= 1, so its ulp is 2^-52 times
+    its exponent bits, and dividing by it is exact."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for kbar, sf in ((-1, HYPERBOLIC), (0, EUCLIDEAN), (1, SPHERE)):
         for start in range(0, samples // 3, 2**14):
             xi = rng.uniform(-10.0, 10.0, min(2**14, samples // 3 - start))
             c, s = cs_eval(sf, xi)
-            cc, ss = c * c, s * s
-            residual = np.abs(cc + kbar * ss - 1.0)
-            scale = np.maximum(1.0, np.maximum(cc, abs(kbar) * ss))
-            worst = max(worst, float(np.max(residual / np.spacing(scale))))
+            c *= c
+            s *= s if kbar else 0.0
+            ulp = np.maximum(c, s)
+            np.maximum(ulp, 1.0, out=ulp)
+            ulp.view(np.uint64)[...] &= np.uint64(0x7FF0_0000_0000_0000)
+            ulp *= 2.0**-52
+            (np.subtract if kbar < 0 else np.add)(c, s, out=c)
+            c -= 1.0
+            np.abs(c, out=c)
+            c /= ulp
+            worst = max(worst, float(np.max(c)))
     return CheckResult(
         "identities", "global", worst <= 4.0,
         f"max identity residual = {worst:.2f} ulp (tol 4)",
@@ -372,9 +406,11 @@ ALL_CHECKS = tuple(INSTANCE_CHECKS) + tuple(GLOBAL_CHECKS)
 
 
 def run_verification(surfaces=None, checks=None, opts=None):
-    """Run the requested checks; returns a list of CheckResult.
+    """Run the requested checks; returns a list of CheckResult, check by check.
 
-    An instance check that raises an IsoflowError gives a FAIL naming the error.
+    Each surface is one Case, so the checks share its profile, quadrature
+    and collapse report.  An instance check that raises an IsoflowError
+    gives a FAIL naming the error.
     """
     if opts is None:
         opts = flow_ode.DEFAULT_OPTIONS
@@ -385,15 +421,16 @@ def run_verification(surfaces=None, checks=None, opts=None):
         raise ValueError(f"unknown checks {unknown}; available: {sorted(ALL_CHECKS)}")
     if surfaces is None:
         surfaces = builtin_grid()
+    cases = [Case(label, surface, opts) for label, surface in surfaces]
     results = []
     for name in checks:
         if name in GLOBAL_CHECKS:
             results.append(GLOBAL_CHECKS[name](opts))
             continue
         fn = INSTANCE_CHECKS[name]
-        for label, surface in surfaces:
+        for case in cases:
             try:
-                results.append(fn(label, surface, opts))
+                results.append(fn(case))
             except IsoflowError as exc:  # a check that cannot finish fails
-                results.append(CheckResult(name, label, False, f"{type(exc).__name__}: {exc}"))
+                results.append(CheckResult(name, case.label, False, f"{type(exc).__name__}: {exc}"))
     return results

@@ -34,6 +34,7 @@ from isoflow import (
 from isoflow.spaceform import _inverse_slope
 from isoflow.errors import UnsupportedEmbeddingError
 from isoflow.verification import (
+    Case,
     builtin_grid,
     check_ode_residual,
     check_pythagorean,
@@ -102,7 +103,7 @@ def test_criterion_3_ode_residual():
     """Finite differences of every closed form satisfy the flow ODE to 1e-6."""
     worst = 0.0
     for label, surface in GRID:
-        result = check_ode_residual(label, surface, None)
+        result = check_ode_residual(Case(label, surface))
         assert result.passed, f"{label}: {result.detail}"
         worst = max(worst, float(result.detail.split("=")[1].split("(")[0]))
     report(3, True, f"100 interior samples per instance, max residual = {worst:.2e} (tol 1e-6)")
@@ -220,8 +221,9 @@ def test_criterion_6_identity_suite():
     worst_pair = 0.0
     worst_zero = 0.0
     for label, surface in GRID:
-        pair = check_pythagorean(label, surface, None)
-        zero = check_xi_zero(label, surface, None)
+        case = Case(label, surface)
+        pair = check_pythagorean(case)
+        zero = check_xi_zero(case)
         assert pair.passed, f"{label}: {pair.detail}"
         assert zero.passed, f"{label}: {zero.detail}"
     report(6, True, f"{ident.detail}; pair identities <= 1e-10; |xi(0)| <= 1e-12")

@@ -226,6 +226,33 @@ class TestVerify:
         [line] = [x for x in lines if x.split()[1] == "embedding-constraints"]
         assert line.startswith("FAIL") and "InvalidFrameError: " in line
 
+    def test_each_check_that_reads_a_failing_profile_fails(self, capsys):
+        # The closed form's xi overflows; the five checks that evaluate it
+        # each report the error, and the checks that do not still pass.
+        rc, out, _ = run_cli(capsys, "verify", "--family", "euclidean-cylinder", "--m", "1",
+                             "--n", "1", "--kappa", "1e300")
+        error = "NumericalRangeError: euclidean_cylinder closed form gives a non-finite offset"
+        assert rc == 1
+        assert out == "\n".join([
+            "PASS  validation                 cli surface: JSON round-trip re-validates",
+            "PASS  oracle-agreement           cli surface: degenerate window",
+            f"FAIL  ode-residual               cli surface: {error}",
+            "PASS  tstar-consistency          cli surface: |t*_closed - t*_ode| = 0.000e+00"
+            " (tol 1e-07)",
+            f"FAIL  focal-dimension            cli surface: {error}",
+            f"FAIL  focal-condition            cli surface: {error}",
+            "PASS  pythagorean                cli surface: family has no pair form",
+            f"FAIL  xi-zero                    cli surface: {error}",
+            f"FAIL  embedding-constraints      cli surface: {error}",
+            "PASS  curvature-parametrization  global: kappa1*kappa2+1: 2.89e-15; g4 ladder vs"
+            " explicit: 9.24e-14; sum vs a-formula: 1.01e-12; cylinder product: 1.11e-16",
+            "PASS  typo-resolution            global: cylinder t* forms: 1.11e-16; g4 t* forms:"
+            " 1.39e-16",
+            "PASS  identities                 global: max identity residual = 3.00 ulp (tol 4)",
+            "7/12 checks passed",
+            "",
+        ])
+
     def test_unknown_check_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "--check", "nonsense"])

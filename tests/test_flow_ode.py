@@ -269,6 +269,22 @@ class TestEstimateTstar:
             t_star = estimate_tstar(surface)
             assert integrate(surface, 2.0 * t_star).t_star == t_star
 
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_quadrature_rules_are_leggauss(self, n):
+        nodes, weights = np.polynomial.legendre.leggauss(n)
+        x, w = (flow_ode._X16, flow_ode._W16) if n == 16 else (flow_ode._X32, flow_ode._W32)
+        assert x.tobytes() == nodes.tobytes()
+        assert w.tobytes() == weights.tobytes()
+
+    def test_import_leaves_numpy_polynomial_unloaded(self):
+        code = "import sys, isoflow.cli; assert 'numpy.polynomial' not in sys.modules"
+        src = os.path.dirname(os.path.dirname(flow_ode.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
 
 def _grid_offsets(surface):
     """20 offsets strictly between 0 and xi* in the flow direction (up to 1 without xi*)."""

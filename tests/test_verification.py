@@ -6,7 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from isoflow import EUCLIDEAN, HYPERBOLIC, SPHERE, cs_eval, mean_curvature, resolve_profile, verification
+from isoflow import (
+    EUCLIDEAN, HYPERBOLIC, SPHERE, closed_form, collapse, cs_eval, flow_ode, mean_curvature,
+    resolve_profile, verification,
+)
 
 MiB = 2**20
 
@@ -126,5 +129,51 @@ def test_embedding_constraints_holds_one_snapshot(grid):
     # The peak is the one frame grid's, as when each time built its own.
     label, surface = next(p for p in grid if p[0].startswith("sphere product l=3 n=7"))
     peak = _traced_peak(
-        lambda: verification.check_embedding_constraints(label, surface, None))
+        lambda: verification.check_embedding_constraints(verification.Case(label, surface)))
     assert peak <= 6.3 * MiB
+
+
+def _count_calls(monkeypatch, owner, attr, calls):
+    """Count calls of owner.attr per the id of their first argument."""
+    original = getattr(owner, attr)
+
+    def counted(first, *args, **kwargs):
+        calls[id(first)] = calls.get(id(first), 0) + 1
+        return original(first, *args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+
+
+def test_each_surface_is_resolved_once(monkeypatch, grid):
+    # One closed form, at most one collapse analysis and one quadrature per
+    # surface, however many of the nine checks read them.
+    profiles, reports, quadratures, runs = {}, {}, {}, {}
+    _count_calls(monkeypatch, closed_form, "resolve_profile", profiles)
+    _count_calls(monkeypatch, collapse, "analyze", reports)
+    _count_calls(monkeypatch, flow_ode, "_collapse_time", quadratures)
+    _count_calls(monkeypatch, flow_ode, "integrate", runs)
+    results = verification.run_verification(surfaces=grid)
+    assert len(results) == len(verification.INSTANCE_CHECKS) * len(grid) + len(
+        verification.GLOBAL_CHECKS)
+    ids = {id(surface) for _, surface in grid}
+    assert profiles == dict.fromkeys(ids, 1)
+    assert set(reports) <= ids and set(reports.values()) == {1}
+    assert quadratures == dict.fromkeys(ids, 1)
+    assert set(runs) <= ids and set(runs.values()) == {1}
+
+
+def test_xi_zero_alone_runs_no_oracle(monkeypatch, grid):
+    calls = {}
+    for owner, attr in ((collapse, "analyze"), (flow_ode, "_collapse_time"),
+                        (flow_ode, "integrate"), (flow_ode, "solve_ivp")):
+        _count_calls(monkeypatch, owner, attr, calls)
+    results = verification.run_verification(surfaces=grid, checks=["xi-zero"])
+    assert len(results) == len(grid) and all(r.passed for r in results)
+    assert calls == {}
+
+
+def test_each_check_alone_gives_its_rows_of_the_full_run(grid):
+    full = verification.run_verification(surfaces=grid)
+    for name in verification.ALL_CHECKS:
+        alone = verification.run_verification(surfaces=grid, checks=[name])
+        assert alone == [r for r in full if r.check == name], name
