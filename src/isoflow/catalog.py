@@ -215,6 +215,20 @@ def _validate_surface(surface: IsoparametricSurface):
             )
 
 
+def _clifford_delta(m: int) -> int:
+    """delta(m): 1, 2, 4, 4, 8, 8, 8, 8 for m = 1..8, and delta(m + 8) = 16 delta(m)."""
+    return 16 ** ((m - 1) // 8) * (1, 2, 4, 4, 8, 8, 8, 8)[(m - 1) % 8]
+
+
+def _g4_pair_exists(m1: int, m2: int) -> bool:
+    """The g=4 classification (Ferus-Karcher-Muenzner 1981, Stolz 1999,
+    Cecil-Chi-Jensen 2007, Immervoll 2008, Chi 2020): {m1, m2} is an FKM pair
+    {m, k delta(m) - m - 1} for some k >= 1, or one of {2, 2} and {4, 5}."""
+    if {m1, m2} in ({2}, {4, 5}):
+        return True
+    return any((m1 + m2 + 1) % _clifford_delta(m) == 0 for m in (m1, m2))
+
+
 def _validate_spherical(surface: IsoparametricSurface):
     g = surface.g
     if g not in (1, 2, 3, 4, 6):
@@ -243,6 +257,11 @@ def _validate_spherical(surface: IsoparametricSurface):
         if mults[0] != mults[2] or mults[1] != mults[3]:
             raise InvalidInputError(
                 f"g=4 multiplicities must satisfy m1=m3 and m2=m4, got {mults}"
+            )
+        if not _g4_pair_exists(mults[0], mults[1]):
+            raise InvalidInputError(
+                f"no g=4 hypersurface has multiplicities {{{mults[0]}, {mults[1]}}}: "
+                f"they must be an FKM pair {{m, k delta(m) - m - 1}}, {{2, 2}} or {{4, 5}}"
             )
     else:  # g == 6
         if len(set(mults)) != 1 or mults[0] not in (1, 2):

@@ -212,7 +212,8 @@ def resolve_profile(surface: IsoparametricSurface) -> ClosedFormProfile:
 
     Minimal surfaces give the constant profile; negative-mean-curvature
     surfaces are resolved through the flipped orientation with output signs
-    restored.
+    restored.  Raises NumericalRangeError if t* is not > 0, e.g. underflowed
+    at huge curvatures.
     """
     if surface.is_minimal:
         return _constant_profile(surface)
@@ -224,6 +225,9 @@ def resolve_profile(surface: IsoparametricSurface) -> ClosedFormProfile:
             f"no closed form available for family {surface.family!r}"
         )
     built = builder(resolved)
+    if not built["t_star"] > 0.0:
+        raise NumericalRangeError(
+            f"{resolved.family} collapse time underflows to {built['t_star']!r}")
     return ClosedFormProfile(
         family=resolved.family,
         surface=surface,

@@ -38,7 +38,7 @@ import numpy as np
 
 from .catalog import IsoparametricSurface, mean_curvature
 from .collapse import ETERNAL_CHECK_TIME, _limit_eval_offset
-from .errors import IntegrationFailureError, InvalidInputError
+from .errors import IntegrationFailureError, InvalidInputError, NumericalRangeError
 from .spaceform import focal_offset
 
 
@@ -397,7 +397,8 @@ def _collapse_time(surface: IsoparametricSurface, direction: int, watched):
     panels are graded (ratio 4) toward zeta = 0 until the innermost is
     narrower than a quarter of that distance; in a curved ambient none is
     wider than 0.5 (hyperbolic kappa -> 1+), while Euclidean 1/H is linear.
-    The error estimate is |Q32 - Q16|, floored at a few ulp of t*.
+    The error estimate is |Q32 - Q16|, floored at a few ulp of t*.  Raises
+    NumericalRangeError if t* is not > 0, e.g. underflowed at huge curvatures.
     """
     if not watched:
         return math.inf, 0.0
@@ -417,6 +418,8 @@ def _collapse_time(surface: IsoparametricSurface, direction: int, watched):
     inv_h = direction / mean_curvature(surface, direction * (lo + half * _NODES))
     q16 = float(np.sum(half * _W16 * inv_h[:, :16]))
     q32 = float(np.sum(half * _W32 * inv_h[:, 16:]))
+    if not q32 > 0.0:
+        raise NumericalRangeError(f"{surface.family} collapse time underflows to {q32!r}")
     return q32, max(abs(q32 - q16), 4.0 * math.ulp(q32))
 
 

@@ -144,6 +144,16 @@ class TestSphereLadder:
             sphere_curvatures_from_g(6, 0.3, [3] * 6)
         assert sphere_curvatures_from_g(4, 0.3, [2, 5, 2, 5]).n == 14
 
+    def test_g4_multiplicity_classification(self):
+        # FKM pairs {m, k delta(m) - m - 1}, plus {2, 2} and {4, 5}.
+        for m1, m2 in [(1, 1), (1, 9), (2, 2), (2, 3), (3, 4), (4, 5), (4, 7),
+                       (5, 2), (6, 9), (7, 8), (9, 6)]:
+            for pair in ([m1, m2], [m2, m1]):
+                assert sphere_curvatures_from_g(4, 0.3, pair * 2).n == 2 * (m1 + m2)
+        for m1, m2 in [(3, 3), (5, 5), (2, 4), (3, 5), (4, 4)]:
+            with pytest.raises(InvalidInputError, match="no g=4 hypersurface"):
+                sphere_curvatures_from_g(4, 0.3, [m1, m2, m1, m2])
+
     def test_s_range_enforced(self):
         with pytest.raises(InvalidInputError):
             sphere_curvatures_from_g(4, math.pi / 3)

@@ -11,6 +11,7 @@ from isoflow import (
     FamilyMismatchError,
     InvalidInputError,
     IsoparametricSurface,
+    NumericalRangeError,
     estimate_tstar,
     make_euclidean_cylinder,
     make_horosphere,
@@ -274,8 +275,9 @@ class TestNearMinimalStress:
             elif g == 3:
                 mults = [int(rng.choice([1, 2, 4, 8]))] * 3
             elif g == 4:
-                m1, m2 = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-                mults = [m1, m2, m1, m2]
+                # Only pairs a g=4 hypersurface has: (3, 3) is not one.
+                pairs = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 3), (3, 2)]
+                mults = list(pairs[int(rng.integers(len(pairs)))]) * 2
             else:
                 mults = [int(rng.choice([1, 2]))] * 6
             from isoflow import sphere_curvatures_from_g, estimate_tstar
@@ -295,6 +297,11 @@ class TestResolveDispatch:
         assert prof.t_star == math.inf
         ts = np.linspace(-5, 5, 11)
         np.testing.assert_allclose(prof.xi(ts), 0.0)
+
+    def test_underflowed_tstar_raises(self):
+        # t* = 1 / (2 kappa^2) = 5e-601 underflows to 0: an error, not t* = 0.
+        with pytest.raises(NumericalRangeError, match="collapse time underflows"):
+            resolve_profile(make_euclidean_cylinder(1, 1, 1e300))
 
     def test_domain_rejects_past_collapse(self):
         prof = resolve_profile(make_sphere_umbilic(2, 1.0))

@@ -14,6 +14,7 @@ import scipy.integrate
 from isoflow import (
     IntegrationFailureError,
     InvalidInputError,
+    NumericalRangeError,
     OdeOptions,
     estimate_tstar,
     integrate,
@@ -188,6 +189,14 @@ class TestEstimateTstar:
         surface = sphere_family_from_kappa1(4, 2.0)  # flows toward negative xi
         value = estimate_tstar(surface)
         assert math.isfinite(value) and value > 0
+
+    def test_underflowed_tstar_raises(self):
+        # t* = 1 / (2 kappa^2) = 5e-601 underflows to 0 in the quadrature too.
+        surface = make_euclidean_cylinder(1, 1, 1e300)
+        with pytest.raises(NumericalRangeError, match="collapse time underflows"):
+            estimate_tstar(surface)
+        with pytest.raises(NumericalRangeError, match="collapse time underflows"):
+            integrate(surface, 1.0)
 
     def test_collapse_past_fifty_is_finite(self):
         # t* = 1 / (2 m kappa^2) = 200/3: a late collapse is still a collapse.

@@ -75,21 +75,41 @@ def test_ode_residual_equals_scalar_stencil(grid, family):
     assert verification._ode_residual(surface, profile) == _scalar_ode_residual(surface, profile)
 
 
+def _splitmix64(seed, count):
+    """Reference: SplitMix64's first ``count`` outputs, in one shot; output i
+    mixes seed + (i+1) gamma mod 2^64."""
+    z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(seed)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def test_splitmix64_reference_is_the_published_stream():
+    # The first outputs for seeds 0 and 1234567 in Vigna's splitmix64.c
+    # and Java's SplittableRandom.
+    assert list(map(int, _splitmix64(0, 3))) == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert list(map(int, _splitmix64(1234567, 3))) == [
+        6457827717110365317, 3203168211198807973, 9817491932198370423]
+
+
 def _one_shot_cs_identity(samples, seed):
-    """Reference: the identities check with one draw of samples // 3 per ambient.
+    """Reference: the identities check on all 3 (samples // 3) draws at once,
+    the top 53 bits of each SplitMix64 output scaled to [-10, 10), taken by the
+    hyperbolic, Euclidean and spherical ambients in turn.
 
     Returns the worst ulp and the draws, in order.
     """
-    rng = np.random.default_rng(seed)
-    worst, draws = 0.0, []
-    for kbar, sf in ((-1, HYPERBOLIC), (0, EUCLIDEAN), (1, SPHERE)):
-        xi = rng.uniform(-10.0, 10.0, samples // 3)
-        draws.append(xi)
-        c, s = cs_eval(sf, xi)
+    per_ambient = samples // 3
+    draws = (_splitmix64(seed, 3 * per_ambient) >> np.uint64(11)) * (20.0 * 2.0**-53) - 10.0
+    worst = 0.0
+    for block, (kbar, sf) in enumerate(((-1, HYPERBOLIC), (0, EUCLIDEAN), (1, SPHERE))):
+        c, s = cs_eval(sf, draws[block * per_ambient:(block + 1) * per_ambient])
         residual = np.abs(c * c + kbar * s * s - 1.0)
         scale = np.maximum(1.0, np.maximum(c * c, np.abs(kbar) * s * s))
         worst = max(worst, float(np.max(residual / np.spacing(scale))))
-    return worst, np.concatenate(draws)
+    return worst, draws
 
 
 @pytest.mark.parametrize("samples, seed", [(10**6, 20240801), (3 * 2**14 + 7, 5)])
