@@ -40,15 +40,7 @@ from .closed_form import resolve_profile
 from .collapse import analyze
 # sample stays importable here: perfbench/layers.py traces it at this module.
 from .embedding import export_csv, export_metadata, get_embedding, sample, snapshots  # noqa: F401
-from .errors import (
-    AnalysisIncompleteError,
-    IntegrationFailureError,
-    InvalidFrameError,
-    InvalidInputError,
-    IsoflowError,
-    SingularParallelError,
-    UnsupportedEmbeddingError,
-)
+from .errors import InvalidFrameError, InvalidInputError, IsoflowError, UnsupportedEmbeddingError
 from .flow_ode import DEFAULT_OPTIONS, OdeOptions, estimate_tstar, integrate
 
 EXIT_OK = 0
@@ -387,10 +379,6 @@ def main(argv=None) -> int:
     except UnsupportedEmbeddingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (IntegrationFailureError, SingularParallelError,
-            AnalysisIncompleteError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except IsoflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -16,6 +16,7 @@ signs match the orientation the surface was given in, and records the flip.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,8 +213,8 @@ def resolve_profile(surface: IsoparametricSurface) -> ClosedFormProfile:
 
     Minimal surfaces give the constant profile; negative-mean-curvature
     surfaces are resolved through the flipped orientation with output signs
-    restored.  Raises NumericalRangeError if t* is not > 0, e.g. underflowed
-    at huge curvatures.
+    restored.  Raises NumericalRangeError if t* is below the least normal
+    double, e.g. at huge curvatures.
     """
     if surface.is_minimal:
         return _constant_profile(surface)
@@ -225,7 +226,7 @@ def resolve_profile(surface: IsoparametricSurface) -> ClosedFormProfile:
             f"no closed form available for family {surface.family!r}"
         )
     built = builder(resolved)
-    if not built["t_star"] > 0.0:
+    if not built["t_star"] >= sys.float_info.min:
         raise NumericalRangeError(
             f"{resolved.family} collapse time underflows to {built['t_star']!r}")
     return ClosedFormProfile(

@@ -462,5 +462,6 @@ def run_verification(surfaces=None, checks=None, opts=None):
             try:
                 results.append(fn(case))
             except IsoflowError as exc:  # a check that cannot finish fails
-                results.append(CheckResult(name, case.label, False, f"{type(exc).__name__}: {exc}"))
+                detail = f"{type(exc).__name__}: {exc}"
+                results.append(CheckResult(name, case.label, False, detail))
     return results

@@ -303,6 +303,11 @@ class TestResolveDispatch:
         with pytest.raises(NumericalRangeError, match="collapse time underflows"):
             resolve_profile(make_euclidean_cylinder(1, 1, 1e300))
 
+    def test_subnormal_tstar_raises(self):
+        # t* ~ 1 / (2 kappa^2) = 5e-309 is subnormal, with a few digits of its own.
+        with pytest.raises(NumericalRangeError, match="collapse time underflows"):
+            resolve_profile(make_sphere_umbilic(1, 1e154))
+
     def test_domain_rejects_past_collapse(self):
         prof = resolve_profile(make_sphere_umbilic(2, 1.0))
         with pytest.raises(InvalidInputError):

@@ -198,6 +198,13 @@ class TestEstimateTstar:
         with pytest.raises(NumericalRangeError, match="collapse time underflows"):
             integrate(surface, 1.0)
 
+    @pytest.mark.parametrize("kappa", [1e154, 1e160])
+    def test_subnormal_tstar_raises(self, kappa):
+        # t* = 1 / (2 kappa^2) = 5e-309 and 5e-321 are subnormal: the quadrature
+        # gives 4.999999999999995e-309 and 4.946e-321, the last 1% off.
+        with pytest.raises(NumericalRangeError, match="collapse time underflows"):
+            estimate_tstar(make_euclidean_cylinder(1, 1, kappa))
+
     def test_collapse_past_fifty_is_finite(self):
         # t* = 1 / (2 m kappa^2) = 200/3: a late collapse is still a collapse.
         got = estimate_tstar(make_euclidean_cylinder(3, 3, 0.05))
@@ -343,36 +350,59 @@ def _assert_agrees_with_scipy(surface, t_end, ts, opts=DEFAULT_OPTIONS):
     return prof, ref
 
 
+class _Form(dict):
+    """A linear form {symbol: coefficient}, for reading the coefficients of the step."""
+
+    def __add__(self, other):
+        out = _Form(self)
+        for key, c in other.items():
+            out[key] = out.get(key, 0.0) + c
+        return out
+
+    def __sub__(self, other):
+        return self + other * -1.0
+
+    def __mul__(self, c):
+        return _Form({key: v * c for key, v in self.items()})
+
+    __rmul__ = __mul__
+
+
+def _bits(x, n=None, **extra):
+    """The bytes of x's coefficients: a form's of k_0..k_{n-1}, after checking
+    that its other symbols are exactly ``extra``; an array's as they are."""
+    if n is not None:
+        assert {key: c for key, c in x.items() if key not in range(n)} == extra
+        x = [x.get(j, 0.0) for j in range(n)]
+    return np.asarray(x, dtype=float).tobytes()
+
+
 class TestDriver:
     """The float-scalar DOP853 loop against scipy's solve_ivp on the same kernel."""
 
     def test_tableau_is_scipys(self):
-        stages, b, e5, e3, extra, d = flow_ode._dop853()
+        # Run the written-out step on linear forms: each stage's argument, the
+        # new value, the error sums and the interpolant terms carry their
+        # coefficients, which must be scipy's table bit for bit.
         method = scipy.integrate.DOP853
-        for s, row in enumerate(stages, start=1):
-            assert row == tuple(method.A[s, :s])
-        for i, row in enumerate(extra):
-            assert row == tuple(method.A_EXTRA[i, :method.n_stages + 1 + i])
-        assert (b, e5, e3) == (tuple(method.B), tuple(method.E5), tuple(method.E3))
-        assert d == tuple(map(tuple, method.D)) and method.error_estimator_order == 7
+        args = []
 
-    def test_integration_leaves_scipy_unloaded(self):
-        # The coefficient table is read from its file, so an integration that
-        # ends at the collapse stop loads no scipy module at all.
-        code = """
-import sys
-import isoflow
-prof = isoflow.integrate(isoflow.make_sphere_umbilic(2, 1.0), 1.0)
-assert prof.termination == "hit_singularity"
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-assert not loaded, loaded
-"""
-        src = os.path.dirname(os.path.dirname(flow_ode.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        def fun(x):
+            args.append(x)
+            return _Form({len(args): 1.0})
+
+        y = _Form({"y": 1.0})
+        y_new, k12, err5, err3, k = flow_ode._attempt(fun, y, _Form({0: 1.0}), 1.0)
+        rows = [*flow_ode._dense(fun, y, 1.0, k)]
+        assert len(args) == 15 and args[11] is y_new and k12 == {12: 1.0}
+        for s, x in enumerate(args[:11], start=1):
+            assert _bits(x, s, y=1.0) == _bits(method.A[s, :s])
+        for i, x in enumerate(args[12:]):
+            assert _bits(x, 13 + i, y=1.0) == _bits(method.A_EXTRA[i, :13 + i])
+        assert _bits(y_new, 12, y=1.0) == _bits(method.B)
+        assert (_bits(err5, 13), _bits(err3, 13)) == (_bits(method.E5), _bits(method.E3))
+        assert [_bits(r, 16) for r in rows] == [_bits(r) for r in method.D]
+        assert method.n_stages == 12 and method.error_estimator_order == 7
 
     def test_matches_scipy_on_grid(self):
         # At the 200 times of the oracle-agreement check, and over the
@@ -456,8 +486,11 @@ def _reference_fun(surface, floor=1e-14):
 
 
 def _reference_solve_ivp(fun, t_end, opts):
-    """The DOP853 loop with every stage sum as sum(map(mul, a, k))."""
-    stages, b, e5, e3, extra, d = flow_ode._dop853()
+    """The DOP853 loop on scipy's table, with every stage sum as sum(map(mul, a, k))."""
+    method = scipy.integrate.DOP853
+    stages = [method.A[s, :s].tolist() for s in range(1, method.n_stages)]
+    b, e5, e3 = method.B.tolist(), method.E5.tolist(), method.E3.tolist()
+    extra, d = method.A_EXTRA.tolist(), method.D.tolist()
     exponent = -1.0 / 8
     rtol, atol, max_step = opts.rel_tol, opts.abs_tol, opts.max_step
     sign, span = math.copysign(1.0, t_end), abs(t_end)
@@ -526,7 +559,7 @@ def _reference_solve_ivp(fun, t_end, opts):
 
 
 class TestStraightLine:
-    """The generated stages and the per-ambient kernel change no bit."""
+    """The written-out stages and the per-ambient kernel change no bit."""
 
     def test_bits_equal_the_reference_loop(self):
         # Both windows the engines integrate: the oracle-agreement window
