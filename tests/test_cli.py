@@ -362,13 +362,59 @@ class TestExport:
         assert len(digests(tmp_path / "all")) == 6
         assert digests(tmp_path / "all") == digests(tmp_path / "one")
 
+    def test_export_and_help_leave_scipy_unloaded(self, tmp_path):
+        # No command loads scipy, not even collapse, whose DOP853 profile ends
+        # at the collapse stop; a fresh interpreter shows what loads.
+        code = f"""
+import sys
+import isoflow.cli as cli
+assert cli.main(["export", "--family", "sphere-product", "--l", "1", "--n", "2",
+                 "--kappa1", "2", "--times", "0,0.05", "--resolution", "6",
+                 "--output-dir", {str(tmp_path)!r}]) == 0
+assert cli.main(["collapse", "--family", "sphere-umbilic", "--n", "2", "--kappa", "1"]) == 0
+try:
+    cli.main(["--help"])
+except SystemExit as exc:
+    assert exc.code == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+        src = os.path.dirname(os.path.dirname(isoflow.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert len(list(tmp_path.glob("*.csv"))) == 2
+
+    def test_verify_leaves_numpy_random_and_scipy_unloaded(self):
+        # The identities draws are SplitMix64 on numpy arrays, and the DOP853
+        # oracle's table is written into its step: the whole grid loads neither.
+        code = """
+import io, sys
+from contextlib import redirect_stdout
+import isoflow.cli as cli
+with redirect_stdout(io.StringIO()) as out:
+    assert cli.main(["verify"]) == 0
+assert out.getvalue().endswith("/480 checks passed\\n"), out.getvalue()[-200:]
+loaded = sorted(m for m in sys.modules
+                if m.split(".")[0] == "scipy" or m.startswith("numpy.random"))
+assert not loaded, loaded
+"""
+        src = os.path.dirname(os.path.dirname(isoflow.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestNumpyOnlyRuntime:
     def test_commands_run_with_scipy_blocked(self, tmp_path):
         # No command needs scipy: with its import blocked, a fresh interpreter
         # verifies the grid, runs collapse and both engines (whose DOP853
-        # profiles end at the collapse stop), exports and prints help, and
-        # loads neither scipy nor numpy.random.
+        # profiles end at the collapse stop), exports and prints help. The
+        # tests above check that, unblocked, no command loads it either.
         code = f"""
 import io, sys
 from contextlib import redirect_stdout
@@ -391,9 +437,6 @@ with redirect_stdout(io.StringIO()):
         cli.main(["--help"])
     except SystemExit as exc:
         assert exc.code == 0
-loaded = sorted(m for m, mod in sys.modules.items() if mod is not None
-                and (m.split(".")[0] == "scipy" or m.startswith("numpy.random")))
-assert not loaded, loaded
 """
         src = os.path.dirname(os.path.dirname(isoflow.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

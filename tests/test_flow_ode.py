@@ -404,6 +404,24 @@ class TestDriver:
         assert [_bits(r, 16) for r in rows] == [_bits(r) for r in method.D]
         assert method.n_stages == 12 and method.error_estimator_order == 7
 
+    def test_integration_leaves_scipy_unloaded(self):
+        # The coefficient table is written into the step, so an integration
+        # that ends at the collapse stop loads no scipy module at all.
+        code = """
+import sys
+import isoflow
+prof = isoflow.integrate(isoflow.make_sphere_umbilic(2, 1.0), 1.0)
+assert prof.termination == "hit_singularity"
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+        src = os.path.dirname(os.path.dirname(flow_ode.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_matches_scipy_on_grid(self):
         # At the 200 times of the oracle-agreement check, and over the
         # full_output window, which ends at the collapse stop.
