@@ -373,7 +373,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (InvalidInputError, InvalidFrameError, json.JSONDecodeError,
-            FileNotFoundError, ValueError) as exc:
+            FileNotFoundError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except UnsupportedEmbeddingError as exc:

@@ -38,7 +38,12 @@ The CSV writer uses the same grid: each column of a snapshot depends on only
 some of its axes.  It cuts a column to length 1 along every axis the column
 is constant on (by bits), runs np.unique on the sub-grid that is left and
 broadcasts the index back to the grid, so each distinct value is formatted
-once.
+once.  Neighbouring columns whose sub-grids nest (one factor's position
+columns, its normal columns, the constant t) are joined into one piece of
+text per point of the larger sub-grid while that stays smaller than the
+grid: a row of a Euclidean cylinder is 3 pieces, of a product of spheres or
+a hyperbolic cylinder 4, and of a horosphere 9, as each join there would
+span the grid.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import IsoparametricSurface
-from .errors import InvalidInputError, UnsupportedEmbeddingError
+from .errors import InvalidInputError, NumericalRangeError, UnsupportedEmbeddingError
 # parallel_point stays importable here: perfbench/layers.py traces it at this module.
 from .spaceform import check_frame, parallel_map, parallel_point  # noqa: F401
 
@@ -269,7 +274,13 @@ def snapshots(surface: IsoparametricSurface, resolution, times, profile,
     check_frame(surface.space_form, F, N)
     for k, t in enumerate(times, 1):
         xi = float(np.asarray(profile.xi(t), dtype=float))
-        points, normals = parallel_map(surface.space_form, F, N, xi)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                points, normals = parallel_map(surface.space_form, F, N, xi)
+        except FloatingPointError as exc:
+            raise NumericalRangeError(
+                f"the snapshot at t = {t!r} (xi = {xi!r}) leaves double range: {exc}"
+            ) from exc
         if k == len(times):
             del F, N  # so the caller's work on the last cloud runs without the frame
         yield SampledSurface(surface.family, points, normals, grid_shape, float(t), xi,
@@ -291,35 +302,49 @@ def export_csv(sampled: SampledSurface, path) -> None:
     it is constant on, its distinct values are found on the sub-grid that is
     left, and all of them are formatted with ``%.17g`` in one ``%`` call.
     Values are told apart by their bits, not as floats, so ``-0.0`` is still
-    written ``-0``.  The constant ``t`` is formatted once and ends every line.
+    written ``-0``.  Adjacent columns, and the constant ``t`` that ends every
+    line, are joined into one piece of text per point of the larger sub-grid
+    when one sub-grid holds the other and is smaller than the grid, so each
+    row is gathered from a few pieces rather than from 2d + 1 fields.
     """
     d = sampled.ambient_dim
     header = ",".join(
         [f"x{i}" for i in range(d)] + [f"nx{i}" for i in range(d)] + ["t"]
     )
     shape = sampled.grid_shape
-    texts, indices = [], []
-    for column in (*sampled.points.T, *sampled.normals.T):
-        bits = column.view(np.int64).reshape(shape)
-        for axis in range(len(shape)):
-            head = bits[(slice(None),) * axis + (slice(0, 1),)]
-            if np.all(bits == head):
-                bits = head
-        values, index = np.unique(bits.ravel(), return_inverse=True)
-        floats = values.view(np.float64).tolist()
-        # Each field carries the comma after it: t is the last column.
-        texts.append(np.array(("%.17g,\n" * len(floats) % tuple(floats)).splitlines(),
-                              dtype=object))
-        index = index.astype(np.min_scalar_type(max(len(floats) - 1, 0)))
-        indices.append(np.broadcast_to(index.reshape(bits.shape), shape).reshape(-1))
-    cells = np.empty((1024, 2 * d + 1), dtype=object)
-    cells[:, -1] = "%.17g\n" % sampled.t
+    pieces = []  # (texts, index into them on the piece's sub-grid)
+    for column in (*sampled.points.T, *sampled.normals.T, None):
+        if column is None:  # t
+            text = np.array(["%.17g\n" % sampled.t], dtype=object)
+            index = np.zeros((1,) * len(shape), dtype=np.uint8)
+        else:
+            bits = column.view(np.int64).reshape(shape)
+            for axis in range(len(shape)):
+                head = bits[(slice(None),) * axis + (slice(0, 1),)]
+                if np.all(bits == head):
+                    bits = head
+            values, index = np.unique(bits.ravel(), return_inverse=True)
+            floats = values.view(np.float64).tolist()
+            # Each field carries the comma after it: t is the last column.
+            text = np.array(("%.17g,\n" * len(floats) % tuple(floats)).splitlines(),
+                            dtype=object)
+            index = index.astype(np.min_scalar_type(max(len(floats) - 1, 0))).reshape(bits.shape)
+        if pieces:
+            sub = np.broadcast_shapes(pieces[-1][1].shape, index.shape)
+            if sub in (pieces[-1][1].shape, index.shape) and math.prod(sub) < len(sampled.points):
+                last_text, last_index = pieces.pop()
+                text = (last_text[np.broadcast_to(last_index, sub)]
+                        + text[np.broadcast_to(index, sub)]).ravel()
+                index = np.arange(len(text), dtype=np.min_scalar_type(len(text) - 1)).reshape(sub)
+        pieces.append((text, index))
+    pieces = [(text, np.broadcast_to(index, shape).reshape(-1)) for text, index in pieces]
+    cells = np.empty((1024, len(pieces)), dtype=object)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         # 1,024 rows at a time: the whole file's text is never held at once.
         for start in range(0, len(sampled.points), 1024):
             rows = cells[:len(sampled.points) - start]
-            for j, (text, index) in enumerate(zip(texts, indices)):
+            for j, (text, index) in enumerate(pieces):
                 rows[:, j] = text[index[start:start + 1024]]
             fh.write("".join(rows.ravel().tolist()))
 

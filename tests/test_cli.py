@@ -1,17 +1,20 @@
 """Command-line surface: outputs, exit codes, clipping, determinism."""
 
+import contextlib
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import isoflow
 from isoflow.cli import main
 from isoflow.collapse import ETERNAL_CHECK_TIME
+from isoflow.embedding import Embedding
 
 
 def run_cli(capsys, *argv):
@@ -327,6 +330,34 @@ class TestExport:
         assert "error: " in err
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_overflowing_snapshot_exits_4(self, capsys, tmp_path):
+        # A valid flow time whose xi = 800 overflows cosh: the frame is finite, the cloud not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, _, err = run_cli(
+                capsys, "export", "--family", "horosphere", "--n", "2", "--kappa", "1",
+                "--times", "400", "--output-dir", str(tmp_path),
+            )
+        assert rc == 4
+        assert err.count("error: ") == 1 and "t = 400.0" in err
+        assert "RuntimeWarning" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_memory_error_exits_2(self, capsys, tmp_path, monkeypatch):
+        # What a grid too large to allocate raises, without allocating one.
+        def frame_grid(self, resolution, extent=1.0):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(Embedding, "frame_grid", frame_grid)
+        rc, out, err = run_cli(
+            capsys, "export", "--family", "euclidean-cylinder", "--m", "1", "--n", "2",
+            "--kappa", "1", "--times", "0.1", "--resolution", "100000",
+            "--output-dir", str(tmp_path),
+        )
+        assert rc == 2
+        assert err == "error: Unable to allocate 74.5 GiB for an array\n"
+        assert out == ""
+
     def test_custom_stem(self, capsys, tmp_path):
         rc, _, _ = run_cli(
             capsys, "export", "--family", "horosphere", "--n", "2", "--kappa", "1",
@@ -351,14 +382,18 @@ class TestExport:
 
         times = ["0", "0.05", "0.1"]
         common = ["export", *surface, "--resolution", "5"]
-        rc, _, _ = run_cli(capsys, *common, "--times", ",".join(times),
-                           "--output-dir", str(tmp_path / "all"))
-        assert rc == 0
-        for idx, t in enumerate(times):
-            rc, _, _ = run_cli(capsys, *common, "--times", t,
-                               "--output-dir", str(tmp_path / "one"),
-                               "--stem", f"t{idx}")
+        # S^1 x S^2 lies in R^5, past the default export target: each command warns.
+        expect_warning = (pytest.warns(UserWarning, match="ambient dimension 5 exceeds")
+                          if "sphere-product" in surface else contextlib.nullcontext())
+        with expect_warning:
+            rc, _, _ = run_cli(capsys, *common, "--times", ",".join(times),
+                               "--output-dir", str(tmp_path / "all"))
             assert rc == 0
+            for idx, t in enumerate(times):
+                rc, _, _ = run_cli(capsys, *common, "--times", t,
+                                   "--output-dir", str(tmp_path / "one"),
+                                   "--stem", f"t{idx}")
+                assert rc == 0
         assert len(digests(tmp_path / "all")) == 6
         assert digests(tmp_path / "all") == digests(tmp_path / "one")
 

@@ -436,6 +436,23 @@ class TestExport:
         row_writer_csv(snap, tmp_path / "rows.csv")
         assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
+    @pytest.mark.parametrize("surface, resolution, t", [
+        # The four export-cloud shapes, 12,656 to 12,672 rows each.
+        (make_euclidean_cylinder(2, 3, -1.7), (24, 24, 22), 0.05),  # 3 pieces per row
+        (make_sphere_product(1, 3, 2.5), (24, 24, 22), 0.02),  # 4 pieces
+        (make_horosphere(2, 1.0), (113, 112), 1.3),  # 9 pieces: every join spans the grid
+        (make_hyperbolic_cylinder(2, 2, 2.0), (12, 12, 11, 8), 0.01),  # 4 pieces
+        # x1 and x2 vary on the whole 40 x 30 x 1 grid, so x0 joins neither.
+        (make_euclidean_cylinder(2, 3, 0.9), (40, 30, 1), 0.1),
+    ])
+    def test_bytes_equal_row_writer_at_benchmark_size(self, tmp_path, surface, resolution, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # ambient dimension above 4
+            snap = snapshot(surface, resolution, t)
+        export_csv(snap, tmp_path / "pieces.csv")
+        row_writer_csv(snap, tmp_path / "rows.csv")
+        assert (tmp_path / "pieces.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
     @pytest.mark.parametrize("make_cloud", [
         _mixed_zero_cloud,
         _distinct_cloud,
@@ -478,6 +495,19 @@ class TestExport:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * MiB
+
+    def test_horosphere_writer_peak_memory(self, tmp_path):
+        # The export-cloud horosphere: 12,656 rows, whose columns never join into pieces.
+        # Reads 2.08 MiB; gathering rows from full-grid object arrays of texts read 3.53 MiB.
+        snap = snapshot(make_horosphere(2, 1.0), (113, 112), 1.3)
+        export_csv(snap, tmp_path / "cloud.csv")  # first-call allocations are not the writer's
+        tracemalloc.start()
+        try:
+            export_csv(snap, tmp_path / "cloud.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * MiB
 
     def test_metadata_sidecar(self, tmp_path):
         import json
