@@ -16,6 +16,7 @@ tolerances (rel_tol = ISOFLOW_TOL, abs_tol = ISOFLOW_TOL / 100).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -48,26 +49,12 @@ EXIT_INVALID = 2
 EXIT_UNSUPPORTED = 3
 EXIT_NUMERICAL = 4
 
-_FAMILY_CHOICES = [
-    "euclidean-cylinder",
-    "horosphere",
-    "hyperbolic-umbilic",
-    "hyperbolic-cylinder",
-    "sphere-umbilic",
-    "sphere-product",
-    "sphere-g",
-    "sphere-g2",
-    "sphere-g3",
-    "sphere-g4",
-    "sphere-g6",
-]
-
 
 def _add_surface_args(parser):
     grp = parser.add_argument_group("surface definition")
     grp.add_argument("--surface-json", metavar="FILE",
                      help="JSON surface document (overrides family flags)")
-    grp.add_argument("--family", choices=_FAMILY_CHOICES)
+    grp.add_argument("--family", choices=_FAMILIES)
     grp.add_argument("--m", type=int, help="curved multiplicity (euclidean-cylinder)")
     grp.add_argument("--n", type=int, help="hypersurface dimension")
     grp.add_argument("--kappa", type=float, help="principal curvature")
@@ -83,12 +70,32 @@ def _add_surface_args(parser):
                      help="comma-separated multiplicities for sphere-g families")
 
 
-def _require(args, names):
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
-    if missing:
-        raise InvalidInputError(
-            f"family {args.family!r} needs flags: {', '.join('--' + n for n in missing)}"
-        )
+def _sphere_g(args, g):
+    if g is None:
+        raise InvalidInputError("--family sphere-g needs --g")
+    mults = [int(x) for x in args.mults.split(",") if x.strip()] if args.mults else None
+    if args.s_param is not None:
+        return sphere_curvatures_from_g(g, args.s_param, mults)
+    if args.kappa1 is not None:
+        return sphere_family_from_kappa1(g, args.kappa1, mults)
+    raise InvalidInputError(f"family {args.family!r} needs --kappa1 or --s-param")
+
+
+# --family value -> (flags it needs, constructor of the parsed arguments).
+# Each lambda looks its make_* up in this module when it runs, so a patched
+# cli.make_* is the one called.
+_FAMILIES = {
+    "euclidean-cylinder": (("m", "n", "kappa"),
+                           lambda a: make_euclidean_cylinder(a.m, a.n, a.kappa)),
+    "horosphere": (("n", "kappa"), lambda a: make_horosphere(a.n, a.kappa)),
+    "hyperbolic-umbilic": (("n", "kappa"), lambda a: make_hyperbolic_umbilic(a.n, a.kappa)),
+    "hyperbolic-cylinder": (("m1", "m2", "kappa1"),
+                            lambda a: make_hyperbolic_cylinder(a.m1, a.m2, a.kappa1)),
+    "sphere-umbilic": (("n", "kappa"), lambda a: make_sphere_umbilic(a.n, a.kappa)),
+    "sphere-product": (("l", "n", "kappa1"), lambda a: make_sphere_product(a.l, a.n, a.kappa1)),
+    "sphere-g": ((), lambda a: _sphere_g(a, a.g)),
+    **{f"sphere-g{g}": ((), lambda a, g=g: _sphere_g(a, g)) for g in (2, 3, 4, 6)},
+}
 
 
 def build_surface(args):
@@ -97,37 +104,13 @@ def build_surface(args):
             return surface_from_json(fh.read())
     if not args.family:
         raise InvalidInputError("give either --surface-json or --family with its flags")
-    family = args.family
-    if family == "euclidean-cylinder":
-        _require(args, ["m", "n", "kappa"])
-        return make_euclidean_cylinder(args.m, args.n, args.kappa)
-    if family == "horosphere":
-        _require(args, ["n", "kappa"])
-        return make_horosphere(args.n, args.kappa)
-    if family == "hyperbolic-umbilic":
-        _require(args, ["n", "kappa"])
-        return make_hyperbolic_umbilic(args.n, args.kappa)
-    if family == "hyperbolic-cylinder":
-        _require(args, ["m1", "m2", "kappa1"])
-        return make_hyperbolic_cylinder(args.m1, args.m2, args.kappa1)
-    if family == "sphere-umbilic":
-        _require(args, ["n", "kappa"])
-        return make_sphere_umbilic(args.n, args.kappa)
-    if family == "sphere-product":
-        _require(args, ["l", "n", "kappa1"])
-        return make_sphere_product(args.l, args.n, args.kappa1)
-    # sphere-g variants
-    g = args.g if family == "sphere-g" else int(family[-1])
-    if g is None:
-        raise InvalidInputError("--family sphere-g needs --g")
-    mults = None
-    if args.mults:
-        mults = [int(x) for x in args.mults.split(",") if x.strip()]
-    if args.s_param is not None:
-        return sphere_curvatures_from_g(g, args.s_param, mults)
-    if args.kappa1 is not None:
-        return sphere_family_from_kappa1(g, args.kappa1, mults)
-    raise InvalidInputError(f"family {family!r} needs --kappa1 or --s-param")
+    flags, construct = _FAMILIES[args.family]
+    missing = [n for n in flags if getattr(args, n) is None]
+    if missing:
+        raise InvalidInputError(
+            f"family {args.family!r} needs flags: {', '.join('--' + n for n in missing)}"
+        )
+    return construct(args)
 
 
 def _options_from(args) -> OdeOptions:
@@ -145,9 +128,10 @@ def _options_from(args) -> OdeOptions:
 
 
 def _open_output(path):
+    """The output stream as a context manager: stdout is left open."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +157,11 @@ def cmd_evolve(args) -> int:
     keep = times[times < hi] if math.isfinite(hi) else times
     dropped = len(times) - len(keep)
     if dropped:
+        # Name the earliest collapse time, not the ODE run's end just before it.
+        t_star = min((e.t_star for e in engines.values() if e.t_star is not None), default=hi)
         print(
-            f"warning: {dropped} sample(s) beyond the flow domain (t* = {hi:.9g}) "
-            "were clipped",
+            f"warning: {dropped} sample(s) beyond the flow domain "
+            f"(t* = {t_star if math.isfinite(t_star) else hi:.9g}) were clipped",
             file=sys.stderr,
         )
 
@@ -197,8 +183,7 @@ def cmd_evolve(args) -> int:
             row["discrepancy"] = abs(xi - float(engines["ode"].xi(t)))
         rows.append(row)
 
-    out, close = _open_output(args.output)
-    try:
+    with _open_output(args.output) as out:
         if args.format == "csv":
             if rows:
                 header = list(rows[0])
@@ -209,9 +194,6 @@ def cmd_evolve(args) -> int:
             json.dump({"surface": surface.to_dict(), "engine": args.engine,
                        "rows": rows}, out, indent=2)
             out.write("\n")
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -248,13 +230,9 @@ def cmd_collapse(args) -> int:
         },
         "delta_t_star": delta,
     }
-    out, close = _open_output(args.output)
-    try:
+    with _open_output(args.output) as out:
         json.dump(doc, out, indent=2)
         out.write("\n")
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 

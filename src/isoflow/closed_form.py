@@ -45,9 +45,7 @@ class ClosedFormProfile:
     params: dict = field(default_factory=dict)
     orientation_flipped: bool = False
     _xi_resolved: callable = None
-    _pair: callable = None  # t -> (co, si, multiplier, "circular"|"hyperbolic")
-
-    kind = "closed-form"
+    _pair: callable = None  # t -> (co, si)
 
     def xi(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -150,10 +148,10 @@ def _build_curved(surface):
         def pair(t):
             _, qv, root = parts(t)
             den = a * a + g * g
-            return (a * qv + g * root) / den, (g * qv - a * root) / den, g, "circular"
+            return (a * qv + g * root) / den, (g * qv - a * root) / den
 
         def xi(t):
-            co, si, _, _ = pair(t)
+            co, si = pair(t)
             return np.arctan2(si, co) / g
 
         params = {"a": a, "b": beta - a, "q": lambda t: parts(t)[1]}
@@ -163,7 +161,7 @@ def _build_curved(surface):
         be, qv, root = parts(t)
         ch = (qv * qv + g * g) / (a * qv + g * root)
         sh = -be * (a + qv) / (g * qv + a * root)
-        return ch, sh, g, "hyperbolic"
+        return ch, sh
 
     def xi_sinh(t):
         # arsinh inverts sinh exactly (sign included); arccosh would lose

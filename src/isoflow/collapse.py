@@ -7,6 +7,9 @@ the surface dimension minus the degenerate multiplicity.  Flows without a
 finite collapse time either converge to a totally geodesic hypersurface (all
 evolved curvatures decay) or run eternally with constant curvatures
 (horosphere-like and minimal cases).
+
+focal_blocks is the one scan for the blocks that degenerate in the flow
+direction and their focal offsets; flow_ode and verification reuse it.
 """
 
 from __future__ import annotations
@@ -62,8 +65,24 @@ class CollapseReport:
         }
 
 
+def focal_blocks(surface: IsoparametricSurface):
+    """Flow direction (+1, -1, or 0 when minimal) and {block index: focal offset}
+    of the blocks whose metric factor vanishes in that direction."""
+    if surface.is_minimal:
+        return 0, {}
+    direction = 1 if surface.mean_curvature_at_zero > 0 else -1
+    offsets = {i: focal_offset(surface.space_form, b.kappa, direction)
+               for i, b in enumerate(surface.blocks)}
+    return direction, {i: off for i, off in offsets.items() if off is not None}
+
+
 def analyze(surface: IsoparametricSurface, profile) -> CollapseReport:
-    """Classify the limit of a flow profile (closed-form or numeric)."""
+    """Classify the limit of a flow profile (closed-form or numeric).
+
+    The limit is read at one time: t* - _limit_eval_offset(t*), or
+    ETERNAL_CHECK_TIME without a finite collapse, clamped to the
+    ``t_domain`` of a numeric profile.
+    """
     t_star = getattr(profile, "t_star", None)
     if t_star is None:
         raise AnalysisIncompleteError(
@@ -71,85 +90,40 @@ def analyze(surface: IsoparametricSurface, profile) -> CollapseReport:
             "time or to a longer horizon"
         )
     flipped = bool(getattr(profile, "orientation_flipped", False))
-    sf = surface.space_form
+    sf, blocks = surface.space_form, surface.blocks
+    collapses = math.isfinite(t_star)
+    t_eval = t_star - _limit_eval_offset(t_star) if collapses else ETERNAL_CHECK_TIME
+    domain = getattr(profile, "t_domain", None)
+    if domain is not None:
+        t_eval = max(domain[0], min(t_eval, domain[1]))
+    xi_end = float(profile.xi(t_eval))
+    factors = tuple(float(parallel_metric_factor(sf, b.kappa, xi_end)) for b in blocks)
 
-    if math.isfinite(t_star):
-        t_eval = t_star - _limit_eval_offset(t_star)
-        t_eval = _clamp_to_domain(profile, t_eval)
-        xi_end = float(profile.xi(t_eval))
-        h0 = surface.mean_curvature_at_zero
-        direction = 1 if h0 > 0 else -1
-        offsets = [
-            focal_offset(sf, b.kappa, direction) for b in surface.blocks
-        ]
-        finite = [abs(o) for o in offsets if o is not None]
-        nearest = min(finite)
-        degenerate = [
-            i
-            for i, o in enumerate(offsets)
-            if o is not None and abs(abs(o) - nearest) < 1e-12 * (1.0 + nearest)
-        ]
-        factors = tuple(
-            float(parallel_metric_factor(sf, b.kappa, xi_end)) for b in surface.blocks
-        )
-        if len(degenerate) == len(surface.blocks):
-            kind = "point"
-            focal_dim = 0
+    if collapses:
+        offsets = focal_blocks(surface)[1]
+        nearest = min(abs(off) for off in offsets.values())
+        degenerate = [i for i, off in offsets.items()
+                      if abs(abs(off) - nearest) < 1e-12 * (1.0 + nearest)]
+        if len(degenerate) == len(blocks):
+            kind, focal_dim = "point", 0
         else:
             kind = "focal_submanifold"
-            focal_dim = surface.n - sum(surface.blocks[i].mult for i in degenerate)
-        deg_index = degenerate[0]
-        residual = abs(
-            _inverse_slope(sf, xi_end) - surface.blocks[deg_index].kappa
-        )
-        return CollapseReport(
-            t_star=float(t_star),
-            limit_kind=kind,
-            degenerate_block_index=deg_index,
-            focal_dimension=focal_dim,
-            focal_condition_residual=residual,
-            metric_factors_at_limit=factors,
-            orientation_flipped=flipped,
-        )
+            focal_dim = surface.n - sum(blocks[i].mult for i in degenerate)
+        residual = abs(_inverse_slope(sf, xi_end) - blocks[degenerate[0]].kappa)
+        return CollapseReport(float(t_star), kind, degenerate[0], focal_dim, residual,
+                              factors, flipped)
 
     # No finite collapse: distinguish eternal from a totally geodesic limit.
-    t_chk = _clamp_to_domain(profile, ETERNAL_CHECK_TIME)
-    xi_end = float(profile.xi(t_chk))
-    hats = np.array(
-        [float(parallel_curvature(sf, b.kappa, xi_end)) for b in surface.blocks]
-    )
-    base = np.array([b.kappa for b in surface.blocks])
-    factors = tuple(
-        float(parallel_metric_factor(sf, b.kappa, xi_end)) for b in surface.blocks
-    )
-    if np.max(np.abs(hats - base)) < ETERNAL_DRIFT_TOL:
+    hats = np.array([float(parallel_curvature(sf, b.kappa, xi_end)) for b in blocks])
+    if np.max(np.abs(hats - np.array([b.kappa for b in blocks]))) < ETERNAL_DRIFT_TOL:
         kind = "eternal"
     elif np.max(np.abs(hats)) < GEODESIC_LIMIT_TOL:
         kind = "totally_geodesic_limit"
     else:
         raise AnalysisIncompleteError(
-            f"flow at t={t_chk} has neither constant nor vanishing curvatures"
+            f"flow at t={t_eval} has neither constant nor vanishing curvatures"
         )
-    return CollapseReport(
-        t_star=math.inf,
-        limit_kind=kind,
-        degenerate_block_index=None,
-        focal_dimension=None,
-        focal_condition_residual=None,
-        metric_factors_at_limit=factors,
-        orientation_flipped=flipped,
-    )
-
-
-def _clamp_to_domain(profile, t: float) -> float:
-    domain = getattr(profile, "t_domain", None)
-    if domain is not None:
-        lo, hi = domain
-        if t > hi:
-            t = hi
-        if t < lo:
-            t = lo
-    return t
+    return CollapseReport(math.inf, kind, None, None, None, factors, flipped)
 
 
 def focal_dimension_expected(surface: IsoparametricSurface) -> int | None:

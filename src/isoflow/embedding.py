@@ -56,7 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import IsoparametricSurface
-from .errors import InvalidInputError, NumericalRangeError, UnsupportedEmbeddingError
+from .errors import (InvalidFrameError, InvalidInputError, NumericalRangeError,
+                     UnsupportedEmbeddingError)
 # parallel_point stays importable here: perfbench/layers.py traces it at this module.
 from .spaceform import check_frame, parallel_map, parallel_point  # noqa: F401
 
@@ -111,7 +112,8 @@ class Embedding:
         """Evaluate (F, N) on a parameter grid.
 
         ``resolution`` is one int per intrinsic axis (or a single int for
-        all).  Returns (F, N, grid_shape) with F, N of shape (P, d).
+        all).  Returns (F, N, grid_shape) with F, N of shape (P, d).  A frame
+        that overflows raises InvalidFrameError, as check_frame would.
         """
         dims = self.intrinsic_dim
         if np.ndim(resolution) == 0:
@@ -129,7 +131,11 @@ class Embedding:
                 axes.append(np.linspace(0.0, 2.0 * math.pi, r, endpoint=False))
             else:
                 axes.append(np.linspace(-extent, extent, r))
-        F, N = self._frame(axes)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                F, N = self._frame(axes)
+        except FloatingPointError as exc:
+            raise InvalidFrameError("frame is not finite, or its squared norm overflows") from exc
         return F, N, tuple(resolution)
 
 

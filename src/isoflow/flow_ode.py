@@ -34,9 +34,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .catalog import IsoparametricSurface, mean_curvature
-from .collapse import ETERNAL_CHECK_TIME, _limit_eval_offset
+from .collapse import ETERNAL_CHECK_TIME, _limit_eval_offset, focal_blocks
 from .errors import IntegrationFailureError, InvalidInputError, NumericalRangeError
-from .spaceform import focal_offset
 
 
 def _rule(nodes, weights):
@@ -352,8 +351,6 @@ class NumericProfile:
     _steps: np.ndarray | None = None  # full length h of each step
     _coeffs: np.ndarray | None = None  # (steps, 7) interpolant terms
 
-    kind = "numeric"
-
     def xi(self, t):
         t_arr = np.asarray(t, dtype=float)
         lo, hi = self.t_domain
@@ -383,17 +380,6 @@ class NumericProfile:
         return _interpolant(self._coeffs[seg].T, x, self.xi_values[seg])
 
 
-def _focal_blocks(surface: IsoparametricSurface):
-    """Flow direction (+1, -1, or 0 when minimal) and the (kappa, focal offset)
-    pairs of the blocks whose metric factor vanishes in that direction."""
-    if surface.is_minimal:
-        return 0, []
-    direction = 1 if surface.mean_curvature_at_zero > 0 else -1
-    sf = surface.space_form
-    pairs = [(b.kappa, focal_offset(sf, b.kappa, direction)) for b in surface.blocks]
-    return direction, [(k, off) for k, off in pairs if off is not None]
-
-
 def _collapse_time(surface: IsoparametricSurface, direction: int, watched):
     """Collapse time t* = int_0^{xi*} d(zeta) / H(zeta) and its error estimate.
 
@@ -411,7 +397,7 @@ def _collapse_time(surface: IsoparametricSurface, direction: int, watched):
     kbar = surface.space_form.curvature
     slope = sum(b.mult * (b.kappa * b.kappa + kbar) for b in surface.blocks)
     near = abs(surface.mean_curvature_at_zero / slope) if slope else math.inf
-    cuts = [min(abs(off) for _, off in watched)]
+    cuts = [min(abs(off) for off in watched.values())]
     while cuts[-1] >= 0.25 * near and len(cuts) < 60:  # near = 0 if slope overflows
         cuts.append(0.25 * cuts[-1])
     width = 0.5 if kbar else cuts[0]
@@ -444,7 +430,7 @@ def integrate(surface: IsoparametricSurface, t_end: float, opts: OdeOptions = DE
     t_end = float(t_end)
     if not math.isfinite(t_end):
         raise InvalidInputError(f"t_end must be finite, got {t_end!r}")
-    direction, watched = _focal_blocks(surface)
+    direction, watched = focal_blocks(surface)
 
     if t_end == 0.0 or direction == 0:
         # Stationary flow or empty window: xi stays identically zero.
@@ -504,7 +490,7 @@ def estimate_tstar(
     eternal flow, up to ``ETERNAL_CHECK_TIME``, where ``collapse.analyze``
     reads it.  Only the profile uses ``opts``.
     """
-    t_star, bound = _collapse_time(surface, *_focal_blocks(surface))
+    t_star, bound = _collapse_time(surface, *focal_blocks(surface))
     if not full_output:
         return t_star
     t_end = 2.0 * t_star if math.isfinite(t_star) else ETERNAL_CHECK_TIME

@@ -121,7 +121,7 @@ class Case:
 
     @functools.cached_property
     def quadrature(self):
-        return flow_ode._collapse_time(self.surface, *flow_ode._focal_blocks(self.surface))
+        return flow_ode._collapse_time(self.surface, *collapse.focal_blocks(self.surface))
 
     @functools.cached_property
     def report(self):
@@ -211,24 +211,16 @@ def check_focal_condition(case):
 
 def check_pythagorean(case):
     profile = case.profile
-    pair_probe = profile.angle_pair(0.0)
-    if pair_probe is None:
+    if profile.angle_pair(0.0) is None:
         return CheckResult("pythagorean", case.label, True, "family has no pair form")
-    _, _, _, geometry = pair_probe
+    kbar = case.surface.space_form.curvature  # the pair is circular for 1, hyperbolic for -1
     t_star = profile.t_star
     hi = t_star if math.isfinite(t_star) else ETERNAL_WINDOW
     # Hyperbolic pairs grow exponentially backward in time; keep the sampled
     # window where the identity is representable in doubles.
-    if geometry == "hyperbolic":
-        lo = -2.0 / case.surface.n
-    else:
-        lo = -2.0
-    ts = np.linspace(lo, hi, 1000)
-    co, si, _, _ = profile.angle_pair(ts)
-    if geometry == "circular":
-        worst = float(np.max(np.abs(co * co + si * si - 1.0)))
-    else:
-        worst = float(np.max(np.abs(co * co - si * si - 1.0)))
+    lo = -2.0 / case.surface.n if kbar == -1 else -2.0
+    co, si = profile.angle_pair(np.linspace(lo, hi, 1000))
+    worst = float(np.max(np.abs(co * co + kbar * (si * si) - 1.0)))
     return CheckResult(
         "pythagorean", case.label, worst <= PYTHAGOREAN_TOL,
         f"max |pair identity residual| = {worst:.3e} (tol {PYTHAGOREAN_TOL:g})",

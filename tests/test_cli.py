@@ -12,6 +12,7 @@ import warnings
 import pytest
 
 import isoflow
+from isoflow import cli
 from isoflow.cli import main
 from isoflow.collapse import ETERNAL_CHECK_TIME
 from isoflow.embedding import Embedding
@@ -77,6 +78,22 @@ class TestEvolve:
         _, rows = parse_csv(out)
         assert rows[-1]["t"] < 0.25
         assert "clipped" in err
+
+    def test_clipped_rows_name_the_collapse_time(self, capsys):
+        # The ODE run ends 1e-8 before t* = log(2)/4; every engine names t* itself.
+        outs, errs = {}, set()
+        for engine in ("ode", "closed", "both"):
+            rc, outs[engine], err = run_cli(
+                capsys, "evolve", "--family", "sphere-umbilic", "--n", "2", "--kappa", "1",
+                "--t-end", "1", "--engine", engine, "--samples", "41",
+            )
+            assert rc == 0
+            errs.add(err)
+        assert errs == {"warning: 34 sample(s) beyond the flow domain "
+                        "(t* = 0.173286795) were clipped\n"}
+        _, rows = parse_csv(outs["both"])
+        assert len(rows) == 7 and rows[-1]["t"] == pytest.approx(0.15)
+        assert [r["xi"] for r in parse_csv(outs["closed"])[1]] == [r["xi"] for r in rows]
 
     def test_json_format_deterministic(self, capsys):
         args = ("evolve", "--family", "sphere-umbilic", "--n", "2", "--kappa", "1",
@@ -203,6 +220,47 @@ class TestCollapse:
         assert counters["sphere-umbilic"]["t_end"] == pytest.approx(t_star - 1e-8, abs=1e-14)
 
 
+# --family value -> (its other flags, the cli constructor it must call).
+_FAMILY_CASES = {
+    "euclidean-cylinder": (["--m", "1", "--n", "2", "--kappa", "1"], "make_euclidean_cylinder"),
+    "horosphere": (["--n", "2", "--kappa", "1"], "make_horosphere"),
+    "hyperbolic-umbilic": (["--n", "2", "--kappa", "2"], "make_hyperbolic_umbilic"),
+    "hyperbolic-cylinder": (["--m1", "1", "--m2", "1", "--kappa1", "2"],
+                            "make_hyperbolic_cylinder"),
+    "sphere-umbilic": (["--n", "2", "--kappa", "1"], "make_sphere_umbilic"),
+    "sphere-product": (["--l", "1", "--n", "2", "--kappa1", "2"], "make_sphere_product"),
+    "sphere-g": (["--g", "3", "--kappa1", "2"], "sphere_family_from_kappa1"),
+    "sphere-g2": (["--kappa1", "2"], "sphere_family_from_kappa1"),
+    "sphere-g3": (["--kappa1", "2"], "sphere_family_from_kappa1"),
+    "sphere-g4": (["--kappa1", "2"], "sphere_family_from_kappa1"),
+    "sphere-g6": (["--kappa1", "2"], "sphere_family_from_kappa1"),
+}
+
+
+class TestFamilyTable:
+    def test_every_family_has_a_case(self):
+        assert list(_FAMILY_CASES) == list(cli._FAMILIES)
+
+    @pytest.mark.parametrize("family, flags, name", [
+        *((family, flags, name) for family, (flags, name) in _FAMILY_CASES.items()),
+        ("sphere-g4", ["--s-param", "0.3", "--mults", "1,2,1,2"], "sphere_curvatures_from_g"),
+    ])
+    def test_constructor_is_looked_up_when_called(self, capsys, monkeypatch, family, flags,
+                                                  name):
+        # A tracer patches cli.make_* after import; the table must call the patched one.
+        original, calls = getattr(cli, name), []
+
+        def spy(*args):
+            calls.append(original(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(cli, name, spy)
+        rc, out, err = run_cli(capsys, "collapse", "--family", family, *flags)
+        assert rc == 0, err
+        assert len(calls) == 1
+        assert json.loads(out)["surface"] == calls[0].to_dict()
+
+
 class TestVerify:
     def test_subset_check_on_single_surface(self, capsys):
         rc, out, _ = run_cli(
@@ -320,15 +378,22 @@ class TestExport:
         assert not list(tmp_path.iterdir())
 
     def test_overflowing_frame_exits_2(self, capsys, tmp_path):
-        # |u|^2 overflows at this extent, so the frame holds inf and NaN rows.
-        with pytest.warns(RuntimeWarning):
-            rc, _, err = run_cli(
-                capsys, "export", "--family", "horosphere", "--n", "2", "--kappa", "1",
-                "--times", "1", "--extent", "1e200", "--output-dir", str(tmp_path),
-            )
-        assert rc == 2
-        assert "error: " in err
-        assert not list(tmp_path.glob("*.csv"))
+        # The frame overflows: one error line and no numpy warning.
+        for argv in (
+            # |u|^2 overflows at this extent.
+            ["--family", "horosphere", "--n", "2", "--kappa", "1", "--times", "1",
+             "--extent", "1e200"],
+            # cosh and sinh of the hyperbolic chart overflow at this extent.
+            ["--family", "hyperbolic-cylinder", "--m1", "1", "--m2", "2", "--kappa1", "2",
+             "--times", "0.01", "--extent", "800", "--resolution", "3,3,3"],
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                warnings.filterwarnings("ignore", "ambient dimension", UserWarning)
+                rc, _, err = run_cli(capsys, "export", *argv, "--output-dir", str(tmp_path))
+            assert rc == 2
+            assert err == "error: frame is not finite, or its squared norm overflows\n"
+            assert not list(tmp_path.glob("*.csv"))
 
     def test_overflowing_snapshot_exits_4(self, capsys, tmp_path):
         # A valid flow time whose xi = 800 overflows cosh: the frame is finite, the cloud not.

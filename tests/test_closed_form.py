@@ -156,8 +156,8 @@ class TestSphereG2:
 
     def test_pair_is_unit_at_zero(self):
         prof = resolve_profile(make_sphere_product(2, 5, 2.0))
-        co, si, mult, kind = prof.angle_pair(0.0)
-        assert (co, si, mult, kind) == (pytest.approx(1.0), pytest.approx(0.0), 2, "circular")
+        co, si = prof.angle_pair(0.0)
+        assert (co, si) == (pytest.approx(1.0), pytest.approx(0.0))
 
 
 class TestSphereG3:

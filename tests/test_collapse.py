@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from isoflow import (
@@ -20,6 +21,7 @@ from isoflow import (
     parallel_curvature,
     resolve_profile,
     sphere_family_from_kappa1,
+    verification,
 )
 from isoflow.catalog import SPHERE
 
@@ -168,3 +170,82 @@ def test_report_serialization():
     finite = closed_report(make_sphere_umbilic(2, 1.0)).to_dict()
     assert finite["t_star"] == pytest.approx(math.log(2.0) / 4.0)
     assert finite["focal_dimension"] == 0
+
+
+# ---------------------------------------------------------------------------
+# analyze against the two-branch reading it replaced
+
+def _two_branch_analyze(surface, profile):
+    """The earlier analyze: its own focal scan and one limit read per branch."""
+    from isoflow.collapse import (
+        ETERNAL_CHECK_TIME, ETERNAL_DRIFT_TOL, GEODESIC_LIMIT_TOL, CollapseReport,
+        _limit_eval_offset)
+    from isoflow.spaceform import _inverse_slope, focal_offset, parallel_metric_factor
+
+    def clamp(t):
+        domain = getattr(profile, "t_domain", None)
+        if domain is not None:
+            lo, hi = domain
+            if t > hi:
+                t = hi
+            if t < lo:
+                t = lo
+        return t
+
+    t_star = getattr(profile, "t_star", None)
+    if t_star is None:
+        raise AnalysisIncompleteError("profile carries no collapse information")
+    flipped = bool(getattr(profile, "orientation_flipped", False))
+    sf = surface.space_form
+    if math.isfinite(t_star):
+        xi_end = float(profile.xi(clamp(t_star - _limit_eval_offset(t_star))))
+        direction = 1 if surface.mean_curvature_at_zero > 0 else -1
+        offsets = [focal_offset(sf, b.kappa, direction) for b in surface.blocks]
+        nearest = min(abs(o) for o in offsets if o is not None)
+        degenerate = [i for i, o in enumerate(offsets)
+                      if o is not None and abs(abs(o) - nearest) < 1e-12 * (1.0 + nearest)]
+        factors = tuple(float(parallel_metric_factor(sf, b.kappa, xi_end))
+                        for b in surface.blocks)
+        if len(degenerate) == len(surface.blocks):
+            kind, focal_dim = "point", 0
+        else:
+            kind = "focal_submanifold"
+            focal_dim = surface.n - sum(surface.blocks[i].mult for i in degenerate)
+        residual = abs(_inverse_slope(sf, xi_end) - surface.blocks[degenerate[0]].kappa)
+        return CollapseReport(float(t_star), kind, degenerate[0], focal_dim, residual,
+                              factors, flipped)
+    xi_end = float(profile.xi(clamp(ETERNAL_CHECK_TIME)))
+    hats = np.array([float(parallel_curvature(sf, b.kappa, xi_end)) for b in surface.blocks])
+    base = np.array([b.kappa for b in surface.blocks])
+    factors = tuple(float(parallel_metric_factor(sf, b.kappa, xi_end)) for b in surface.blocks)
+    if np.max(np.abs(hats - base)) < ETERNAL_DRIFT_TOL:
+        kind = "eternal"
+    elif np.max(np.abs(hats)) < GEODESIC_LIMIT_TOL:
+        kind = "totally_geodesic_limit"
+    else:
+        raise AnalysisIncompleteError("neither constant nor vanishing curvatures")
+    return CollapseReport(math.inf, kind, None, None, None, factors, flipped)
+
+
+class TestSameReportAsTwoBranchReading:
+    @pytest.mark.parametrize("label, surface", verification.builtin_grid(),
+                             ids=[label for label, _ in verification.builtin_grid()])
+    def test_grid_surface(self, label, surface):
+        numeric = estimate_tstar(surface, full_output=True)[3]
+        for profile in (resolve_profile(surface), numeric):
+            got, want = analyze(surface, profile), _two_branch_analyze(surface, profile)
+            assert got.to_dict() == want.to_dict()
+
+    def test_eternal_window_clamped_to_the_run(self):
+        surface = make_horosphere(2, 1.0)
+        profile = integrate(surface, 1.0)
+        report = analyze(surface, profile)
+        assert report.to_dict() == _two_branch_analyze(surface, profile).to_dict()
+        assert report.limit_kind == "eternal"
+
+    def test_short_run_rejected_by_both(self):
+        surface = make_sphere_umbilic(2, 1.0)
+        profile = integrate(surface, 0.05)
+        for reading in (analyze, _two_branch_analyze):
+            with pytest.raises(AnalysisIncompleteError):
+                reading(surface, profile)

@@ -16,6 +16,7 @@ from isoflow import (
     InvalidInputError,
     NumericalRangeError,
     OdeOptions,
+    collapse,
     estimate_tstar,
     integrate,
     make_euclidean_cylinder,
@@ -304,8 +305,8 @@ class TestEstimateTstar:
 
 def _grid_offsets(surface):
     """20 offsets strictly between 0 and xi* in the flow direction (up to 1 without xi*)."""
-    direction, watched = flow_ode._focal_blocks(surface)
-    end = min(abs(off) for _, off in watched) if watched else 1.0
+    direction, watched = collapse.focal_blocks(surface)
+    end = min(abs(off) for off in watched.values()) if watched else 1.0
     return (direction or 1) * np.linspace(0.0, end, 22)[1:-1]
 
 
@@ -324,9 +325,9 @@ class TestKernel:
         # Trial steps land on or past xi*; the clamped denominators keep H finite.
         for surface in (make_euclidean_cylinder(2, 2, 1.0), make_sphere_umbilic(2, 1.0),
                         make_hyperbolic_umbilic(2, 2.0)):
-            _, watched = flow_ode._focal_blocks(surface)
+            _, watched = collapse.focal_blocks(surface)
             fun = flow_ode._kernel(surface)
-            for _, xi_star in watched:
+            for xi_star in watched.values():
                 assert math.isfinite(fun(xi_star))
 
 
