@@ -141,12 +141,21 @@ def cmd_evolve(args) -> int:
     surface = build_surface(args)
     opts = _options_from(args)
     times = np.linspace(args.t_start, args.t_end, args.samples)
+    earliest = min(args.t_start, args.t_end)
 
     engines = {}
     if args.engine in ("closed", "both"):
         engines["closed"] = resolve_profile(surface)
+    backward = None
     if args.engine in ("ode", "both"):
-        engines["ode"] = integrate(surface, args.t_end, opts)
+        # Each run starts at xi(0) = 0: one forward to the window's far end,
+        # and one backward when the window reaches below t = 0.
+        engines["ode"] = integrate(surface, max(args.t_start, args.t_end, 0.0), opts)
+        if earliest < 0.0:
+            backward = integrate(surface, earliest, opts)
+
+    def ode_xi(t):
+        return float((backward if t < 0.0 else engines["ode"]).xi(t))
 
     # Clip rows past the maximal domain of any engine in use.
     hi = math.inf
@@ -158,17 +167,16 @@ def cmd_evolve(args) -> int:
     dropped = len(times) - len(keep)
     if dropped:
         # Name the earliest collapse time, not the ODE run's end just before it.
-        t_star = min((e.t_star for e in engines.values() if e.t_star is not None), default=hi)
-        print(
-            f"warning: {dropped} sample(s) beyond the flow domain "
-            f"(t* = {t_star if math.isfinite(t_star) else hi:.9g}) were clipped",
-            file=sys.stderr,
-        )
+        t_star = min((e.t_star for e in engines.values() if e.t_star is not None),
+                     default=math.inf)
+        named = f" (t* = {t_star:.9g})" if math.isfinite(t_star) else ""
+        print(f"warning: {dropped} sample(s) beyond the flow domain{named} were clipped",
+              file=sys.stderr)
 
-    primary = "closed" if "closed" in engines else "ode"
+    primary = engines["closed"].xi if "closed" in engines else ode_xi
     rows = []
     for t in keep:
-        xi = float(engines[primary].xi(t))
+        xi = float(primary(t))
         state = flow_state(surface, xi, t)
         row = {
             "t": float(t),
@@ -180,7 +188,7 @@ def cmd_evolve(args) -> int:
         for i, f in enumerate(state.factors, start=1):
             row[f"factor_{i}"] = f
         if args.engine == "both":
-            row["discrepancy"] = abs(xi - float(engines["ode"].xi(t)))
+            row["discrepancy"] = abs(xi - ode_xi(t))
         rows.append(row)
 
     with _open_output(args.output) as out:

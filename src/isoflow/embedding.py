@@ -27,23 +27,28 @@ Charts:
   coordinate carries the negative sign), with unit normal N = -kappa (F + L),
   L = (-1, 0, ..., 0, 1).
 
-Each chart runs on its factor's own axes of the grid only; a * chart and
-b * chart are then broadcast along the other factors' axes.
+Every frame and snapshot is carried as its columns, one array per ambient
+coordinate.  A column has the grid's number of axes and size 1 along each
+axis it is constant on by construction: a product factor's columns span that
+factor's own axes, so each chart runs on those axes only; a horosphere's
+u_j spans axis j, and its |u|^2 columns span the whole grid.  The (P, d)
+arrays, one row per grid point in C order, are built only when
+SampledSurface.points or .normals is read.
 
 A snapshot at time t applies the parallel map (F, N) -> (cF + sN, ...) with
-xi = xi(t) from a flow profile to the t = 0 frame, so every exported cloud
-stays exactly on the ambient quadric up to roundoff.
+xi = xi(t) from a flow profile to the t = 0 frame, column by column, so every
+exported cloud stays exactly on the ambient quadric up to roundoff; the
+validations of the frame and of the cloud broadcast over the columns too.
 
-The CSV writer uses the same grid: each column of a snapshot depends on only
-some of its axes.  It cuts a column to length 1 along every axis the column
-is constant on (by bits), runs np.unique on the sub-grid that is left and
-broadcasts the index back to the grid, so each distinct value is formatted
-once.  Neighbouring columns whose sub-grids nest (one factor's position
-columns, its normal columns, the constant t) are joined into one piece of
-text per point of the larger sub-grid while that stays smaller than the
-grid: a row of a Euclidean cylinder is 3 pieces, of a product of spheres or
-a hyperbolic cylinder 4, and of a horosphere 9, as each join there would
-span the grid.
+The CSV writer starts from each column as it is.  It cuts the column to
+length 1 along every further axis it is constant on (by bits), runs
+np.unique on the sub-grid that is left and broadcasts the index back to the
+grid, so each distinct value is formatted once.  Neighbouring columns whose
+sub-grids nest (one factor's position columns, its normal columns, the
+constant t) are joined into one piece of text per point of the larger
+sub-grid while that stays smaller than the grid: a row of a Euclidean
+cylinder is 3 pieces, of a product of spheres or a hyperbolic cylinder 4,
+and of a horosphere 9, as each join there would span the grid.
 """
 
 from __future__ import annotations
@@ -66,28 +71,58 @@ POLAR_MARGIN = 0.2
 
 @dataclass(frozen=True)
 class SampledSurface:
-    """Point cloud with normals at one flow time; frames validated to 1e-10."""
+    """Point cloud with normals at one flow time; frames validated to 1e-10.
+
+    The cloud is held as its columns (see the module docstring): a tuple of
+    d arrays for the positions and one for the normals, each broadcast over
+    ``grid_shape``.
+    """
 
     family: str
-    points: np.ndarray  # (P, d)
-    normals: np.ndarray  # (P, d)
+    point_columns: tuple
+    normal_columns: tuple
     grid_shape: tuple
     t: float
     xi: float
     space_form: object
 
     def __post_init__(self):
-        if self.points.shape != self.normals.shape:
-            raise InvalidInputError("points and normals must have matching shapes")
-        if math.prod(self.grid_shape) != len(self.points):
-            raise InvalidInputError(
-                f"grid shape {tuple(self.grid_shape)} does not hold {len(self.points)} points"
-            )
-        check_frame(self.space_form, self.points, self.normals, tol=1e-10)
+        if len(self.point_columns) != len(self.normal_columns):
+            raise InvalidInputError("points and normals must have as many columns")
+        shape = tuple(self.grid_shape)
+        for column in self.columns:
+            if column.ndim != len(shape) or any(c not in (1, g)
+                                                for c, g in zip(column.shape, shape)):
+                cloud = np.broadcast_shapes(*(c.shape for c in self.columns))
+                raise InvalidInputError(
+                    f"grid shape {shape} does not hold {math.prod(cloud)} points"
+                )
+        check_frame(self.space_form, self.point_columns, self.normal_columns, tol=1e-10)
+
+    @property
+    def columns(self) -> tuple:
+        return (*self.point_columns, *self.normal_columns)
 
     @property
     def ambient_dim(self) -> int:
-        return self.points.shape[-1]
+        return len(self.point_columns)
+
+    @property
+    def points(self) -> np.ndarray:
+        """(P, d) positions, one row per grid point in C order, built on each read."""
+        return _rows(self.point_columns, self.grid_shape)
+
+    @property
+    def normals(self) -> np.ndarray:
+        """(P, d) unit normals, as ``points``."""
+        return _rows(self.normal_columns, self.grid_shape)
+
+
+def _rows(columns, shape):
+    out = np.empty((*shape, len(columns)))
+    for j, column in enumerate(columns):
+        out[..., j] = column
+    return out.reshape(-1, len(columns))
 
 
 @dataclass(frozen=True)
@@ -95,7 +130,8 @@ class Embedding:
     """Evaluator mapping a parameter grid to ambient (position, normal) pairs.
 
     ``_frame`` takes the grid's axes, one 1-D array per intrinsic axis, and
-    returns F and N of shape (P, d), one row per grid point in C order.
+    returns F and N as tuples of d columns, each with one axis per grid axis
+    and size 1 along the axes it is constant on.
     """
 
     family: str
@@ -112,8 +148,9 @@ class Embedding:
         """Evaluate (F, N) on a parameter grid.
 
         ``resolution`` is one int per intrinsic axis (or a single int for
-        all).  Returns (F, N, grid_shape) with F, N of shape (P, d).  A frame
-        that overflows raises InvalidFrameError, as check_frame would.
+        all).  Returns (F, N, grid_shape) with F, N tuples of columns, as
+        ``_frame`` makes them.  A frame that overflows raises
+        InvalidFrameError, as check_frame would.
         """
         dims = self.intrinsic_dim
         if np.ndim(resolution) == 0:
@@ -180,32 +217,32 @@ def _grid_params(axes):
     return params
 
 
-def _product_frame(factors, width):
+def _product_frame(factors):
     """Frame of a product of scaled charts, one block of axes and columns per factor.
 
     A factor (chart, dims, a, b) maps the grid of its own ``dims`` axes by
-    ``chart`` and broadcasts a * chart into F and b * chart into N along the
-    other factors' axes.  A flat factor (chart and b None) writes its
-    parameters to F and leaves N at 0: 0 * y would give -0.0 where y < 0.
+    ``chart`` into columns on those axes, a * chart for F and b * chart for
+    N.  A flat factor (chart and b None) writes its parameters to F and 0
+    to N: 0 * y would give -0.0 where y < 0.
     """
 
     def frame(axes):
-        shape = tuple(len(ax) for ax in axes)
-        F, N = np.empty((*shape, width)), np.zeros((*shape, width))
-        start = col = 0
+        F, N = [], []
+        zero = np.zeros((1,) * len(axes))
+        start = 0
         for chart, dims, a, b in factors:
-            x = _grid_params(axes[start:start + dims])
+            own = axes[start:start + dims]
+            x = _grid_params(own)
             if chart is not None:
                 x = chart(x)
-            x = x.reshape((1,) * start + shape[start:start + dims]
-                          + (1,) * (len(shape) - start - dims) + (x.shape[1],))
-            # One column at a time, so the inner loop runs along a grid axis.
-            for j in range(x.shape[-1]):
-                np.multiply(a, x[..., j], out=F[..., col + j])
-                if b is not None:
-                    np.multiply(b, x[..., j], out=N[..., col + j])
-            start, col = start + dims, col + x.shape[-1]
-        return F.reshape(-1, width), N.reshape(-1, width)
+            shape = ((1,) * start + tuple(len(ax) for ax in own)
+                     + (1,) * (len(axes) - start - dims))
+            for column in x.T:
+                column = column.reshape(shape)
+                F.append(a * column)
+                N.append(zero if b is None else b * column)
+            start += dims
+        return tuple(F), tuple(N)
 
     return frame
 
@@ -218,15 +255,12 @@ def get_embedding(surface: IsoparametricSurface) -> Embedding:
         n = surface.n
 
         def frame(axes):
-            u = _grid_params(axes)
-            uu = np.sum(u * u, axis=1)
-            F = np.concatenate(
-                [(1.0 + uu / 2.0)[:, None], u, (-uu / 2.0)[:, None]], axis=1
-            )
-            shifted = np.concatenate(
-                [(uu / 2.0)[:, None], u, (1.0 - uu / 2.0)[:, None]], axis=1
-            )
-            return F, -kappa * shifted
+            params = _grid_params(axes)
+            uu = np.sum(params * params, axis=1).reshape(tuple(len(ax) for ax in axes))
+            u = [ax.reshape([-1 if i == j else 1 for i in range(n)])
+                 for j, ax in enumerate(axes)]
+            shifted = (uu / 2.0, *u, 1.0 - uu / 2.0)
+            return (1.0 + uu / 2.0, *u, -uu / 2.0), tuple(-kappa * x for x in shifted)
 
         return Embedding(family, surface, n + 2, ("box",) * n, frame)
 
@@ -255,7 +289,7 @@ def get_embedding(surface: IsoparametricSurface) -> Embedding:
     width = sum(dims + (chart is not None) for chart, dims, _, _ in factors)
     axis_kinds = sum((_sphere_axes(dims) if chart is _unit_sphere else ("box",) * dims
                       for chart, dims, _, _ in factors), ())
-    return Embedding(family, surface, width, axis_kinds, _product_frame(factors, width))
+    return Embedding(family, surface, width, axis_kinds, _product_frame(factors))
 
 
 def snapshots(surface: IsoparametricSurface, resolution, times, profile,
@@ -303,10 +337,11 @@ def sample(surface: IsoparametricSurface, resolution, t: float, profile,
 def export_csv(sampled: SampledSurface, path) -> None:
     """Write the cloud as CSV: x0..xd, nx0..nxd, t with 17 significant digits.
 
-    A snapshot is the parallel map of one grid, and each column depends on
-    only some of its axes.  Every column is cut to length 1 along each axis
-    it is constant on, its distinct values are found on the sub-grid that is
-    left, and all of them are formatted with ``%.17g`` in one ``%`` call.
+    Each column of a snapshot depends on only some axes of its grid and
+    already has size 1 along most of the others.  Every column is cut to
+    length 1 along each further axis it is constant on, its distinct values
+    are found on the sub-grid that is left, and all of them are formatted
+    with ``%.17g`` in one ``%`` call.
     Values are told apart by their bits, not as floats, so ``-0.0`` is still
     written ``-0``.  Adjacent columns, and the constant ``t`` that ends every
     line, are joined into one piece of text per point of the larger sub-grid
@@ -318,13 +353,14 @@ def export_csv(sampled: SampledSurface, path) -> None:
         [f"x{i}" for i in range(d)] + [f"nx{i}" for i in range(d)] + ["t"]
     )
     shape = sampled.grid_shape
+    size = math.prod(shape)
     pieces = []  # (texts, index into them on the piece's sub-grid)
-    for column in (*sampled.points.T, *sampled.normals.T, None):
+    for column in (*sampled.columns, None):
         if column is None:  # t
-            text = np.array(["%.17g\n" % sampled.t], dtype=object)
+            text = np.array([b"%.17g\n" % sampled.t], dtype=object)
             index = np.zeros((1,) * len(shape), dtype=np.uint8)
         else:
-            bits = column.view(np.int64).reshape(shape)
+            bits = column.view(np.int64)
             for axis in range(len(shape)):
                 head = bits[(slice(None),) * axis + (slice(0, 1),)]
                 if np.all(bits == head):
@@ -332,12 +368,12 @@ def export_csv(sampled: SampledSurface, path) -> None:
             values, index = np.unique(bits.ravel(), return_inverse=True)
             floats = values.view(np.float64).tolist()
             # Each field carries the comma after it: t is the last column.
-            text = np.array(("%.17g,\n" * len(floats) % tuple(floats)).splitlines(),
+            text = np.array((b"%.17g,\n" * len(floats) % tuple(floats)).splitlines(),
                             dtype=object)
             index = index.astype(np.min_scalar_type(max(len(floats) - 1, 0))).reshape(bits.shape)
         if pieces:
             sub = np.broadcast_shapes(pieces[-1][1].shape, index.shape)
-            if sub in (pieces[-1][1].shape, index.shape) and math.prod(sub) < len(sampled.points):
+            if sub in (pieces[-1][1].shape, index.shape) and math.prod(sub) < size:
                 last_text, last_index = pieces.pop()
                 text = (last_text[np.broadcast_to(last_index, sub)]
                         + text[np.broadcast_to(index, sub)]).ravel()
@@ -345,14 +381,15 @@ def export_csv(sampled: SampledSurface, path) -> None:
         pieces.append((text, index))
     pieces = [(text, np.broadcast_to(index, shape).reshape(-1)) for text, index in pieces]
     cells = np.empty((1024, len(pieces)), dtype=object)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
+    # The text is ASCII bytes: a str chunk would be encoded into a second copy.
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         # 1,024 rows at a time: the whole file's text is never held at once.
-        for start in range(0, len(sampled.points), 1024):
-            rows = cells[:len(sampled.points) - start]
+        for start in range(0, size, 1024):
+            rows = cells[:size - start]
             for j, (text, index) in enumerate(pieces):
                 rows[:, j] = text[index[start:start + 1024]]
-            fh.write("".join(rows.ravel().tolist()))
+            fh.write(b"".join(rows.ravel().tolist()))
 
 
 def export_metadata(sampled: SampledSurface, path) -> None:

@@ -221,6 +221,33 @@ def inner(sf: SpaceForm, u, v):
     return prod
 
 
+def _columns(X):
+    """The columns of a frame: a tuple of float arrays as it is, else the last axis of an array."""
+    if isinstance(X, tuple):
+        return X
+    X = np.asarray(X, dtype=float)
+    return tuple(X[..., i] for i in range(X.shape[-1]))
+
+
+def _row_sum(A, B):
+    """sum_i A_i B_i over the columns, broadcast over the points.
+
+    Products of one shape (one factor's columns) are summed first, so the
+    sum spans the whole grid only from the first sum across factors on.
+    """
+    parts = {}
+    for a, b in zip(A, B):
+        ab = a * b
+        if ab.shape in parts:
+            parts[ab.shape] += ab
+        else:
+            parts[ab.shape] = ab
+    total, *rest = parts.values()
+    for part in rest:
+        total = total + part
+    return total
+
+
 def check_frame(sf: SpaceForm, F, N, tol: float = FRAME_TOL):
     """Validate the ambient constraints of a (position, normal) pair.
 
@@ -229,28 +256,34 @@ def check_frame(sf: SpaceForm, F, N, tol: float = FRAME_TOL):
     the squared frame magnitude: frames far along a normal geodesic carry
     exponentially large components whose inner products cannot cancel below
     roundoff at that scale.
+
+    F and N are arrays with vectors on the last axis, or tuples of columns:
+    one float array per ambient coordinate, broadcast against each other
+    over the points, so a column may keep size 1 along the axes it is
+    constant on.  Batch shapes that do not broadcast raise numpy's
+    ValueError.
     """
-    F = np.asarray(F, dtype=float)
-    N = np.asarray(N, dtype=float)
-    if F.shape != N.shape:
-        raise InvalidFrameError(f"F and N shapes differ: {F.shape} vs {N.shape}")
-    ff, nn = np.einsum("...i,...i->...", F, F), np.einsum("...i,...i->...", N, N)
-    tol_rows = tol * (1.0 + ff + nn)
+    F, N = _columns(F), _columns(N)
+    if len(F) != len(N):
+        raise InvalidFrameError(f"F has {len(F)} coordinates and N {len(N)}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        ff, nn = _row_sum(F, F), _row_sum(N, N)
+        tol_rows = tol * (1.0 + ff + nn)
     # An infinite row would get an infinite tolerance; each test below reads
     # "not all within", so a NaN row fails it too.
-    if not np.all(np.isfinite(tol_rows)):
+    if not np.isfinite(tol_rows).all():
         raise InvalidFrameError("frame is not finite, or its squared norm overflows")
     if sf.curvature == -1:
-        nn = nn - 2.0 * N[..., 0] * N[..., 0]
-    if not np.all(np.abs(nn - 1.0) <= tol_rows):
+        nn = nn - 2.0 * N[0] * N[0]
+    if not (np.abs(nn - 1.0) <= tol_rows).all():
         raise InvalidFrameError("normal is not unit in the ambient inner product")
     if sf.curvature != 0:
-        fn = np.einsum("...i,...i->...", F, N)
+        fn = _row_sum(F, N)
         if sf.curvature == -1:
-            ff, fn = ff - 2.0 * F[..., 0] * F[..., 0], fn - 2.0 * F[..., 0] * N[..., 0]
-        if not np.all(np.abs(ff - sf.curvature) <= tol_rows):
+            ff, fn = ff - 2.0 * F[0] * F[0], fn - 2.0 * F[0] * N[0]
+        if not (np.abs(ff - sf.curvature) <= tol_rows).all():
             raise InvalidFrameError(f"position does not satisfy <F,F> = {sf.curvature}")
-        if not np.all(np.abs(fn) <= tol_rows):
+        if not (np.abs(fn) <= tol_rows).all():
             raise InvalidFrameError("position and normal are not orthogonal")
 
 
@@ -259,7 +292,8 @@ def parallel_point(sf: SpaceForm, F, N, xi):
 
     Returns (c F + s N, -kbar s F + c N).  Input frames are validated against
     the ambient constraints; outputs satisfy the same constraints by the
-    c/s identities.  F and N may be batched with vectors on the last axis.
+    c/s identities.  F and N may be batched with vectors on the last axis;
+    so are the outputs.
     """
     xi_arr = _check_finite(xi)
     if xi_arr.ndim != 0:
@@ -267,17 +301,21 @@ def parallel_point(sf: SpaceForm, F, N, xi):
     F = np.asarray(F, dtype=float)
     N = np.asarray(N, dtype=float)
     check_frame(sf, F, N)
-    return parallel_map(sf, F, N, float(xi_arr))
+    points, normals = parallel_map(sf, F, N, float(xi_arr))
+    return np.stack(points, axis=-1), np.stack(normals, axis=-1)
 
 
 def parallel_map(sf: SpaceForm, F, N, xi: float):
-    """parallel_point for float arrays F, N that check_frame has accepted.
+    """parallel_point for frames that check_frame has accepted, column by column.
 
-    Built in place, with the roundings of c F + s N and -kbar s F + c N.
+    F and N are arrays or tuples of columns, as check_frame takes them.
+    Returns (points, normals) as tuples of columns, each with the roundings
+    of c F + s N and -kbar s F + c N.
     """
     c, s = cs_eval(sf, xi)
-    points, normals, term = c * F, c * N, s * N
-    points += term
-    np.multiply(-sf.curvature * s, F, out=term)
-    normals += term
-    return points, normals
+    k = -sf.curvature * s
+    points, normals = [], []
+    for f, n in zip(_columns(F), _columns(N)):
+        points.append(c * f + s * n)
+        normals.append(c * n + k * f)
+    return tuple(points), tuple(normals)

@@ -44,6 +44,33 @@ class TestEvolve:
         assert "discrepancy" in header
         assert max(r["discrepancy"] for r in rows) <= 1e-8
 
+    def test_window_ending_below_its_start_is_integrated(self, capsys):
+        # The ODE run reaches the window's far end, --t-start; an eternal flow
+        # clips nothing and names no collapse time.
+        rc, out, err = run_cli(
+            capsys, "evolve", "--family", "horosphere", "--n", "2", "--kappa", "1",
+            "--t-start", "2", "--t-end", "1", "--samples", "4", "--engine", "ode",
+        )
+        assert rc == 0
+        assert err == ""
+        _, rows = parse_csv(out)
+        assert [r["t"] for r in rows] == pytest.approx([2.0, 5.0 / 3.0, 4.0 / 3.0, 1.0])
+        for r in rows:
+            assert r["xi"] == pytest.approx(2.0 * r["t"], rel=1e-12)
+
+    def test_window_from_negative_time_is_integrated_both_ways(self, capsys):
+        # t* = log(2)/4: the ODE runs backward to -0.5 and forward to its collapse stop.
+        rc, out, err = run_cli(
+            capsys, "evolve", "--family", "sphere-umbilic", "--n", "2", "--kappa", "1",
+            "--t-start", "-0.5", "--t-end", "0.2", "--samples", "3", "--engine", "both",
+        )
+        assert rc == 0
+        assert err == f"warning: 1 sample(s) beyond the flow domain (t* = {math.log(2) / 4:.9g})" \
+            " were clipped\n"
+        _, rows = parse_csv(out)
+        assert [r["t"] for r in rows] == pytest.approx([-0.5, -0.15])
+        assert max(r["discrepancy"] for r in rows) <= 1e-8
+
     def test_horosphere_offset_is_linear(self, capsys):
         rc, out, _ = run_cli(
             capsys, "evolve", "--family", "horosphere", "--n", "3", "--kappa", "1",

@@ -32,8 +32,20 @@ from isoflow import (
 )
 import isoflow.embedding as embedding
 from isoflow.embedding import POLAR_MARGIN, _hyperboloid_chart, _unit_sphere
+from isoflow.errors import InvalidFrameError
+from isoflow.spaceform import check_frame, parallel_map
 
 MiB = 2**20
+
+
+def full(columns, shape):
+    """Reference: the (P, d) rows of a frame held as columns, by np.broadcast_to."""
+    return np.stack([np.broadcast_to(c, shape).ravel() for c in columns], axis=-1)
+
+
+def grid_columns(rows, shape):
+    """The columns of (P, d) rows on a grid, each spanning the whole grid."""
+    return tuple(np.ascontiguousarray(column).reshape(shape) for column in rows.T)
 
 
 def snapshot(surface, resolution, t, **kw):
@@ -66,7 +78,7 @@ def _mixed_zero_cloud():
     zeros = np.flatnonzero(normals[:, 1] == 0.0)
     assert len(zeros) == 30 and np.all(np.signbit(normals[zeros, 1]))
     normals[zeros[::2], 1] = 0.0
-    return dataclasses.replace(snap, normals=normals)
+    return dataclasses.replace(snap, normal_columns=grid_columns(normals, snap.grid_shape))
 
 
 def _distinct_cloud():
@@ -80,7 +92,8 @@ def _distinct_cloud():
     N /= np.linalg.norm(N, axis=1, keepdims=True)
     for column in (*F.T, *N.T):
         assert len(np.unique(column)) == len(column)
-    return SampledSurface(surface.family, F, N, (1500,), 0.0, 0.0, surface.space_form)
+    return SampledSurface(surface.family, grid_columns(F, (1500,)), grid_columns(N, (1500,)),
+                          (1500,), 0.0, 0.0, surface.space_form)
 
 
 class TestSupportedFamilies:
@@ -143,7 +156,7 @@ def reference_sample(surface, resolution, t, profile):
     """Reference: the single-time sample body, its own frame grid and parallel_point."""
     xi = float(np.asarray(profile.xi(t), dtype=float))
     F, N, grid_shape = get_embedding(surface).frame_grid(resolution)
-    F_t, N_t = parallel_point(surface.space_form, F, N, xi)
+    F_t, N_t = parallel_point(surface.space_form, full(F, grid_shape), full(N, grid_shape), xi)
     return F_t, N_t, grid_shape, xi
 
 
@@ -172,9 +185,14 @@ class TestSnapshots:
                 assert (got.grid_shape, got.t, got.xi) == (grid_shape, t, xi)
 
     def test_last_cloud_is_held_without_the_frame(self):
-        # What stays allocated while the caller works on each cloud, in clouds:
-        # the frame and the cloud for the first time, the cloud alone for the last.
+        # What stays allocated while the caller works on each cloud, in (P, d)
+        # clouds: the frame and the cloud as columns on their factors' axes,
+        # 0.06 for the first time and 0.04 for the last.  Full (P, d) arrays
+        # held 2.0 and 1.0 of them.
         surface = make_hyperbolic_cylinder(2, 2, 2.0)
+        F, N, grid_shape = get_embedding(surface).frame_grid((8, 8, 8, 8))
+        frame = sum(column.nbytes for column in (*F, *N))
+        cloud = 2 * math.prod(grid_shape) * len(F) * 8
         gen = snapshots(surface, (8, 8, 8, 8), [0.0, 0.01], resolve_profile(surface))
         held = []
         with warnings.catch_warnings():
@@ -183,13 +201,12 @@ class TestSnapshots:
             try:
                 base = tracemalloc.get_traced_memory()[0]
                 for snap in gen:
-                    cloud = snap.points.nbytes + snap.normals.nbytes
-                    held.append((tracemalloc.get_traced_memory()[0] - base) / cloud)
+                    held.append(tracemalloc.get_traced_memory()[0] - base)
                     del snap
             finally:
                 tracemalloc.stop()
-        assert held[0] > 1.9
-        assert held[1] < 1.1
+        assert max(held) < 0.1 * cloud
+        assert held[0] - held[1] >= frame  # the frame is dropped before the last yield
 
     def test_no_times_builds_nothing(self):
         # Not even the embedding lookup runs, so an unsupported family passes.
@@ -303,7 +320,7 @@ class TestFrameGrid:
         assert len(seen) == 1
         assert_same_arrays(zip(seen[0], axes))
         F_ref, N_ref = per_family_frame(surface)(meshgrid_params(axes))
-        assert_same_arrays([(F, F_ref), (N, N_ref)])
+        assert_same_arrays([(full(F, grid_shape), F_ref), (full(N, grid_shape), N_ref)])
         assert grid_shape == tuple(len(ax) for ax in axes)
 
 
@@ -328,10 +345,11 @@ class TestProductFrame:
     def test_bytes_equal_per_family_frame(self, surface, resolution, extent):
         emb = get_embedding(surface)
         axes = reference_axes(emb, resolution, extent)
+        shape = tuple(len(ax) for ax in axes)
         F, N = emb._frame(axes)
         F_ref, N_ref = per_family_frame(surface)(meshgrid_params(axes))
         assert emb.ambient_dim == F_ref.shape[1]
-        assert_same_arrays([(F, F_ref), (N, N_ref)])
+        assert_same_arrays([(full(F, shape), F_ref), (full(N, shape), N_ref)])
 
     def test_each_chart_runs_on_its_own_axes(self, monkeypatch):
         # S^1 x S^2 on a 7 x 6 x 5 grid: the charts see 7 and 30 points, not 210.
@@ -342,12 +360,13 @@ class TestProductFrame:
             return _unit_sphere(angles)
 
         monkeypatch.setattr(embedding, "_unit_sphere", recording_sphere)
-        F, _, _ = get_embedding(make_sphere_product(1, 3, 2.5)).frame_grid((7, 6, 5))
-        assert len(F) == 210
+        F, _, grid_shape = get_embedding(make_sphere_product(1, 3, 2.5)).frame_grid((7, 6, 5))
+        assert full(F, grid_shape).shape == (210, 5)
         assert rows == [7, 30]
 
     def test_frame_grid_peak_memory(self):
-        # F and N are 2.25 MiB; concatenating whole per-factor charts peaked at 5.38 MiB.
+        # As (P, d) arrays F and N were 2.25 MiB, and concatenating whole per-factor
+        # charts peaked at 5.38 MiB.  As columns on their factors' axes: 0.04 MiB.
         emb = get_embedding(make_sphere_product(3, 7, 2.0))
         emb.frame_grid(4)  # first-call allocations are not the frame's
         tracemalloc.start()
@@ -356,7 +375,61 @@ class TestProductFrame:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.8 * MiB
+        assert peak <= 0.1 * MiB
+
+
+# The four embeddable families, with the columns of one factor: its frame
+# columns span its own axes, so element [0, ..., 0] of each is one point of it.
+# The horosphere's "factor" is u_0, the column that spans axis 0 alone.
+COLUMN_FORM_CASES = [
+    (make_euclidean_cylinder(2, 3, -1.3), (6, 5, 4), [0, 1, 2]),
+    (make_sphere_product(1, 3, 2.5), (7, 6, 5), [0, 1]),
+    (make_horosphere(2, -1.0), (9, 8), [1]),
+    (make_hyperbolic_cylinder(2, 2, 2.0), (4, 4, 4, 3), [0, 1, 2]),
+]
+
+
+def _raised(fn):
+    """The message of the InvalidFrameError fn raises, or None."""
+    try:
+        fn()
+    except InvalidFrameError as exc:
+        return str(exc)
+    return None
+
+
+class TestColumnForm:
+    @pytest.mark.parametrize("surface, resolution, factor", COLUMN_FORM_CASES)
+    @pytest.mark.parametrize("part, scale, message", [
+        ("N", 1.1, "normal is not unit"),
+        ("F", 1.1, "position does not satisfy"),
+        ("N", -1.0, "not orthogonal"),  # a factor's normal turned back: <F,N> != 0
+    ])
+    def test_check_frame_raises_as_on_rows(self, surface, resolution, factor,
+                                           part, scale, message):
+        F, N, grid_shape = get_embedding(surface).frame_grid(resolution)
+        bad = list(F if part == "F" else N)
+        for j in factor:
+            bad[j] = bad[j].copy()
+            bad[j][(0,) * len(grid_shape)] *= scale
+        F, N = (tuple(bad), N) if part == "F" else (F, tuple(bad))
+        sf = surface.space_form
+        got = _raised(lambda: check_frame(sf, F, N))
+        assert got == _raised(lambda: check_frame(sf, full(F, grid_shape), full(N, grid_shape)))
+        if sf.curvature == 0 and (part == "F" or scale < 0):
+            assert got is None  # positions are free in R^n, and there is no <F,N> = 0
+        else:
+            assert message in got
+
+    @pytest.mark.parametrize("surface, resolution", [case[:2] for case in COLUMN_FORM_CASES])
+    @pytest.mark.parametrize("xi", [0.0, 0.23, -0.4])
+    def test_parallel_map_bytes_equal_parallel_point(self, surface, resolution, xi):
+        F, N, grid_shape = get_embedding(surface).frame_grid(resolution)
+        points, normals = parallel_map(surface.space_form, F, N, xi)
+        F_t, N_t = parallel_point(surface.space_form, full(F, grid_shape), full(N, grid_shape),
+                                  xi)
+        assert_same_arrays([(full(points, grid_shape), F_t), (full(normals, grid_shape), N_t)])
+        assert all(column.ndim == len(grid_shape) for column in (*points, *normals))
 
 
 class TestChordShrink:

@@ -281,8 +281,8 @@ def test_parallel_map_bytes_equal_formula(sf, xi):
     F[::3, 1], N[::4, 2], N[1::4, 2] = -0.0, -0.0, 0.0
     c, s = cs_eval(sf, xi)
     points, normals = parallel_map(sf, F, N, xi)
-    assert points.tobytes() == (c * F + s * N).tobytes()
-    assert normals.tobytes() == (-sf.curvature * s * F + c * N).tobytes()
+    assert np.stack(points, axis=-1).tobytes() == (c * F + s * N).tobytes()
+    assert np.stack(normals, axis=-1).tobytes() == (-sf.curvature * s * F + c * N).tobytes()
 
 
 @pytest.mark.parametrize("sf, kappa", [
