@@ -19,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalRangeError
 from .spaceform import (
     EUCLIDEAN,
     HYPERBOLIC,
     SPHERE,
     SpaceForm,
+    _inverse_slope,
     parallel_curvature,
     parallel_metric_factor,
 )
@@ -56,9 +57,9 @@ class Block:
 class IsoparametricSurface:
     """Immutable initial datum of a flow: ambient + curvature blocks.
 
-    Blocks keep the conventional order of their family (largest curvature
-    first for the curved ambients; the curved block first for Euclidean
-    cylinders).  Nothing downstream relies on the order.
+    Blocks are sorted into one order, whatever order they come in: the curved
+    block first in R^n, descending curvature otherwise.  The closed forms, the
+    embeddings and the focal-dimension oracle read the leading block.
     """
 
     space_form: SpaceForm
@@ -66,7 +67,9 @@ class IsoparametricSurface:
     family: str
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
+        flat = self.space_form.curvature == 0
+        order = sorted(self.blocks, key=lambda b: -abs(b.kappa) if flat else -b.kappa)
+        object.__setattr__(self, "blocks", tuple(order))
         _validate_surface(self)
 
     @property
@@ -90,15 +93,9 @@ class IsoparametricSurface:
         return abs(self.mean_curvature_at_zero) < MINIMAL_TOL
 
     def flipped(self) -> "IsoparametricSurface":
-        """The same geometry with the opposite normal: all curvatures negated.
-
-        Blocks are re-ordered so the largest curvature of the flipped surface
-        comes first.
-        """
-        neg = [Block(0.0 if b.kappa == 0.0 else -b.kappa, b.mult) for b in reversed(self.blocks)]
-        if self.space_form.curvature == 0 and len(neg) == 2 and neg[0].kappa == 0.0:
-            neg = neg[::-1]  # keep the curved block first for cylinders
-        return IsoparametricSurface(self.space_form, tuple(neg), self.family)
+        """The same geometry with the opposite normal: all curvatures negated."""
+        neg = [Block(0.0 if b.kappa == 0.0 else -b.kappa, b.mult) for b in self.blocks]
+        return IsoparametricSurface(self.space_form, neg, self.family)
 
     def parallel_surface(self, xi: float) -> "IsoparametricSurface":
         """The parallel hypersurface at offset xi as a new initial datum."""
@@ -137,13 +134,9 @@ def surface_from_json(text: str) -> IsoparametricSurface:
 # ---------------------------------------------------------------------------
 # validation
 
-def _cot(x: float) -> float:
-    return math.cos(x) / math.sin(x)
-
-
 def sphere_curvature_ladder(g: int, s: float):
-    """The g curvatures cot(s + (j-1) pi / g), j = 1..g, in descending order."""
-    return tuple(_cot(s + (j - 1) * math.pi / g) for j in range(1, g + 1))
+    """The g curvatures cot(s + (j-1) pi / g), j = 1..g: focal offsets s + (j-1) pi / g."""
+    return tuple(_inverse_slope(SPHERE, s + (j - 1) * math.pi / g) for j in range(1, g + 1))
 
 
 # family -> (ambient curvature, admissible block counts); None imposes nothing.
@@ -180,13 +173,13 @@ def _validate_surface(surface: IsoparametricSurface):
             )
         if surface.family == "horosphere" and abs(blocks[0].kappa) != 1.0:
             raise InvalidInputError("horosphere blocks must have kappa = +-1")
+        if surface.family == "hyperbolic_umbilic" and abs(blocks[0].kappa) == 1.0:
+            raise InvalidInputError("hyperbolic umbilic blocks need |kappa| != 1: a horosphere")
     kappas = [b.kappa for b in blocks]
-    for i in range(len(kappas)):
-        for j in range(i + 1, len(kappas)):
-            if abs(kappas[i] - kappas[j]) <= BLOCK_SEPARATION_TOL:
-                raise InvalidInputError(
-                    f"blocks {i} and {j} are not separated: {kappas[i]} vs {kappas[j]}"
-                )
+    for i in range(1, len(kappas)):  # sorted blocks: the closest two are neighbours
+        if abs(kappas[i - 1] - kappas[i]) <= BLOCK_SEPARATION_TOL:
+            raise InvalidInputError(
+                f"blocks {i - 1} and {i} are not separated: {kappas[i - 1]} vs {kappas[i]}")
     kbar = surface.space_form.curvature
     g = len(blocks)
     if kbar == 1:
@@ -238,9 +231,8 @@ def _validate_spherical(surface: IsoparametricSurface):
         )
     if g == 1:
         return
-    desc = sorted(surface.blocks, key=lambda b: -b.kappa)
-    kappas = [b.kappa for b in desc]
-    mults = [b.mult for b in desc]
+    kappas = [b.kappa for b in surface.blocks]
+    mults = [b.mult for b in surface.blocks]
     if g == 2:
         prod = kappas[0] * kappas[1]
         if abs(prod + 1.0) > PATTERN_TOL:
@@ -462,5 +454,9 @@ def flow_state(surface: IsoparametricSurface, xi: float, t: float = 0.0) -> Flow
     sf = surface.space_form
     hats = tuple(float(parallel_curvature(sf, b.kappa, xi)) for b in surface.blocks)
     h = float(sum(b.mult * k for b, k in zip(surface.blocks, hats)))
-    facts = tuple(float(parallel_metric_factor(sf, b.kappa, xi)) for b in surface.blocks)
+    with np.errstate(over="ignore"):  # an overflowing factor raises below
+        facts = tuple(float(parallel_metric_factor(sf, b.kappa, xi)) for b in surface.blocks)
+    if not all(map(math.isfinite, facts)):
+        raise NumericalRangeError(
+            f"a metric factor at xi = {float(xi)!r} leaves double range: {facts}")
     return FlowState(t=float(t), xi=float(xi), kappa_hat=hats, mean_curvature=h, factors=facts)

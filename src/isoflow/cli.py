@@ -318,15 +318,11 @@ def _build_parser():
     p_evolve.add_argument("--engine", choices=["closed", "ode", "both"], default="both")
     p_evolve.add_argument("--format", choices=["csv", "json"], default="csv")
     p_evolve.add_argument("--output", help="output file (default stdout)")
-    p_evolve.add_argument("--rel-tol", type=float)
-    p_evolve.add_argument("--abs-tol", type=float)
     p_evolve.set_defaults(fn=cmd_evolve)
 
     p_collapse = sub.add_parser("collapse", help="collapse report from both engines")
     _add_surface_args(p_collapse)
     p_collapse.add_argument("--output", help="output file (default stdout)")
-    p_collapse.add_argument("--rel-tol", type=float)
-    p_collapse.add_argument("--abs-tol", type=float)
     p_collapse.set_defaults(fn=cmd_collapse)
 
     p_verify = sub.add_parser("verify", help="run the cross-check suite")
@@ -335,9 +331,10 @@ def _build_parser():
         "--check", action="append", choices=sorted(verification.ALL_CHECKS),
         help="restrict to named checks (repeatable)",
     )
-    p_verify.add_argument("--rel-tol", type=float)
-    p_verify.add_argument("--abs-tol", type=float)
     p_verify.set_defaults(fn=cmd_verify)
+    for p in (p_evolve, p_collapse, p_verify):
+        p.add_argument("--rel-tol", type=float)
+        p.add_argument("--abs-tol", type=float)
 
     p_export = sub.add_parser("export", help="write evolved point clouds")
     _add_surface_args(p_export)

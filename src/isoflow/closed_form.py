@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,30 +29,25 @@ _INF = math.inf
 
 @dataclass
 class ClosedFormProfile:
-    """A resolved evolution: evaluate xi(t) on the maximal domain (t_min, t_star].
+    """A resolved evolution: evaluate xi(t) on the maximal domain (-inf, t_star].
 
-    ``params`` holds the family constants (a, b) and auxiliaries (q, ell) when
-    defined.  ``angle_pair(t)`` exposes the raw (cos g xi, sin g xi) or
-    (cosh g xi, sinh g xi) pair of the resolved (positive mean curvature)
-    orientation, for identity checks.  Evaluation at t = t_star returns the
-    exact focal limit.
+    ``angle_pair(t)`` exposes the raw (cos g xi, sin g xi) or (cosh g xi,
+    sinh g xi) pair of the resolved (positive mean curvature) orientation,
+    for identity checks.  Evaluation at t = t_star returns the exact focal
+    limit.
     """
 
     family: str
     surface: IsoparametricSurface
     t_star: float
-    t_min: float = -_INF
-    params: dict = field(default_factory=dict)
+    _xi_resolved: callable
+    _pair: callable  # t -> (co, si), or None
     orientation_flipped: bool = False
-    _xi_resolved: callable = None
-    _pair: callable = None  # t -> (co, si)
 
     def xi(self, t):
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr > self.t_star) or np.any(t_arr <= self.t_min):
-            raise InvalidInputError(
-                f"time outside the profile domain ({self.t_min}, {self.t_star}]"
-            )
+        if np.any(t_arr > self.t_star) or np.any(t_arr == -_INF):
+            raise InvalidInputError(f"time outside the profile domain (-inf, {self.t_star}]")
         with np.errstate(all="ignore"):  # a non-finite offset raises below
             out = self._xi_resolved(t_arr)
         if not np.all(np.isfinite(out)):
@@ -91,7 +86,7 @@ def _build_euclidean(surface):
     def xi(t):
         return (1.0 - _sqrt_clipped(1.0 - 2.0 * m * kappa * kappa * t)) / kappa
 
-    return {"t_star": t_star, "xi": xi, "params": {"m": m, "kappa": kappa}, "pair": None}
+    return t_star, xi, None
 
 
 def _build_horosphere(surface):
@@ -100,7 +95,7 @@ def _build_horosphere(surface):
     def xi(t):
         return kappa * n * t
 
-    return {"t_star": _INF, "xi": xi, "params": {"kappa": kappa, "n": n}, "pair": None}
+    return _INF, xi, None
 
 
 def _build_curved(surface):
@@ -154,8 +149,7 @@ def _build_curved(surface):
             co, si = pair(t)
             return np.arctan2(si, co) / g
 
-        params = {"a": a, "b": beta - a, "q": lambda t: parts(t)[1]}
-        return {"t_star": t_star, "xi": xi, "params": params, "pair": pair}
+        return t_star, xi, pair
 
     def pair(t):
         be, qv, root = parts(t)
@@ -179,10 +173,7 @@ def _build_curved(surface):
         rest = np.arctanh(qv / root)
         return np.where(2.0 * rest < anchor, (anchor - rest) / g, xi_sinh(t))
 
-    params = {"a": a, "b": a - beta,
-              "ell": lambda t: parts(t)[1], "q": lambda t: parts(t)[2] ** 2}
-    xi = xi_sinh if anchor is None else xi_anchored
-    return {"t_star": t_star, "xi": xi, "params": params, "pair": pair}
+    return t_star, xi_sinh if anchor is None else xi_anchored, pair
 
 
 _BUILDERS = dict.fromkeys(
@@ -191,19 +182,6 @@ _BUILDERS = dict.fromkeys(
     _build_curved,
 )
 _BUILDERS.update(euclidean_cylinder=_build_euclidean, horosphere=_build_horosphere)
-
-
-def _constant_profile(surface):
-    def xi(t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-    return ClosedFormProfile(
-        family=surface.family,
-        surface=surface,
-        t_star=_INF,
-        params={"constant": True},
-        _xi_resolved=xi,
-    )
 
 
 def resolve_profile(surface: IsoparametricSurface) -> ClosedFormProfile:
@@ -215,7 +193,7 @@ def resolve_profile(surface: IsoparametricSurface) -> ClosedFormProfile:
     double, e.g. at huge curvatures.
     """
     if surface.is_minimal:
-        return _constant_profile(surface)
+        return ClosedFormProfile(surface.family, surface, _INF, np.zeros_like, None)
     flipped = surface.mean_curvature_at_zero < 0.0
     resolved = surface.flipped() if flipped else surface
     builder = _BUILDERS.get(resolved.family)
@@ -223,16 +201,7 @@ def resolve_profile(surface: IsoparametricSurface) -> ClosedFormProfile:
         raise FamilyMismatchError(
             f"no closed form available for family {surface.family!r}"
         )
-    built = builder(resolved)
-    if not built["t_star"] >= sys.float_info.min:
-        raise NumericalRangeError(
-            f"{resolved.family} collapse time underflows to {built['t_star']!r}")
-    return ClosedFormProfile(
-        family=resolved.family,
-        surface=surface,
-        t_star=built["t_star"],
-        params=built["params"],
-        orientation_flipped=flipped,
-        _xi_resolved=built["xi"],
-        _pair=built["pair"],
-    )
+    t_star, xi, pair = builder(resolved)
+    if not t_star >= sys.float_info.min:
+        raise NumericalRangeError(f"{resolved.family} collapse time underflows to {t_star!r}")
+    return ClosedFormProfile(resolved.family, surface, t_star, xi, pair, flipped)

@@ -269,11 +269,7 @@ def get_embedding(surface: IsoparametricSurface) -> Embedding:
         factors = [(_unit_sphere, m, 1.0 / abs(kappa), -math.copysign(1.0, kappa)),
                    (None, surface.n - m, 1.0, None)]
     elif family == "sphere_g2":
-        b1, b2 = surface.blocks
-        if b1.kappa <= 0:
-            raise UnsupportedEmbeddingError(
-                "product-of-spheres embedding needs the leading curvature positive"
-            )
+        b1, b2 = surface.blocks  # kappa1 > 0 > kappa2 = -1/kappa1
         r1 = 1.0 / math.sqrt(1.0 + b1.kappa**2)
         r2 = b1.kappa * r1
         factors = [(_unit_sphere, b1.mult, r1, -r2), (_unit_sphere, b2.mult, r2, r1)]

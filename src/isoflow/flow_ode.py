@@ -36,6 +36,7 @@ import numpy as np
 from .catalog import IsoparametricSurface, mean_curvature
 from .collapse import ETERNAL_CHECK_TIME, _limit_eval_offset, focal_blocks
 from .errors import IntegrationFailureError, InvalidInputError, NumericalRangeError
+from .spaceform import _anchor
 
 
 def _rule(nodes, weights):
@@ -83,27 +84,26 @@ class OdeOptions:
 
 
 DEFAULT_OPTIONS = OdeOptions()
+# The least magnitude _kernel lets a block's denominator reach.
+_FLOOR = 1e-14
 
 
-def _kernel(surface: IsoparametricSurface, floor: float = 1e-14):
+def _kernel(surface: IsoparametricSurface):
     """The right-hand side fun(xi) of one surface, in math scalars.
 
     fun is written once per ambient, so a call only runs its ambient's
-    formula.  Each block's constants are formed here: its anchor
-    atan2(1, k), atanh(1/k) or atanh(k), its scale sqrt(1+k^2) or
-    sqrt(k^2-1), and the clamp limit of its denominator.  On the sphere the
-    numerator sin(xi) + k cos(xi) is formed directly, as
-    spaceform.parallel_curvature forms it.  The clamp keeps trial steps that
-    overshoot the focal point finite, so step control rejects them instead of
-    aborting the solve; in H^n coth is 1/tanh, as tanh saturates where sinh
-    overflows, and a block with |k| = 1 is tanh at the anchor +-inf, which is
-    k itself.  The terms add up in block order.
+    formula, on each block's anchored form from spaceform._anchor.  The clamp
+    at _FLOOR keeps trial steps that overshoot the focal point finite, so
+    step control rejects them instead of aborting the solve; in H^n coth is
+    1/tanh, as tanh saturates where sinh overflows.  The terms add up in
+    block order.
     """
-    kbar = surface.space_form.curvature
-    copysign, sin, cos, tanh = math.copysign, math.sin, math.cos, math.tanh
+    sf = surface.space_form
+    blocks = [(float(b.mult), b.kappa, *_anchor(sf, b.kappa)) for b in surface.blocks]
+    copysign, sin, cos, tanh, floor = math.copysign, math.sin, math.cos, math.tanh, _FLOOR
 
-    if kbar == 0:
-        blocks = [(float(b.mult), b.kappa) for b in surface.blocks]
+    if sf.curvature == 0:
+        blocks = [(m, k) for m, k, _, _, _ in blocks]
 
         def fun(xi):
             total = 0.0
@@ -114,9 +114,8 @@ def _kernel(surface: IsoparametricSurface, floor: float = 1e-14):
                 total += m * (k / den)
             return total
 
-    elif kbar == 1:
-        blocks = [(float(b.mult), b.kappa, math.atan2(1.0, b.kappa),
-                   math.sqrt(1.0 + b.kappa * b.kappa)) for b in surface.blocks]
+    elif sf.curvature == 1:
+        blocks = [(m, k, anchor, scale) for m, k, _, anchor, scale in blocks]
 
         def fun(xi):
             sx, cx = sin(xi), cos(xi)
@@ -129,13 +128,9 @@ def _kernel(surface: IsoparametricSurface, floor: float = 1e-14):
             return total
 
     else:
-        def hyperbolic(m, k):
-            """(m, anchor, clamp limit): a coth block carries its limit, a tanh block None."""
-            if abs(k) > 1.0:
-                return m, math.atanh(1.0 / k), floor / math.sqrt(k * k - 1.0)
-            return m, math.atanh(k) if abs(k) < 1.0 else copysign(math.inf, k), None
-
-        blocks = [hyperbolic(float(b.mult), b.kappa) for b in surface.blocks]
+        # A coth block carries the clamp limit of its tanh, a tanh block None.
+        blocks = [(m, anchor, floor / abs(scale) if form == "sinh" else None)
+                  for m, _, form, anchor, scale in blocks]
 
         def fun(xi):
             total = 0.0

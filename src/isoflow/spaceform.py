@@ -8,8 +8,21 @@ functions ``c``, ``s`` (cos/sin, 1/xi, cosh/sinh) satisfying
 Moving a hypersurface a distance ``xi`` along its unit normal geodesics maps
 its frame as ``(F, N) -> (c F + s N, -kbar s F + c N)``, a principal curvature
 ``kappa`` to ``(kbar s + kappa c) / (c - kappa s)`` and the induced metric in
-that principal direction by the factor ``(c - kappa s)^2``.  Everything here
-is a pure function; values are immutable and safe to share across threads.
+that principal direction by the factor ``(c - kappa s)^2``.
+
+``_anchor`` is the one place that writes a block's ``c - kappa s`` in
+anchored form (form, anchor, scale), so that the cancellation near a focal
+point stays in the one subtraction ``anchor - xi``:
+
+* flat:  1 - scale xi,  scale kappa, anchor 1/kappa (+inf for kappa = 0);
+* sin:   scale sin(anchor - xi),  anchor arccot(kappa) in (0, pi);
+* sinh:  scale sinh(anchor - xi),  kbar = -1, |kappa| > 1, anchor arcoth(kappa);
+* cosh:  scale cosh(anchor - xi),  kbar = -1, |kappa| < 1, anchor artanh(kappa);
+* exp:   exp(-scale xi),  kbar = -1, |kappa| = 1, scale kappa, anchor +-inf.
+
+In H^n the evolved curvature is coth or tanh of ``anchor - xi``.  Everything
+here is a pure function; values are immutable and safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -81,86 +94,66 @@ def cs_eval(sf: SpaceForm, xi):
     return _like(xi, c), _like(xi, s)
 
 
-def parallel_denominator(sf: SpaceForm, kappa: float, xi):
-    """Stable evaluation of c(xi) - kappa * s(xi).
-
-    Written in angle/exponential-addition form so that the cancellation near a
-    focal point is confined to a single argument subtraction:
-
-    * kbar = 0:   1 - kappa*xi
-    * kbar = +1:  sqrt(1+kappa^2) * sin(theta - xi),  theta = arccot(kappa) in (0, pi)
-    * kbar = -1, |kappa| > 1:  sign(kappa) sqrt(kappa^2-1) * sinh(r - xi),  r = arcoth(kappa)
-    * kbar = -1, |kappa| < 1:  sqrt(1-kappa^2) * cosh(r - xi),  r = artanh(kappa)
-    * kbar = -1, |kappa| = 1:  exp(-kappa*xi)
-    """
-    arr = _check_finite(xi)
+def _anchor(sf: SpaceForm, kappa: float):
+    """(form, anchor, scale) of a block's c(xi) - kappa s(xi): see the module docstring."""
     k = float(kappa)
     if not math.isfinite(k):
         raise InvalidInputError(f"curvature must be finite, got {kappa!r}")
     if sf.curvature == 0:
-        den = 1.0 - k * arr
-    elif sf.curvature == 1:
-        theta = math.atan2(1.0, k)
-        den = math.sqrt(1.0 + k * k) * np.sin(theta - arr)
+        return "flat", 1.0 / k if k else math.inf, k
+    if sf.curvature == 1:
+        return "sin", math.atan2(1.0, k), math.sqrt(1.0 + k * k)
+    if abs(k) == 1.0:
+        return "exp", math.copysign(math.inf, k), k
+    if abs(k) < 1.0:
+        return "cosh", math.atanh(k), math.sqrt(1.0 - k * k)
+    return "sinh", math.atanh(1.0 / k), math.copysign(math.sqrt(k * k - 1.0), k)
+
+
+def parallel_denominator(sf: SpaceForm, kappa: float, xi):
+    """Stable evaluation of c(xi) - kappa * s(xi) in the anchored form of _anchor."""
+    arr = _check_finite(xi)
+    form, anchor, scale = _anchor(sf, kappa)
+    if form == "flat":
+        den = 1.0 - scale * arr
+    elif form == "exp":
+        den = np.exp(-scale * arr)
     else:
-        ak = abs(k)
-        if ak == 1.0:
-            den = np.exp(-k * arr)
-        elif ak < 1.0:
-            r = math.atanh(k)
-            den = math.sqrt(1.0 - k * k) * np.cosh(r - arr)
-        else:
-            r = math.atanh(1.0 / k)
-            den = math.copysign(math.sqrt(k * k - 1.0), k) * np.sinh(r - arr)
+        den = scale * getattr(np, form)(anchor - arr)
     return _like(xi, den)
 
 
 def parallel_curvature(sf: SpaceForm, kappa: float, xi):
     """Principal curvature of the parallel hypersurface at offset xi.
 
-    Returns (kbar s + kappa c) / (c - kappa s), evaluated through the
-    angle-addition forms coth(r - xi), tanh(r - xi) or kappa/(1 - kappa xi)
-    so that accuracy survives close to the focal point.  On the sphere the
+    Returns (kbar s + kappa c) / (c - kappa s) from the anchored form of
+    _anchor, so that accuracy survives close to the focal point; coth is
+    sign(anchor - xi) where cosh and sinh overflow.  On the sphere the
     numerator sin(xi) + kappa cos(xi) is formed directly and only the
-    denominator is anchored, as sqrt(1+kappa^2) sin(theta - xi): the anchor
-    theta = arccot(kappa) carries an absolute rounding that a small |kappa|
-    numerator cannot afford.
+    denominator is anchored: the anchor carries an absolute rounding that a
+    small |kappa| numerator cannot afford.
     Raises SingularParallelError when |c - kappa s| < SINGULAR_DEN_TOL.
     """
-    arr = _check_finite(xi)
-    k = float(kappa)
-    if not math.isfinite(k):
-        raise InvalidInputError(f"curvature must be finite, got {kappa!r}")
-    if sf.curvature == 0:
-        den = 1.0 - k * arr
-        _require_nonsingular(den, k, xi)
-        out = k / den
-    elif sf.curvature == 1:
-        den = math.sqrt(1.0 + k * k) * np.sin(math.atan2(1.0, k) - arr)
-        _require_nonsingular(den, k, xi)
-        out = (np.sin(arr) + k * np.cos(arr)) / den
-    else:
-        ak = abs(k)
-        if ak == 1.0:
-            out = np.full_like(arr, k)
-        elif ak < 1.0:
-            out = np.tanh(math.atanh(k) - arr)
-        else:
-            delta = math.atanh(1.0 / k) - arr
+    arr, k = _check_finite(xi), float(kappa)
+    form, anchor, scale = _anchor(sf, kappa)
+    if form in ("cosh", "exp"):
+        return _like(xi, np.tanh(anchor - arr))
+    if form == "sinh":
+        delta = anchor - arr
+        with np.errstate(all="ignore"):  # cosh and sinh overflow past |delta| ~ 710
             sd = np.sinh(delta)
-            _require_nonsingular(math.sqrt(k * k - 1.0) * sd, k, xi)
             out = np.cosh(delta) / sd
-    return _like(xi, out)
-
-
-def _require_nonsingular(den, kappa, xi):
+        out, den = np.where(np.isfinite(out), out, np.sign(delta)), scale * sd
+    else:
+        den = 1.0 - scale * arr if form == "flat" else scale * np.sin(anchor - arr)
     if np.any(np.abs(den) < SINGULAR_DEN_TOL):
-        raise SingularParallelError(
-            f"focal point reached: |c - kappa s| < {SINGULAR_DEN_TOL:g} "
-            f"for kappa={kappa!r}",
-            xi=xi,
-            kappa=kappa,
-        )
+        raise SingularParallelError(f"focal point reached: |c - kappa s| < "
+                                    f"{SINGULAR_DEN_TOL:g} for kappa={k!r}", xi=xi, kappa=k)
+    if form == "flat":
+        out = scale / den
+    elif form == "sin":
+        out = (np.sin(arr) + k * np.cos(arr)) / den
+    return _like(xi, out)
 
 
 def parallel_metric_factor(sf: SpaceForm, kappa: float, xi):
@@ -179,21 +172,14 @@ def focal_offset(sf: SpaceForm, kappa: float, direction: int):
     zero in that direction (flat directions, horosphere-like curvatures
     |kappa| <= 1 in the hyperbolic ambient) return None.
     """
-    k = float(kappa)
     if direction not in (-1, 1):
         raise InvalidInputError(f"direction must be +1 or -1, got {direction!r}")
-    if sf.curvature == 1:
-        theta = math.atan2(1.0, k)  # in (0, pi)
-        return theta if direction > 0 else theta - math.pi
-    if sf.curvature == 0:
-        if k == 0.0:
-            return None
-        root = 1.0 / k
-        return root if root * direction > 0 else None
-    if abs(k) <= 1.0:
-        return None
-    root = math.atanh(1.0 / k)  # sign of kappa
-    return root if root * direction > 0 else None
+    form, anchor, _ = _anchor(sf, kappa)
+    if form == "sin":
+        return anchor if direction > 0 else anchor - math.pi
+    if form in ("flat", "sinh") and 0.0 < anchor * direction < math.inf:
+        return anchor
+    return None
 
 
 def _inverse_slope(sf: SpaceForm, xi: float) -> float:

@@ -13,6 +13,7 @@ from isoflow import (
     Block,
     InvalidInputError,
     IsoparametricSurface,
+    NumericalRangeError,
     SingularParallelError,
     flow_state,
     make_euclidean_cylinder,
@@ -29,6 +30,7 @@ from isoflow import (
     surface_from_json,
 )
 from isoflow.catalog import sphere_curvature_ladder
+from isoflow.verification import builtin_grid
 
 
 def blocks_of(surface):
@@ -238,6 +240,24 @@ class TestFlipAndParallel:
         np.testing.assert_allclose(twice.curvatures, direct.curvatures, atol=1e-10)
 
 
+class TestBlockOrder:
+    def test_every_grid_surface_reads_the_same_with_its_blocks_reversed(self):
+        for label, surface in builtin_grid():
+            doc = surface.to_dict()
+            doc["blocks"] = doc["blocks"][::-1]
+            assert surface_from_dict(doc).to_dict() == surface.to_dict(), label
+
+    def test_euclidean_curved_block_leads(self):
+        s = IsoparametricSurface(EUCLIDEAN, (Block(0.0, 2), Block(-1.5, 1)),
+                                 "euclidean_cylinder")
+        assert blocks_of(s) == [(-1.5, 1), (0.0, 2)]
+
+    def test_hyperbolic_umbilic_rejects_horosphere_curvature(self):
+        for kappa in (1.0, -1.0):
+            with pytest.raises(InvalidInputError, match="horosphere"):
+                IsoparametricSurface(HYPERBOLIC, (Block(kappa, 2),), "hyperbolic_umbilic")
+
+
 class TestSerialization:
     def test_round_trip(self):
         s = make_hyperbolic_cylinder(2, 3, 3.0)
@@ -258,6 +278,12 @@ class TestSerialization:
     def test_malformed_document(self):
         with pytest.raises(InvalidInputError):
             surface_from_dict({"space_form": 1})
+
+
+def test_flow_state_raises_on_an_overflowing_factor():
+    # sinh(anchor - xi)^2 overflows at xi = -400 while the curvature stays 1.
+    with pytest.raises(NumericalRangeError, match="metric factor"):
+        flow_state(make_hyperbolic_umbilic(2, 2.0), -400.0)
 
 
 def test_flow_state_snapshot():

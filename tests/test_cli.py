@@ -585,3 +585,56 @@ class TestToleranceOverride:
         _, rows = parse_csv(out)
         # looser tolerance still comfortably under the closed form scale
         assert max(r["discrepancy"] for r in rows) < 1e-4
+
+
+class TestSurfaceJson:
+    """--surface-json blocks may come in any order; the surface is the same."""
+
+    @staticmethod
+    def write(tmp_path, name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_euclidean_zero_block_first(self, capsys, tmp_path):
+        # The closed form reads the leading block: a zero block given first must not lead.
+        blocks = [{"kappa": 1.5, "mult": 1}, {"kappa": 0.0, "mult": 2}]
+        docs = [{"space_form": 0, "blocks": order, "family": "euclidean_cylinder"}
+                for order in (blocks, blocks[::-1])]
+        paths = [self.write(tmp_path, f"cyl{i}.json", doc) for i, doc in enumerate(docs)]
+        for argv in (["collapse"], ["evolve", "--t-end", "0.2", "--samples", "5"]):
+            canonical, reversed_ = (run_cli(capsys, *argv, "--surface-json", path)
+                                    for path in paths)
+            assert canonical[0] == 0
+            assert reversed_ == canonical
+
+    def test_hyperbolic_cylinder_small_curvature_first(self, capsys, tmp_path):
+        # The embedding takes sqrt(kappa1^2 - 1) of the leading block: kappa1 must lead.
+        path = self.write(tmp_path, "hcyl.json", {
+            "space_form": -1, "family": "hyperbolic_cylinder",
+            "blocks": [{"kappa": 0.5, "mult": 1}, {"kappa": 2.0, "mult": 1}]})
+        rc, out, _ = run_cli(capsys, "verify", "--surface-json", path)
+        assert rc == 0
+        assert "FAIL" not in out
+        rc, out, _ = run_cli(capsys, "export", "--surface-json", path, "--times", "0.05",
+                             "--resolution", "4", "--output-dir", str(tmp_path))
+        assert rc == 0
+        assert out.strip().endswith("hyperbolic_cylinder_000.csv")
+
+    def test_hyperbolic_umbilic_with_horosphere_curvature_exits_2(self, capsys, tmp_path):
+        # |kappa| = 1 is a horosphere, which the umbilic closed form cannot take.
+        path = self.write(tmp_path, "umb.json", {
+            "space_form": -1, "family": "hyperbolic_umbilic",
+            "blocks": [{"kappa": 1.0, "mult": 2}]})
+        rc, out, err = run_cli(capsys, "collapse", "--surface-json", path)
+        assert (rc, out) == (2, "")
+        assert "horosphere" in err
+
+    def test_overflowing_metric_factor_exits_4(self, capsys):
+        # At xi = -800 the factor sinh^2 overflows while H and kappa_hat_1 stay finite:
+        # one error line and no rows, not a row with an infinite factor.
+        rc, out, err = run_cli(
+            capsys, "evolve", "--family", "hyperbolic-umbilic", "--n", "2", "--kappa", "2",
+            "--t-start", "-400", "--t-end", "0", "--samples", "3", "--engine", "ode")
+        assert (rc, out) == (4, "")
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -26,11 +26,48 @@ from isoflow import (
 )
 from isoflow.catalog import SPHERE, parallel_curvature
 from isoflow.spaceform import focal_offset
-from isoflow.verification import builtin_grid
+from isoflow.verification import a_formula, builtin_grid
 
 
 def fd_slope_at_zero(profile, h=1e-7):
     return (profile.xi(h) - profile.xi(-h)) / (2 * h)
+
+
+def paper_sphere(g, n, a, b, t):
+    """(t*, xi(t)) of the paper's sphere closed form in its constants a and b.
+
+    q(t) = (a + b) e^{g n t} - b runs from a to sqrt(a^2 + g^2) at t*, and
+    g xi = arccot(a / g) - arccos(q / sqrt(a^2 + g^2)).
+    """
+    big = math.hypot(a, g)
+    q = (a + b) * math.exp(g * n * t) - b
+    return (math.log((b + big) / (a + b)) / (g * n),
+            (math.atan2(g, a) - math.acos(q / big)) / g)
+
+
+def paper_hyperbolic(g, n, a, b, t):
+    """(t*, xi(t)) of the paper's hyperbolic closed form in its constants a > g and b.
+
+    ell(t) = b + (a - b) e^{-g n t} runs from a to sqrt(a^2 - g^2) at t*, and
+    g xi = artanh(g / a) - arcosh(ell / sqrt(a^2 - g^2)).
+    """
+    big = math.sqrt(a * a - g * g)
+    ell = b + (a - b) * math.exp(-g * n * t)
+    return (math.log((a - b) / (big - b)) / (g * n),
+            (math.atanh(g / a) - math.acosh(ell / big)) / g)
+
+
+def g4_b(n, k1, m1, m2):
+    """The paper's b of a g=4 family with multiplicities (m1, m2, m1, m2)."""
+    return 2.0 * (m1 - m2) * (k1**2 + 1.0) ** 2 / (n * k1 * (k1**2 - 1.0))
+
+
+def assert_paper_profile(prof, paper, g, n, a, b, sign=1.0, **tol):
+    """t* and xi(t*/2) of ``prof`` against the paper's closed form, to pytest.approx ``tol``."""
+    t_star = paper(g, n, a, b, 0.0)[0]
+    assert prof.t_star == pytest.approx(t_star, **tol)
+    t = 0.5 * t_star
+    assert sign * prof.xi(t) == pytest.approx(paper(g, n, a, b, t)[1], **tol)
 
 
 class TestEuclidean:
@@ -93,12 +130,14 @@ class TestHyperbolicUmbilic:
 
 class TestHyperbolicCylinder:
     def test_parameters(self):
-        prof = resolve_profile(make_hyperbolic_cylinder(1, 1, 2.0))
-        assert prof.params["a"] == pytest.approx(2.5)
-        assert prof.params["b"] == pytest.approx(0.0)
-        # ell(0) = a makes q(0) = 4 and cosh(2 xi(0)) = 1
-        assert prof.params["ell"](0.0) == pytest.approx(2.5)
-        assert prof.params["q"](0.0) == pytest.approx(4.0)
+        surface = make_hyperbolic_cylinder(1, 1, 2.0)
+        prof = resolve_profile(surface)
+        # a = kappa1 + kappa2 and b = a - g H(0) / n, which is 0 for m1 = m2
+        a = 2.0 + 0.5
+        b = a - 2 * surface.mean_curvature_at_zero / surface.n
+        assert b == 0.0
+        assert_paper_profile(prof, paper_hyperbolic, 2, surface.n, a, b)
+        # ell(0) = a makes cosh(2 xi(0)) = 1
         assert abs(prof.xi(0.0)) < 1e-15
 
     def test_collapse_time(self):
@@ -144,11 +183,17 @@ class TestSphereUmbilic:
 
 class TestSphereG2:
     def test_parameters(self):
-        prof = resolve_profile(make_sphere_product(1, 2, 2.0))
-        assert prof.params["a"] == pytest.approx(1.5)
-        assert prof.params["b"] == pytest.approx(0.0)
-        assert prof.params["q"](0.0) == pytest.approx(1.5)
-        assert prof.params["q"](0.25) == pytest.approx(1.5 * math.exp(1.0), rel=1e-14)
+        surface = make_sphere_product(1, 2, 2.0)
+        prof = resolve_profile(surface)
+        # a = kappa1 + kappa2 and b = g H(0) / n - a, which is 0 for l = n - l
+        a = 2.0 - 0.5
+        b = 2 * surface.mean_curvature_at_zero / surface.n - a
+        assert b == 0.0
+        assert_paper_profile(prof, paper_sphere, 2, 2, a, b)
+        # q(t) = a e^{4 t} = sqrt(a^2 + 4) cos(2 (xi* - xi(t)))
+        xi_star = prof.xi_star
+        for t, q in ((0.0, 1.5), (0.1, 1.5 * math.exp(0.4))):
+            assert 2.5 * math.cos(2.0 * (xi_star - prof.xi(t))) == pytest.approx(q, rel=1e-14)
 
     def test_collapse_time(self):
         prof = resolve_profile(make_sphere_product(1, 2, 2.0))
@@ -162,8 +207,11 @@ class TestSphereG2:
 
 class TestSphereG3:
     def test_a_value(self):
-        prof = resolve_profile(sphere_family_from_kappa1(3, 2.0))
-        assert prof.params["a"] == pytest.approx(6.0 / 11.0, abs=1e-12)
+        surface = sphere_family_from_kappa1(3, 2.0)
+        prof = resolve_profile(surface)
+        a = a_formula(3, 2.0)
+        assert a == pytest.approx(6.0 / 11.0, abs=1e-12)
+        assert_paper_profile(prof, paper_sphere, 3, surface.n, a, 0.0, rel=0.0, abs=1e-12)
 
     def test_collapse_time_formula(self):
         prof = resolve_profile(sphere_family_from_kappa1(3, 2.0))
@@ -184,8 +232,10 @@ class TestSphereG4:
         surface = sphere_family_from_kappa1(4, 3.0)
         prof = resolve_profile(surface)
         assert not prof.orientation_flipped
-        assert prof.params["a"] == pytest.approx(7.0 / 6.0, abs=1e-12)
-        assert prof.params["b"] == pytest.approx(0.0, abs=1e-12)
+        a, b = a_formula(4, 3.0), g4_b(surface.n, 3.0, 1, 1)
+        assert a == pytest.approx(7.0 / 6.0, abs=1e-12)
+        assert b == 0.0
+        assert_paper_profile(prof, paper_sphere, 4, surface.n, a, b, rel=0.0, abs=1e-12)
         assert prof.t_star == pytest.approx(math.log(25.0 / 7.0) / 16.0, rel=1e-12)
 
     def test_flip_applied_for_small_kappa1(self):
@@ -201,9 +251,9 @@ class TestSphereG4:
         surface = sphere_family_from_kappa1(4, 3.0, [2, 1, 2, 1])
         prof = resolve_profile(surface)
         n, k1, m1, m2 = surface.n, 3.0, 2, 1
-        b = 2.0 * (m1 - m2) * (k1**2 + 1.0) ** 2 / (n * k1 * (k1**2 - 1.0))
         assert not prof.orientation_flipped
-        assert prof.params["b"] == pytest.approx(b, rel=1e-12)
+        assert_paper_profile(prof, paper_sphere, 4, n, a_formula(4, k1), g4_b(n, k1, m1, m2),
+                             rel=1e-12)
         assert estimate_tstar(surface) == pytest.approx(prof.t_star, abs=1e-7)
 
     def test_unequal_multiplicities_flipped(self):
@@ -216,8 +266,10 @@ class TestSphereG4:
         flipped = surface.flipped()
         n, k1 = flipped.n, flipped.blocks[0].kappa
         m1, m2 = flipped.blocks[0].mult, flipped.blocks[1].mult
-        b = 2.0 * (m1 - m2) * (k1**2 + 1.0) ** 2 / (n * k1 * (k1**2 - 1.0))
-        assert prof.params["b"] == pytest.approx(b, rel=1e-12)
+        assert (k1, m1, m2) == (pytest.approx(2.0), 2, 1)
+        # The profile restores the given orientation: its xi is the flipped one negated.
+        assert_paper_profile(prof, paper_sphere, 4, n, a_formula(4, k1), g4_b(n, k1, m1, m2),
+                             rel=1e-12, sign=-1.0)
         assert estimate_tstar(surface) == pytest.approx(prof.t_star, abs=1e-7)
 
 
@@ -225,10 +277,10 @@ class TestSphereG6:
     def test_a_is_ladder_sum(self):
         surface = sphere_family_from_kappa1(6, 4.0)
         prof = resolve_profile(surface)
-        assert prof.params["a"] == pytest.approx(sum(surface.curvatures), abs=1e-12)
-        assert prof.t_star == pytest.approx(
-            math.log1p(36.0 / prof.params["a"] ** 2) / 72.0, rel=1e-12
-        )
+        a = a_formula(6, 4.0)
+        assert a == pytest.approx(sum(surface.curvatures), abs=1e-12)
+        assert prof.t_star == pytest.approx(math.log1p(36.0 / a**2) / 72.0, rel=1e-12)
+        assert_paper_profile(prof, paper_sphere, 6, surface.n, a, 0.0, rel=1e-12)
 
     def test_flipped_instance_matches_ode(self):
         surface = sphere_family_from_kappa1(6, 3.0)

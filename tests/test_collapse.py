@@ -21,6 +21,7 @@ from isoflow import (
     parallel_curvature,
     resolve_profile,
     sphere_family_from_kappa1,
+    surface_from_dict,
     verification,
 )
 from isoflow.catalog import SPHERE
@@ -146,6 +147,14 @@ class TestExpectedDimensions:
         assert focal_dimension_expected(sphere_family_from_kappa1(6, 4.0)) == 5
         assert focal_dimension_expected(make_horosphere(3, 1.0)) is None
         assert focal_dimension_expected(make_hyperbolic_umbilic(2, 0.5)) is None
+
+    def test_prediction_matches_analysis_with_blocks_given_in_any_order(self):
+        # The oracle reads blocks[1].mult, m2 = 2, so kappa2 = 1/kappa1 must not lead.
+        surface = surface_from_dict({"space_form": -1, "family": "hyperbolic_cylinder",
+                                     "blocks": [{"kappa": 0.5, "mult": 2},
+                                                {"kappa": 2.0, "mult": 1}]})
+        assert focal_dimension_expected(surface) == 2
+        assert closed_report(surface).focal_dimension == 2
 
     def test_predictions_match_analysis_on_flipped(self):
         for surface in (

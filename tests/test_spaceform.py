@@ -129,6 +129,15 @@ class TestParallelCurvature:
             assert parallel_curvature(HYPERBOLIC, 1.0, xi) == 1.0
             assert parallel_curvature(HYPERBOLIC, -1.0, xi) == -1.0
 
+    def test_coth_is_its_sign_where_cosh_and_sinh_overflow(self):
+        # cosh and sinh overflow at |anchor - xi| ~ 800, where coth is +-1 in doubles;
+        # every finite quotient keeps its bits.
+        assert parallel_curvature(HYPERBOLIC, 2.0, -800.0) == 1.0
+        assert parallel_curvature(HYPERBOLIC, -2.0, 800.0) == -1.0
+        got = parallel_curvature(HYPERBOLIC, 2.0, np.array([-800.0, -10.0, 0.25, 800.0]))
+        delta = math.atanh(0.5) - np.array([-10.0, 0.25])
+        np.testing.assert_array_equal(got, [1.0, *(np.cosh(delta) / np.sinh(delta)), -1.0])
+
 
 class TestMetricFactor:
     def test_offset_zero_is_one(self):

@@ -1,0 +1,137 @@
+"""One JSON digest of what the isoflow CLI prints and writes, for byte-for-byte comparisons.
+
+    python3 tools/output_digest.py --out digest.json [--src path/to/src] [--seeds 0,1]
+
+The digest holds the exit code, stdout and stderr of
+
+* every ``isoflow collapse`` op of the perfbench collapse-sweep seeds,
+* ``isoflow verify`` on the built-in grid,
+* every ``isoflow --help`` text,
+* a fixed set of ``isoflow evolve`` windows,
+
+and, for every export-cloud op of the seeds, its exit code, output and the
+sha256 of each CSV and JSON file it writes.  The ops come from
+``perfbench/workloads.py``, which is only read.  Each op runs in process
+through ``isoflow.cli.main``; a warning is shown once per op, as in a fresh
+interpreter, and the path of the source tree in a warning reads ``<src>``.
+A change meant to keep every output byte runs the tool on the parent
+checkout (``--src``) and on the change and compares the two files with
+``cmp``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+import warnings
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# (name, argv) of the evolve windows: every engine and format, backward and
+# clipped windows, and the families with and without a collapse.
+EVOLVE = [
+    ("euclidean-both-csv", ["--family", "euclidean-cylinder", "--m", "2", "--n", "3",
+                            "--kappa", "-1.5", "--t-start", "-0.2", "--t-end", "0.3",
+                            "--samples", "11"]),
+    ("horosphere-ode-json", ["--family", "horosphere", "--n", "3", "--kappa", "1",
+                             "--t-end", "2", "--samples", "5", "--engine", "ode",
+                             "--format", "json"]),
+    ("hyperbolic-umbilic-eternal", ["--family", "hyperbolic-umbilic", "--n", "2",
+                                    "--kappa", "0.5", "--t-start", "-0.5", "--t-end", "5",
+                                    "--samples", "12"]),
+    ("hyperbolic-cylinder-closed", ["--family", "hyperbolic-cylinder", "--m1", "2",
+                                    "--m2", "1", "--kappa1", "1.5", "--t-end", "1",
+                                    "--samples", "9", "--engine", "closed"]),
+    ("sphere-g4-flipped-json", ["--family", "sphere-g4", "--kappa1", "2", "--mults", "1,2,1,2",
+                                "--t-start", "-0.1", "--t-end", "0.2", "--samples", "7",
+                                "--format", "json"]),
+    ("sphere-product-tol", ["--family", "sphere-product", "--l", "2", "--n", "5",
+                            "--kappa1", "2", "--t-end", "0.05", "--samples", "6",
+                            "--rel-tol", "1e-8", "--abs-tol", "1e-10"]),
+]
+
+HELP = [[], ["evolve"], ["collapse"], ["verify"], ["export"]]
+
+
+def run_cli(cli, argv):
+    """[exit code, stdout, stderr] of one in-process call; an uncaught exception is its outcome."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("default")
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # --help and argparse errors
+            rc = exc.code
+        except Exception as exc:
+            rc = f"uncaught {type(exc).__name__}: {exc}"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return [rc, out.getvalue(), err.getvalue().replace(src, "<src>")]
+
+
+def _sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def digest(src, seeds=(0, 1), sections=("collapse", "verify", "export", "help", "evolve"),
+           limit=None):
+    """The digest as a dict; ``limit`` keeps the first ops of each seeded section."""
+    sys.path.insert(0, src)
+    sys.path.insert(1, ROOT)
+    import isoflow.cli as cli
+    from perfbench import workloads
+
+    doc = {}
+    if "collapse" in sections:
+        doc["collapse"] = {
+            str(seed): {op: run_cli(cli, ["collapse"] + workloads.argv(spec))
+                        for op, spec in workloads.collapse_sweep(seed)[:limit]}
+            for seed in seeds}
+    if "verify" in sections:
+        doc["verify"] = run_cli(cli, ["verify"])
+    if "export" in sections:
+        doc["export"] = {}
+        for seed in seeds:
+            ops = {}
+            for i, (op, spec, t, res, _) in enumerate(workloads.export_clouds(seed)[:limit]):
+                with tempfile.TemporaryDirectory() as out_dir:
+                    stem = f"op{i:02d}"
+                    rc, stdout, stderr = run_cli(cli, ["export"] + workloads.argv(spec) + [
+                        "--times", repr(t), "--resolution", ",".join(map(str, res)),
+                        "--output-dir", out_dir, "--stem", stem])
+                    files = {name: _sha256(os.path.join(out_dir, name))
+                             for name in sorted(os.listdir(out_dir))}
+                    ops[f"{op}/{i}"] = [rc, stdout.replace(out_dir, "<out>"), stderr, files]
+            doc["export"][str(seed)] = ops
+    if "help" in sections:
+        doc["help"] = {" ".join(argv) or "isoflow": run_cli(cli, argv + ["--help"])
+                       for argv in HELP}
+    if "evolve" in sections:
+        doc["evolve"] = {name: run_cli(cli, ["evolve"] + argv) for name, argv in EVOLVE}
+    return doc
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="the JSON file to write")
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
+                        help="the src directory whose isoflow runs (default this checkout's)")
+    parser.add_argument("--seeds", default="0,1", help="comma-separated workload seeds")
+    args = parser.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",")]
+    doc = digest(os.path.abspath(args.src), seeds)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
