@@ -39,7 +39,6 @@ from .embedding import (
 )
 from .errors import (
     AnalysisIncompleteError,
-    FamilyMismatchError,
     IntegrationFailureError,
     InvalidFrameError,
     InvalidInputError,

@@ -172,9 +172,14 @@ def _validate_surface(surface: IsoparametricSurface):
                 f"{surface.space_form.curvature} with {len(blocks)} blocks"
             )
         if surface.family == "horosphere" and abs(blocks[0].kappa) != 1.0:
-            raise InvalidInputError("horosphere blocks must have kappa = +-1")
+            raise InvalidInputError(
+                f"a horosphere has kappa = +-1, got {blocks[0].kappa}; other values are "
+                "umbilic hypersurfaces (make_hyperbolic_umbilic)")
         if surface.family == "hyperbolic_umbilic" and abs(blocks[0].kappa) == 1.0:
             raise InvalidInputError("hyperbolic umbilic blocks need |kappa| != 1: a horosphere")
+    elif not surface.is_minimal:
+        raise InvalidInputError(
+            f"family 'minimal' needs sum(m_i kappa_i) = 0, got {surface.mean_curvature_at_zero!r}")
     kappas = [b.kappa for b in blocks]
     for i in range(1, len(kappas)):  # sorted blocks: the closest two are neighbours
         if abs(kappas[i - 1] - kappas[i]) <= BLOCK_SEPARATION_TOL:
@@ -303,23 +308,15 @@ def make_euclidean_cylinder(m: int, n: int, kappa: float) -> IsoparametricSurfac
 def make_horosphere(n: int, kappa: float) -> IsoparametricSurface:
     """Horosphere in hyperbolic space: all curvatures equal to +1 or -1."""
     _positive_int(n, "n")
-    kappa = float(kappa)
-    if kappa not in (-1.0, 1.0):
-        raise InvalidInputError(
-            f"a horosphere has kappa = +-1, got {kappa}; other values are umbilic "
-            "hypersurfaces (make_hyperbolic_umbilic)"
-        )
-    return IsoparametricSurface(HYPERBOLIC, (Block(kappa, n),), "horosphere")
+    return IsoparametricSurface(HYPERBOLIC, (Block(float(kappa), n),), "horosphere")
 
 
 def make_hyperbolic_umbilic(n: int, kappa: float) -> IsoparametricSurface:
     """Totally umbilic hypersurface of hyperbolic space with |kappa| not in {0, 1}."""
     _positive_int(n, "n")
     kappa = float(kappa)
-    if kappa == 0.0 or abs(kappa) == 1.0:
-        raise InvalidInputError(
-            f"kappa={kappa} is a geodesic hyperplane or horosphere; handled elsewhere"
-        )
+    if kappa == 0.0:
+        raise InvalidInputError("kappa = 0 is a geodesic hyperplane; build it with make_minimal")
     return IsoparametricSurface(HYPERBOLIC, (Block(kappa, n),), "hyperbolic_umbilic")
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import IsoparametricSurface
-from .errors import FamilyMismatchError, InvalidInputError, NumericalRangeError
+from .errors import InvalidInputError, NumericalRangeError
 
 _INF = math.inf
 
@@ -117,7 +117,10 @@ def _build_curved(surface):
     elif g == 1:
         d = (kappas[0] - 1.0) * (kappas[0] + 1.0)
     else:
-        d = (kappas[0] - kappas[1]) ** 2
+        try:
+            d = (kappas[0] - kappas[1]) ** 2
+        except OverflowError:  # kappa1 past ~1.34e154: t* underflows below
+            d = _INF
     r = math.sqrt(max(d, 0.0))
     if a > 0.0:
         r_plus, r_minus = r + a, kbar * g * g / (r + a)
@@ -176,31 +179,22 @@ def _build_curved(surface):
     return t_star, xi_sinh if anchor is None else xi_anchored, pair
 
 
-_BUILDERS = dict.fromkeys(
-    ("hyperbolic_umbilic", "hyperbolic_cylinder", "sphere_umbilic",
-     "sphere_g2", "sphere_g3", "sphere_g4", "sphere_g6"),
-    _build_curved,
-)
-_BUILDERS.update(euclidean_cylinder=_build_euclidean, horosphere=_build_horosphere)
-
-
 def resolve_profile(surface: IsoparametricSurface) -> ClosedFormProfile:
     """Closed-form profile for any catalog surface.
 
     Minimal surfaces give the constant profile; negative-mean-curvature
     surfaces are resolved through the flipped orientation with output signs
-    restored.  Raises NumericalRangeError if t* is below the least normal
-    double, e.g. at huge curvatures.
+    restored.  The builder follows the geometry: flat, a horosphere (one
+    block of curvature 1 in H^{n+1}), or curved.  Raises NumericalRangeError
+    if t* is below the least normal double, e.g. at huge curvatures.
     """
     if surface.is_minimal:
         return ClosedFormProfile(surface.family, surface, _INF, np.zeros_like, None)
     flipped = surface.mean_curvature_at_zero < 0.0
     resolved = surface.flipped() if flipped else surface
-    builder = _BUILDERS.get(resolved.family)
-    if builder is None:
-        raise FamilyMismatchError(
-            f"no closed form available for family {surface.family!r}"
-        )
+    kbar = resolved.space_form.curvature
+    horosphere = kbar == -1 and resolved.curvatures == (1.0,)
+    builder = _build_euclidean if kbar == 0 else _build_horosphere if horosphere else _build_curved
     t_star, xi, pair = builder(resolved)
     if not t_star >= sys.float_info.min:
         raise NumericalRangeError(f"{resolved.family} collapse time underflows to {t_star!r}")

@@ -89,7 +89,8 @@ def analyze(surface: IsoparametricSurface, profile) -> CollapseReport:
             "profile carries no collapse information; integrate past the collapse "
             "time or to a longer horizon"
         )
-    flipped = bool(getattr(profile, "orientation_flipped", False))
+    # The orientation is the surface's: its flow runs toward -xi when H(0) < 0.
+    direction, offsets = focal_blocks(surface)
     sf, blocks = surface.space_form, surface.blocks
     collapses = math.isfinite(t_star)
     t_eval = t_star - _limit_eval_offset(t_star) if collapses else ETERNAL_CHECK_TIME
@@ -100,7 +101,6 @@ def analyze(surface: IsoparametricSurface, profile) -> CollapseReport:
     factors = tuple(float(parallel_metric_factor(sf, b.kappa, xi_end)) for b in blocks)
 
     if collapses:
-        offsets = focal_blocks(surface)[1]
         nearest = min(abs(off) for off in offsets.values())
         degenerate = [i for i, off in offsets.items()
                       if abs(abs(off) - nearest) < 1e-12 * (1.0 + nearest)]
@@ -111,7 +111,7 @@ def analyze(surface: IsoparametricSurface, profile) -> CollapseReport:
             focal_dim = surface.n - sum(blocks[i].mult for i in degenerate)
         residual = abs(_inverse_slope(sf, xi_end) - blocks[degenerate[0]].kappa)
         return CollapseReport(float(t_star), kind, degenerate[0], focal_dim, residual,
-                              factors, flipped)
+                              factors, direction < 0)
 
     # No finite collapse: distinguish eternal from a totally geodesic limit.
     hats = np.array([float(parallel_curvature(sf, b.kappa, xi_end)) for b in blocks])
@@ -123,7 +123,7 @@ def analyze(surface: IsoparametricSurface, profile) -> CollapseReport:
         raise AnalysisIncompleteError(
             f"flow at t={t_eval} has neither constant nor vanishing curvatures"
         )
-    return CollapseReport(math.inf, kind, None, None, None, factors, flipped)
+    return CollapseReport(math.inf, kind, None, None, None, factors, direction < 0)
 
 
 def focal_dimension_expected(surface: IsoparametricSurface) -> int | None:

@@ -12,18 +12,9 @@ class InvalidInputError(IsoflowError, ValueError):
 class SingularParallelError(IsoflowError):
     """The parallel offset hit a focal point: the denominator c - kappa*s vanished."""
 
-    def __init__(self, message, xi=None, kappa=None):
-        super().__init__(message)
-        self.xi = xi
-        self.kappa = kappa
-
 
 class InvalidFrameError(IsoflowError, ValueError):
     """An ambient (position, normal) pair violates the space-form constraints."""
-
-
-class FamilyMismatchError(IsoflowError, ValueError):
-    """A surface was passed to a resolver for a different family."""
 
 
 class UnsupportedEmbeddingError(IsoflowError):

@@ -101,26 +101,15 @@ def _anchor(sf: SpaceForm, kappa: float):
         raise InvalidInputError(f"curvature must be finite, got {kappa!r}")
     if sf.curvature == 0:
         return "flat", 1.0 / k if k else math.inf, k
+    # k * k overflows past |k| ~ 1.34e154, where sqrt(1 + k^2) and sqrt(k^2 - 1) are |k|.
+    big = k * k == math.inf
     if sf.curvature == 1:
-        return "sin", math.atan2(1.0, k), math.sqrt(1.0 + k * k)
+        return "sin", math.atan2(1.0, k), abs(k) if big else math.sqrt(1.0 + k * k)
     if abs(k) == 1.0:
         return "exp", math.copysign(math.inf, k), k
     if abs(k) < 1.0:
         return "cosh", math.atanh(k), math.sqrt(1.0 - k * k)
-    return "sinh", math.atanh(1.0 / k), math.copysign(math.sqrt(k * k - 1.0), k)
-
-
-def parallel_denominator(sf: SpaceForm, kappa: float, xi):
-    """Stable evaluation of c(xi) - kappa * s(xi) in the anchored form of _anchor."""
-    arr = _check_finite(xi)
-    form, anchor, scale = _anchor(sf, kappa)
-    if form == "flat":
-        den = 1.0 - scale * arr
-    elif form == "exp":
-        den = np.exp(-scale * arr)
-    else:
-        den = scale * getattr(np, form)(anchor - arr)
-    return _like(xi, den)
+    return "sinh", math.atanh(1.0 / k), k if big else math.copysign(math.sqrt(k * k - 1.0), k)
 
 
 def parallel_curvature(sf: SpaceForm, kappa: float, xi):
@@ -147,8 +136,8 @@ def parallel_curvature(sf: SpaceForm, kappa: float, xi):
     else:
         den = 1.0 - scale * arr if form == "flat" else scale * np.sin(anchor - arr)
     if np.any(np.abs(den) < SINGULAR_DEN_TOL):
-        raise SingularParallelError(f"focal point reached: |c - kappa s| < "
-                                    f"{SINGULAR_DEN_TOL:g} for kappa={k!r}", xi=xi, kappa=k)
+        raise SingularParallelError(
+            f"focal point reached: |c - kappa s| < {SINGULAR_DEN_TOL:g} for kappa={k!r}")
     if form == "flat":
         out = scale / den
     elif form == "sin":
@@ -159,9 +148,17 @@ def parallel_curvature(sf: SpaceForm, kappa: float, xi):
 def parallel_metric_factor(sf: SpaceForm, kappa: float, xi):
     """Diagonal metric coefficient (c - kappa s)^2 of a principal direction.
 
-    Always >= 0; vanishes exactly where parallel_curvature blows up.
+    c - kappa s is evaluated in the anchored form of _anchor.  Always >= 0;
+    vanishes exactly where parallel_curvature blows up.
     """
-    den = parallel_denominator(sf, kappa, xi)
+    arr = _check_finite(xi)
+    form, anchor, scale = _anchor(sf, kappa)
+    if form == "flat":
+        den = 1.0 - scale * arr
+    elif form == "exp":
+        den = np.exp(-scale * arr)
+    else:
+        den = scale * getattr(np, form)(anchor - arr)
     return _like(xi, np.asarray(den) ** 2)
 
 

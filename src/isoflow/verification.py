@@ -130,8 +130,7 @@ class Case:
 
 def check_validation(case):
     rebuilt = catalog.surface_from_dict(case.surface.to_dict())
-    ok = rebuilt.to_dict() == case.surface.to_dict()
-    return CheckResult("validation", case.label, ok, "JSON round-trip re-validates")
+    return rebuilt.to_dict() == case.surface.to_dict(), "JSON round-trip re-validates"
 
 
 def check_oracle_agreement(case):
@@ -140,10 +139,7 @@ def check_oracle_agreement(case):
     numeric = flow_ode.integrate(case.surface, float(ts[-1]), case.opts,
                                  _quadrature=case.quadrature)
     diff = float(np.max(np.abs(profile.xi(ts) - numeric.xi(ts))))
-    return CheckResult(
-        "oracle-agreement", case.label, diff <= ORACLE_TOL,
-        f"max |xi_closed - xi_ode| = {diff:.3e} (tol {ORACLE_TOL:g})",
-    )
+    return diff <= ORACLE_TOL, f"max |xi_closed - xi_ode| = {diff:.3e} (tol {ORACLE_TOL:g})"
 
 
 def _ode_residual(surface, profile):
@@ -163,36 +159,24 @@ def _ode_residual(surface, profile):
 
 def check_ode_residual(case):
     worst = _ode_residual(case.surface, case.profile)
-    return CheckResult(
-        "ode-residual", case.label, worst <= ODE_RESIDUAL_TOL,
-        f"max |d xi/dt - H| = {worst:.3e} (tol {ODE_RESIDUAL_TOL:g})",
-    )
+    return worst <= ODE_RESIDUAL_TOL, f"max |d xi/dt - H| = {worst:.3e} (tol {ODE_RESIDUAL_TOL:g})"
 
 
 def check_tstar_consistency(case):
     t_closed, t_num = case.profile.t_star, case.quadrature[0]
     if math.isinf(t_closed) or math.isinf(t_num):
-        ok = math.isinf(t_closed) and math.isinf(t_num)
-        return CheckResult("tstar-consistency", case.label, ok,
-                           f"closed {t_closed}, ode {t_num}")
+        return math.isinf(t_closed) and math.isinf(t_num), f"closed {t_closed}, ode {t_num}"
     diff = abs(t_closed - t_num)
-    return CheckResult(
-        "tstar-consistency", case.label, diff <= TSTAR_TOL,
-        f"|t*_closed - t*_ode| = {diff:.3e} (tol {TSTAR_TOL:g})",
-    )
+    return diff <= TSTAR_TOL, f"|t*_closed - t*_ode| = {diff:.3e} (tol {TSTAR_TOL:g})"
 
 
 def check_focal_dimension(case):
     report = case.report
     expected = collapse.focal_dimension_expected(case.surface)
     if expected is None:
-        return CheckResult("focal-dimension", case.label, True,
-                           f"no stated claim (limit {report.limit_kind})")
-    ok = report.focal_dimension == expected
-    return CheckResult(
-        "focal-dimension", case.label, ok,
-        f"analyze {report.focal_dimension} vs predicted {expected}",
-    )
+        return True, f"no stated claim (limit {report.limit_kind})"
+    return (report.focal_dimension == expected,
+            f"analyze {report.focal_dimension} vs predicted {expected}")
 
 
 def check_focal_condition(case):
@@ -200,19 +184,17 @@ def check_focal_condition(case):
     curvature equals the cot/coth/1-over slope of xi(t*)."""
     surface, profile = case.surface, case.profile
     if not math.isfinite(profile.t_star):
-        return CheckResult("focal-condition", case.label, True, "eternal flow")
+        return True, "eternal flow"
     k_deg = surface.blocks[case.report.degenerate_block_index].kappa
     residual = abs(_inverse_slope(surface.space_form, profile.xi_star) - k_deg)
-    return CheckResult(
-        "focal-condition", case.label, residual <= FOCAL_LIMIT_TOL,
-        f"|slope(xi*) - kappa_deg| = {residual:.3e} (tol {FOCAL_LIMIT_TOL:g})",
-    )
+    return (residual <= FOCAL_LIMIT_TOL,
+            f"|slope(xi*) - kappa_deg| = {residual:.3e} (tol {FOCAL_LIMIT_TOL:g})")
 
 
 def check_pythagorean(case):
     profile = case.profile
     if profile.angle_pair(0.0) is None:
-        return CheckResult("pythagorean", case.label, True, "family has no pair form")
+        return True, "family has no pair form"
     kbar = case.surface.space_form.curvature  # the pair is circular for 1, hyperbolic for -1
     t_star = profile.t_star
     hi = t_star if math.isfinite(t_star) else ETERNAL_WINDOW
@@ -221,25 +203,20 @@ def check_pythagorean(case):
     lo = -2.0 / case.surface.n if kbar == -1 else -2.0
     co, si = profile.angle_pair(np.linspace(lo, hi, 1000))
     worst = float(np.max(np.abs(co * co + kbar * (si * si) - 1.0)))
-    return CheckResult(
-        "pythagorean", case.label, worst <= PYTHAGOREAN_TOL,
-        f"max |pair identity residual| = {worst:.3e} (tol {PYTHAGOREAN_TOL:g})",
-    )
+    return (worst <= PYTHAGOREAN_TOL,
+            f"max |pair identity residual| = {worst:.3e} (tol {PYTHAGOREAN_TOL:g})")
 
 
 def check_xi_zero(case):
     value = abs(case.profile.xi(0.0))
-    return CheckResult(
-        "xi-zero", case.label, value <= XI_ZERO_TOL,
-        f"|xi(0)| = {value:.3e} (tol {XI_ZERO_TOL:g})",
-    )
+    return value <= XI_ZERO_TOL, f"|xi(0)| = {value:.3e} (tol {XI_ZERO_TOL:g})"
 
 
 def check_embedding_constraints(case):
     try:
         embedding.get_embedding(case.surface)
     except UnsupportedEmbeddingError:
-        return CheckResult("embedding-constraints", case.label, True, "no embedding")
+        return True, "no embedding"
     profile = case.profile
     t_star = profile.t_star
     times = [0.0, 0.5, 1.0] if math.isinf(t_star) else [0.0, 0.5 * t_star, 0.9 * t_star]
@@ -247,8 +224,7 @@ def check_embedding_constraints(case):
         warnings.simplefilter("ignore")
         # Each SampledSurface checks its quadric to 1e-10; deque(maxlen=0) drops it at once.
         deque(embedding.snapshots(case.surface, 4, times, profile), maxlen=0)
-    return CheckResult("embedding-constraints", case.label, True,
-                       f"frames on the quadric at {len(times)} times")
+    return True, f"frames on the quadric at {len(times)} times"
 
 
 INSTANCE_CHECKS = {
@@ -290,7 +266,7 @@ def a_formula(g: int, kappa1: float) -> float:
     raise ValueError(g)
 
 
-def check_curvature_parametrization(opts):
+def check_curvature_parametrization():
     """Cotangent-ladder consistency across the spherical families."""
     worst = {"pair": 0.0, "kappa4": 0.0, "a": 0.0, "cyl": 0.0}
     for g in (2, 3, 4, 6):
@@ -321,10 +297,10 @@ def check_curvature_parametrization(opts):
         f"{worst['kappa4']:.2e}; sum vs a-formula: {worst['a']:.2e}; "
         f"cylinder product: {worst['cyl']:.2e}"
     )
-    return CheckResult("curvature-parametrization", "global", ok, detail)
+    return ok, detail
 
 
-def check_typo_resolution(opts):
+def check_typo_resolution():
     """Recorded resolutions of the two printed collapse-time discrepancies.
 
     The hyperbolic-cylinder collapse time with the 1/(2n) prefactor must equal
@@ -351,11 +327,8 @@ def check_typo_resolution(opts):
             denom = m1 * (k1 * k1 + 1.0) ** 2 - 2.0 * n * k1 * k1
             t_prose = math.log(m1 * (k1 * k1 + 1.0) ** 2 / denom) / (4 * n)
             worst_g4 = max(worst_g4, abs(t_ab - t_prose))
-    ok = worst_cyl <= 1e-12 and worst_g4 <= 1e-10
-    return CheckResult(
-        "typo-resolution", "global", ok,
-        f"cylinder t* forms: {worst_cyl:.2e}; g4 t* forms: {worst_g4:.2e}",
-    )
+    return (worst_cyl <= 1e-12 and worst_g4 <= 1e-10,
+            f"cylinder t* forms: {worst_cyl:.2e}; g4 t* forms: {worst_g4:.2e}")
 
 
 _CHUNK = 2**14
@@ -380,7 +353,7 @@ def _splitmix64_uniform(z, tmp, out):
     return out
 
 
-def check_cs_identity(opts, samples=10**6, seed=20240801):
+def check_cs_identity(samples=10**6, seed=20240801):
     """c^2 + kbar s^2 = 1 within 4 ulp of the largest intermediate.
 
     Draw i, for i over the samples // 3 draws per ambient in turn, is the
@@ -412,10 +385,7 @@ def check_cs_identity(opts, samples=10**6, seed=20240801):
             np.abs(c, out=c)
             c /= ulp
             worst = max(worst, float(np.max(c)))
-    return CheckResult(
-        "identities", "global", worst <= 4.0,
-        f"max identity residual = {worst:.2f} ulp (tol 4)",
-    )
+    return worst <= 4.0, f"max identity residual = {worst:.2f} ulp (tol 4)"
 
 
 GLOBAL_CHECKS = {
@@ -430,12 +400,11 @@ ALL_CHECKS = tuple(INSTANCE_CHECKS) + tuple(GLOBAL_CHECKS)
 def run_verification(surfaces=None, checks=None, opts=None):
     """Run the requested checks; returns a list of CheckResult, check by check.
 
-    Each surface is one Case, so the checks share its profile, quadrature
-    and collapse report.  An instance check that raises an IsoflowError
-    gives a FAIL naming the error.
+    Each check gives (passed, detail); its name is its key in INSTANCE_CHECKS
+    or GLOBAL_CHECKS.  Each surface is one Case, so the checks share its
+    profile, quadrature and collapse report.  An instance check that raises
+    an IsoflowError gives a FAIL naming the error.
     """
-    if opts is None:
-        opts = flow_ode.DEFAULT_OPTIONS
     if checks is None:
         checks = ALL_CHECKS
     unknown = [c for c in checks if c not in ALL_CHECKS]
@@ -443,17 +412,17 @@ def run_verification(surfaces=None, checks=None, opts=None):
         raise ValueError(f"unknown checks {unknown}; available: {sorted(ALL_CHECKS)}")
     if surfaces is None:
         surfaces = builtin_grid()
-    cases = [Case(label, surface, opts) for label, surface in surfaces]
+    cases = [Case(label, surface, opts or flow_ode.DEFAULT_OPTIONS) for label, surface in surfaces]
     results = []
     for name in checks:
         if name in GLOBAL_CHECKS:
-            results.append(GLOBAL_CHECKS[name](opts))
+            results.append(CheckResult(name, "global", *GLOBAL_CHECKS[name]()))
             continue
         fn = INSTANCE_CHECKS[name]
         for case in cases:
             try:
-                results.append(fn(case))
+                passed, detail = fn(case)
             except IsoflowError as exc:  # a check that cannot finish fails
-                detail = f"{type(exc).__name__}: {exc}"
-                results.append(CheckResult(name, case.label, False, detail))
+                passed, detail = False, f"{type(exc).__name__}: {exc}"
+            results.append(CheckResult(name, case.label, passed, detail))
     return results

@@ -103,9 +103,9 @@ def test_criterion_3_ode_residual():
     """Finite differences of every closed form satisfy the flow ODE to 1e-6."""
     worst = 0.0
     for label, surface in GRID:
-        result = check_ode_residual(Case(label, surface))
-        assert result.passed, f"{label}: {result.detail}"
-        worst = max(worst, float(result.detail.split("=")[1].split("(")[0]))
+        passed, detail = check_ode_residual(Case(label, surface))
+        assert passed, f"{label}: {detail}"
+        worst = max(worst, float(detail.split("=")[1].split("(")[0]))
     report(3, True, f"100 interior samples per instance, max residual = {worst:.2e} (tol 1e-6)")
 
 
@@ -216,29 +216,29 @@ def test_criterion_5s_focal_condition_at_exact_limit():
 
 def test_criterion_6_identity_suite():
     """cs identity to 4 ulp over 1e6 samples; pair identities; xi(0) = 0."""
-    ident = check_cs_identity(None)
-    assert ident.passed, ident.detail
+    ident_passed, ident_detail = check_cs_identity()
+    assert ident_passed, ident_detail
     worst_pair = 0.0
     worst_zero = 0.0
     for label, surface in GRID:
         case = Case(label, surface)
-        pair = check_pythagorean(case)
-        zero = check_xi_zero(case)
-        assert pair.passed, f"{label}: {pair.detail}"
-        assert zero.passed, f"{label}: {zero.detail}"
-    report(6, True, f"{ident.detail}; pair identities <= 1e-10; |xi(0)| <= 1e-12")
+        pair_passed, pair_detail = check_pythagorean(case)
+        zero_passed, zero_detail = check_xi_zero(case)
+        assert pair_passed, f"{label}: {pair_detail}"
+        assert zero_passed, f"{label}: {zero_detail}"
+    report(6, True, f"{ident_detail}; pair identities <= 1e-10; |xi(0)| <= 1e-12")
 
 
 def test_criterion_7_curvature_parametrization():
-    result = check_curvature_parametrization(None)
-    report(7, result.passed, result.detail)
-    assert result.passed
+    passed, detail = check_curvature_parametrization()
+    report(7, passed, detail)
+    assert passed
 
 
 def test_criterion_8_collapse_time_form_equivalences():
-    result = check_typo_resolution(None)
-    report(8, result.passed, result.detail)
-    assert result.passed
+    passed, detail = check_typo_resolution()
+    report(8, passed, detail)
+    assert passed
 
 
 def test_criterion_9_export_constraints(tmp_path):

@@ -203,6 +203,16 @@ class TestMinimal:
         with pytest.raises(InvalidInputError):
             make_minimal(SPHERE, [(1.0, 2)])
 
+    def test_minimal_tag_needs_a_vanishing_mean_curvature(self):
+        # The validator rejects it where it is built, not the closed form later.
+        doc = {"space_form": 1, "blocks": [{"kappa": 2.0, "mult": 1}], "family": "minimal"}
+        with pytest.raises(InvalidInputError, match="family 'minimal' needs"):
+            surface_from_dict(doc)
+        for sf, blocks in ((SPHERE, [(1.0, 1), (-1.0, 1)]), (EUCLIDEAN, [(0.0, 3)]),
+                           (HYPERBOLIC, [(0.0, 2)])):
+            minimal = make_minimal(sf, blocks)
+            assert surface_from_dict(minimal.to_dict()) == minimal
+
 
 class TestMeanCurvature:
     def test_initial_values(self):

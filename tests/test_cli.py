@@ -12,7 +12,7 @@ import warnings
 import pytest
 
 import isoflow
-from isoflow import cli
+from isoflow import cli, verification
 from isoflow.cli import main
 from isoflow.collapse import ETERNAL_CHECK_TIME
 from isoflow.embedding import Embedding
@@ -221,6 +221,25 @@ class TestCollapse:
         rc, out, err = run_cli(capsys, "collapse", *argv)
         assert rc == code
         assert out == "" and err.startswith("error: ")
+
+    def test_hyperbolic_cylinder_whose_curvature_gap_squared_overflows(self, capsys, tmp_path):
+        # (kappa1 - kappa2)^2 overflows past kappa1 ~ 1.34e154, where t* ~ 1 / (2 m1 kappa1^2)
+        # lies below the least normal double: one error line and exit 4, not a traceback.
+        surface = ["--family", "hyperbolic-cylinder", "--m1", "1", "--m2", "1",
+                   "--kappa1", "1e155"]
+        for argv in (["collapse"], ["evolve", "--t-end", "0.1", "--samples", "3"],
+                     ["export", "--times", "0", "--output-dir", str(tmp_path)]):
+            rc, out, err = run_cli(capsys, *argv, *surface)
+            assert (rc, out) == (4, ""), argv
+            assert err == "error: hyperbolic_cylinder collapse time underflows to 0.0\n"
+        rc, out, _ = run_cli(capsys, "verify", *surface)
+        fails = [line.split(None, 2) for line in out.splitlines() if line.startswith("FAIL")]
+        assert rc == 1
+        assert [check for _, check, _ in fails] == [
+            check for check in verification.INSTANCE_CHECKS if check != "validation"]
+        for _, _, detail in fails:
+            assert detail.startswith("cli surface: NumericalRangeError: hyperbolic_cylinder "
+                                     "collapse time underflows")
 
     def test_eternal_reports_null(self, capsys):
         rc, out, _ = run_cli(
@@ -629,6 +648,16 @@ class TestSurfaceJson:
         rc, out, err = run_cli(capsys, "collapse", "--surface-json", path)
         assert (rc, out) == (2, "")
         assert "horosphere" in err
+
+    def test_minimal_tag_on_a_non_minimal_surface_exits_2(self, capsys, tmp_path):
+        # Every command rejects it as it reads the document, the ODE engine included.
+        path = self.write(tmp_path, "minimal.json", {
+            "space_form": 1, "family": "minimal", "blocks": [{"kappa": 2.0, "mult": 1}]})
+        for argv in (["collapse"], ["verify"],
+                     ["evolve", "--t-end", "0.1", "--samples", "3", "--engine", "ode"]):
+            rc, out, err = run_cli(capsys, *argv, "--surface-json", path)
+            assert (rc, out) == (2, ""), argv
+            assert err == "error: family 'minimal' needs sum(m_i kappa_i) = 0, got 2.0\n"
 
     def test_overflowing_metric_factor_exits_4(self, capsys):
         # At xi = -800 the factor sinh^2 overflows while H and kappa_hat_1 stay finite:

@@ -8,7 +8,6 @@ import pytest
 from isoflow import (
     EUCLIDEAN,
     Block,
-    FamilyMismatchError,
     InvalidInputError,
     IsoparametricSurface,
     NumericalRangeError,
@@ -85,9 +84,9 @@ class TestEuclidean:
         )
 
     def test_family_mismatch(self):
-        # A non-minimal sphere tagged "minimal" has no closed form to dispatch to.
-        with pytest.raises(FamilyMismatchError):
-            resolve_profile(IsoparametricSurface(EUCLIDEAN, (Block(2.0, 2),), "minimal"))
+        # A non-minimal sphere tagged "minimal" is rejected where it is built.
+        with pytest.raises(InvalidInputError, match="family 'minimal' needs"):
+            IsoparametricSurface(EUCLIDEAN, (Block(2.0, 2),), "minimal")
 
 
 class TestHorosphere:

@@ -61,6 +61,16 @@ class TestFocalCollapse:
         report = closed_report(make_hyperbolic_cylinder(2, 3, 3.0))
         assert report.focal_dimension == 3  # m2
 
+    def test_both_engines_report_the_orientation_of_the_surface(self):
+        # H(0) < 0 flips the orientation whichever engine gave the profile.
+        flipped = [(label, s) for label, s in verification.builtin_grid()
+                   if not s.is_minimal and s.mean_curvature_at_zero < 0]
+        assert len(flipped) > 5
+        for label, surface in flipped:
+            numeric = estimate_tstar(surface, full_output=True)[3]
+            for profile in (resolve_profile(surface), numeric):
+                assert analyze(surface, profile).orientation_flipped, label
+
     def test_flipped_surface_degenerates_last_block(self):
         surface = sphere_family_from_kappa1(4, 2.0)  # mean curvature < 0
         report = closed_report(surface)
@@ -204,7 +214,7 @@ def _two_branch_analyze(surface, profile):
     t_star = getattr(profile, "t_star", None)
     if t_star is None:
         raise AnalysisIncompleteError("profile carries no collapse information")
-    flipped = bool(getattr(profile, "orientation_flipped", False))
+    flipped = not surface.is_minimal and surface.mean_curvature_at_zero < 0
     sf = surface.space_form
     if math.isfinite(t_star):
         xi_end = float(profile.xi(clamp(t_star - _limit_eval_offset(t_star))))

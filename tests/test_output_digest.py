@@ -34,3 +34,30 @@ def test_digest_of_a_small_subset():
     # Each op runs in process, so a second digest of the same ops is the same.
     assert tool.digest(str(ROOT / "src"), seeds=(0,), limit=2, sections=("export",)) == {
         "export": doc["export"]}
+
+
+def test_diff_names_each_op_and_line_that_differs(tmp_path, capsys):
+    tool = _tool()
+    old = {"collapse": {"0": {"op/a": [0, "x\ny\n", ""], "op/b": [0, "z\n", ""]}},
+           "export": {"0": {"op/0": [0, "<out>/f.csv\n", "", {"f.csv": "aa"}]}},
+           "verify": [1, "PASS a\nFAIL b\n", ""]}
+    new = json.loads(json.dumps(old))
+    new["collapse"]["0"]["op/a"][1] = "x\nw\n"
+    new["export"]["0"]["op/0"][3]["f.csv"] = "bb"
+    new["verify"][0] = 0
+    paths = []
+    for name, doc in (("old", old), ("new", new)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(doc))
+    old_path, new_path = map(str, paths)
+    assert tool.main(["--diff", old_path, old_path]) == 0
+    assert capsys.readouterr().out == "the digests are identical\n"
+    assert tool.main(["--diff", old_path, new_path]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "collapse/0/op/a", "  stdout", "    - y", "    + w",
+        "export/0/op/0", "  files", "    - {'f.csv': 'aa'}", "    + {'f.csv': 'bb'}",
+        "verify", "  rc", "    - 1", "    + 0",
+    ]
+    del new["collapse"]["0"]["op/b"]
+    assert tool.diff(old, new)[:4] == ["collapse/0/op/a", "  stdout", "    - y", "    + w"]
+    assert "collapse/0/op/b: only in the old digest" in tool.diff(old, new)

@@ -18,6 +18,8 @@ from isoflow import (
     SpaceForm,
     cs_eval,
     focal_offset,
+    make_sphere_umbilic,
+    mean_curvature,
     parallel_curvature,
     parallel_metric_factor,
     parallel_point,
@@ -138,11 +140,20 @@ class TestParallelCurvature:
         delta = math.atanh(0.5) - np.array([-10.0, 0.25])
         np.testing.assert_array_equal(got, [1.0, *(np.cosh(delta) / np.sinh(delta)), -1.0])
 
+    def test_curvature_whose_square_overflows(self):
+        # kappa^2 overflows past |kappa| ~ 1.34e154; the block's scale is |kappa| there.
+        assert parallel_curvature(SPHERE, 1e200, 0.0) == 1e200
+        assert mean_curvature(make_sphere_umbilic(2, 1e200), 0.0) == 2e200
+
 
 class TestMetricFactor:
     def test_offset_zero_is_one(self):
         for sf in ALL_FORMS:
             assert parallel_metric_factor(sf, 1.7, 0.0) == pytest.approx(1.0, abs=1e-15)
+
+    def test_offset_zero_is_one_where_the_curvature_squared_overflows(self):
+        for sf in (SPHERE, HYPERBOLIC):
+            assert parallel_metric_factor(sf, 1e200, 0.0) == 1.0
 
     def test_focal_degeneracy_on_sphere(self):
         assert parallel_metric_factor(SPHERE, 1.0, math.pi / 4) == pytest.approx(0.0, abs=1e-30)

@@ -121,12 +121,12 @@ def test_cs_identity_streams_the_one_shot_draws(monkeypatch, samples, seed):
         return cs_eval(sf, xi)
 
     monkeypatch.setattr(verification, "cs_eval", recording_cs_eval)
-    result = verification.check_cs_identity(None, samples=samples, seed=seed)
+    passed, detail = verification.check_cs_identity(samples=samples, seed=seed)
     worst, draws = _one_shot_cs_identity(samples, seed)
     assert max(len(xi) for xi in seen) <= 2**14
     np.testing.assert_array_equal(np.concatenate(seen), draws)
-    assert result.detail == f"max identity residual = {worst:.2f} ulp (tol 4)"
-    assert result.passed == (worst <= 4.0)
+    assert detail == f"max identity residual = {worst:.2f} ulp (tol 4)"
+    assert passed == (worst <= 4.0)
 
 
 def _traced_peak(fn):
@@ -141,7 +141,7 @@ def _traced_peak(fn):
 
 def test_identities_peak_memory():
     # The one-shot draws peaked at 22.9 MiB.
-    assert _traced_peak(lambda: verification.check_cs_identity(None)) <= 2 * MiB
+    assert _traced_peak(verification.check_cs_identity) <= 2 * MiB
 
 
 def test_embedding_constraints_holds_one_snapshot(grid):

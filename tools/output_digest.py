@@ -1,6 +1,7 @@
 """One JSON digest of what the isoflow CLI prints and writes, for byte-for-byte comparisons.
 
     python3 tools/output_digest.py --out digest.json [--src path/to/src] [--seeds 0,1]
+    python3 tools/output_digest.py --diff old.json new.json
 
 The digest holds the exit code, stdout and stderr of
 
@@ -16,13 +17,15 @@ through ``isoflow.cli.main``; a warning is shown once per op, as in a fresh
 interpreter, and the path of the source tree in a warning reads ``<src>``.
 A change meant to keep every output byte runs the tool on the parent
 checkout (``--src``) and on the change and compares the two files with
-``cmp``.
+``--diff``: it prints each op whose outcome differs, with each differing
+line (``-`` old, ``+`` new), and exits 0 only when the digests are identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
@@ -118,13 +121,56 @@ def digest(src, seeds=(0, 1), sections=("collapse", "verify", "export", "help", 
     return doc
 
 
+FIELDS = ("rc", "stdout", "stderr", "files")
+
+
+def diff(old, new, path=""):
+    """The lines naming each op of two digests that differs, each followed by its
+    differing fields: the -/+ lines of an output, or the old and new value."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        lines = []
+        for key in sorted(old.keys() | new.keys()):
+            where = f"{path}/{key}" if path else key
+            if key in old and key in new:
+                lines += diff(old[key], new[key], where)
+            else:
+                lines.append(f"{where}: only in the {'old' if key in old else 'new'} digest")
+        return lines
+    if old == new:
+        return []
+    if not (isinstance(old, list) and isinstance(new, list) and len(old) == len(new)):
+        return [path, f"  - {old!r}", f"  + {new!r}"]
+    lines = [path]
+    for field, was, now in zip(FIELDS, old, new):
+        if was == now:
+            continue
+        lines.append(f"  {field}")
+        if isinstance(was, str) and isinstance(now, str):
+            lines += [f"    {line}" for line in difflib.ndiff(was.splitlines(), now.splitlines())
+                      if line[:2] in ("- ", "+ ")]
+        else:
+            lines += [f"    - {was!r}", f"    + {now!r}"]
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", required=True, help="the JSON file to write")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", help="the JSON file to write")
+    mode.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
+                      help="compare two digests; exit 0 only if they are identical")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="the src directory whose isoflow runs (default this checkout's)")
     parser.add_argument("--seeds", default="0,1", help="comma-separated workload seeds")
     args = parser.parse_args(argv)
+    if args.diff:
+        docs = []
+        for name in args.diff:
+            with open(name, encoding="utf-8") as fh:
+                docs.append(json.load(fh))
+        lines = diff(*docs)
+        print("\n".join(lines) if lines else "the digests are identical")
+        return 1 if lines else 0
     seeds = [int(s) for s in args.seeds.split(",")]
     doc = digest(os.path.abspath(args.src), seeds)
     with open(args.out, "w", encoding="utf-8") as fh:
