@@ -61,7 +61,6 @@ from .spaceform import (
     SpaceForm,
     cs_eval,
     focal_offset,
-    inner,
     parallel_curvature,
     parallel_metric_factor,
     parallel_point,

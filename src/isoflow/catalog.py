@@ -112,15 +112,12 @@ class IsoparametricSurface:
             "family": self.family,
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
 
 def surface_from_dict(data: dict) -> IsoparametricSurface:
     """Rebuild a surface from its JSON document, re-running all validation."""
     try:
-        sf = SpaceForm(int(data["space_form"]))
-        blocks = tuple(Block(float(b["kappa"]), int(b["mult"])) for b in data["blocks"])
+        sf = SpaceForm(data["space_form"])
+        blocks = tuple(Block(float(b["kappa"]), b["mult"]) for b in data["blocks"])
         family = str(data["family"])
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed surface document: {exc}") from exc
@@ -189,28 +186,20 @@ def _validate_surface(surface: IsoparametricSurface):
     g = len(blocks)
     if kbar == 1:
         _validate_spherical(surface)
-    elif kbar == -1:
-        if g > 2:
-            raise InvalidInputError(
-                f"a hyperbolic isoparametric hypersurface has at most 2 distinct "
-                f"curvatures, got {g}"
-            )
-        if g == 2:
-            prod = kappas[0] * kappas[1]
-            if abs(prod - 1.0) > PATTERN_TOL:
-                raise InvalidInputError(
-                    f"hyperbolic cylinder needs kappa1*kappa2 = 1, got {prod}"
-                )
-    else:
-        if g > 2:
-            raise InvalidInputError(
-                f"a Euclidean isoparametric hypersurface has at most 2 distinct "
-                f"curvatures, got {g}"
-            )
-        if g == 2 and min(abs(k) for k in kappas) > BLOCK_SEPARATION_TOL:
-            raise InvalidInputError(
-                "a two-block Euclidean surface must have one zero-curvature block"
-            )
+        return
+    if g > 2:
+        raise InvalidInputError(
+            f"a {'hyperbolic' if kbar else 'Euclidean'} isoparametric hypersurface has "
+            f"at most 2 distinct curvatures, got {g}"
+        )
+    if g == 2 and kbar == -1 and abs(kappas[0] * kappas[1] - 1.0) > PATTERN_TOL:
+        raise InvalidInputError(
+            f"hyperbolic cylinder needs kappa1*kappa2 = 1, got {kappas[0] * kappas[1]}"
+        )
+    if g == 2 and kbar == 0 and min(abs(k) for k in kappas) > BLOCK_SEPARATION_TOL:
+        raise InvalidInputError(
+            "a two-block Euclidean surface must have one zero-curvature block"
+        )
 
 
 def _clifford_delta(m: int) -> int:
@@ -360,19 +349,11 @@ def make_sphere_product(l: int, n: int, kappa1: float) -> IsoparametricSurface:
     return IsoparametricSurface(SPHERE, blocks, "sphere_g2")
 
 
-_G_MULT_RULES = {
-    2: "any positive pair (l, n-l)",
-    3: "equal multiplicities in {1,2,4,8}",
-    4: "positive (m1, m2, m1, m2)",
-    6: "equal multiplicities in {1,2}",
-}
-
-
 def sphere_curvatures_from_g(g: int, s_param: float, mults=None) -> IsoparametricSurface:
     """Spherical family with g distinct curvatures cot(s + (j-1) pi/g).
 
     ``s_param`` must lie in (0, pi/g); ``mults`` defaults to all ones and must
-    satisfy the multiplicity pattern of the family (see _G_MULT_RULES).
+    satisfy the multiplicity pattern of the family, which the validator checks.
     """
     if g not in (2, 3, 4, 6):
         raise InvalidInputError(f"g must be one of 2, 3, 4, 6, got {g!r}")
@@ -384,7 +365,7 @@ def sphere_curvatures_from_g(g: int, s_param: float, mults=None) -> Isoparametri
     mults = [int(m) for m in mults]
     if len(mults) != g or any(m < 1 for m in mults):
         raise InvalidInputError(
-            f"g={g} needs {g} positive multiplicities ({_G_MULT_RULES[g]}), got {mults}"
+            f"g={g} needs {g} positive multiplicities, got {mults}"
         )
     kappas = sphere_curvature_ladder(g, s)
     blocks = tuple(Block(k, m) for k, m in zip(kappas, mults))
@@ -438,16 +419,14 @@ def mean_curvature(surface: IsoparametricSurface, xi):
 
 @dataclass(frozen=True)
 class FlowState:
-    """Snapshot of an evolving surface: offset, curvatures, mean curvature, factors."""
+    """Snapshot of an evolving surface: curvatures, mean curvature, factors."""
 
-    t: float
-    xi: float
     kappa_hat: tuple
     mean_curvature: float
     factors: tuple
 
 
-def flow_state(surface: IsoparametricSurface, xi: float, t: float = 0.0) -> FlowState:
+def flow_state(surface: IsoparametricSurface, xi: float) -> FlowState:
     sf = surface.space_form
     hats = tuple(float(parallel_curvature(sf, b.kappa, xi)) for b in surface.blocks)
     h = float(sum(b.mult * k for b, k in zip(surface.blocks, hats)))
@@ -456,4 +435,4 @@ def flow_state(surface: IsoparametricSurface, xi: float, t: float = 0.0) -> Flow
     if not all(map(math.isfinite, facts)):
         raise NumericalRangeError(
             f"a metric factor at xi = {float(xi)!r} leaves double range: {facts}")
-    return FlowState(t=float(t), xi=float(xi), kappa_hat=hats, mean_curvature=h, factors=facts)
+    return FlowState(kappa_hat=hats, mean_curvature=h, factors=facts)

@@ -9,8 +9,7 @@ export    write evolved point clouds as CSV plus JSON sidecars
 
 Exit codes: 0 success, 2 invalid surface or configuration, 3 unsupported
 operation, 4 numerical failure.  Diagnostics go to stderr, data to stdout or
-files.  The environment variable ISOFLOW_TOL overrides the default ODE
-tolerances (rel_tol = ISOFLOW_TOL, abs_tol = ISOFLOW_TOL / 100).
+files.
 """
 
 from __future__ import annotations
@@ -113,20 +112,6 @@ def build_surface(args):
     return construct(args)
 
 
-def _options_from(args) -> OdeOptions:
-    rel = DEFAULT_OPTIONS.rel_tol
-    abs_ = DEFAULT_OPTIONS.abs_tol
-    env = os.environ.get("ISOFLOW_TOL")
-    if env:
-        rel = float(env)
-        abs_ = rel / 100.0
-    if getattr(args, "rel_tol", None) is not None:
-        rel = args.rel_tol
-    if getattr(args, "abs_tol", None) is not None:
-        abs_ = args.abs_tol
-    return OdeOptions(rel_tol=rel, abs_tol=abs_)
-
-
 def _open_output(path):
     """The output stream as a context manager: stdout is left open."""
     if path is None or path == "-":
@@ -139,7 +124,10 @@ def _open_output(path):
 
 def cmd_evolve(args) -> int:
     surface = build_surface(args)
-    opts = _options_from(args)
+    opts = OdeOptions(args.rel_tol, args.abs_tol)
+    if not (math.isfinite(args.t_start) and math.isfinite(args.t_end)):
+        raise InvalidInputError(
+            f"--t-start and --t-end must be finite, got {args.t_start!r} and {args.t_end!r}")
     times = np.linspace(args.t_start, args.t_end, args.samples)
     earliest = min(args.t_start, args.t_end)
 
@@ -177,7 +165,7 @@ def cmd_evolve(args) -> int:
     rows = []
     for t in keep:
         xi = float(primary(t))
-        state = flow_state(surface, xi, t)
+        state = flow_state(surface, xi)
         row = {
             "t": float(t),
             "xi": xi,
@@ -210,10 +198,10 @@ def cmd_evolve(args) -> int:
 
 def cmd_collapse(args) -> int:
     surface = build_surface(args)
-    opts = _options_from(args)
+    opts = OdeOptions(args.rel_tol, args.abs_tol)
     profile = resolve_profile(surface)
     report_closed = analyze(surface, profile)
-    t_ode, err_bound, _, numeric = estimate_tstar(surface, opts, full_output=True)
+    t_ode, err_bound, numeric = estimate_tstar(surface, opts, full_output=True)
     report_ode = analyze(surface, numeric)
 
     if math.isinf(profile.t_star) and math.isinf(t_ode):
@@ -248,7 +236,7 @@ def cmd_collapse(args) -> int:
 # verify
 
 def cmd_verify(args) -> int:
-    opts = _options_from(args)
+    opts = OdeOptions(args.rel_tol, args.abs_tol)
     checks = args.check if args.check else None
     if args.surface_json or args.family:
         surfaces = [("cli surface", build_surface(args))]
@@ -333,8 +321,8 @@ def _build_parser():
     )
     p_verify.set_defaults(fn=cmd_verify)
     for p in (p_evolve, p_collapse, p_verify):
-        p.add_argument("--rel-tol", type=float)
-        p.add_argument("--abs-tol", type=float)
+        p.add_argument("--rel-tol", type=float, default=DEFAULT_OPTIONS.rel_tol)
+        p.add_argument("--abs-tol", type=float, default=DEFAULT_OPTIONS.abs_tol)
 
     p_export = sub.add_parser("export", help="write evolved point clouds")
     _add_surface_args(p_export)
@@ -356,7 +344,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (InvalidInputError, InvalidFrameError, json.JSONDecodeError,
-            FileNotFoundError, ValueError, MemoryError) as exc:
+            OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except UnsupportedEmbeddingError as exc:

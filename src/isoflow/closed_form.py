@@ -38,7 +38,6 @@ class ClosedFormProfile:
     """
 
     family: str
-    surface: IsoparametricSurface
     t_star: float
     _xi_resolved: callable
     _pair: callable  # t -> (co, si), or None
@@ -189,7 +188,7 @@ def resolve_profile(surface: IsoparametricSurface) -> ClosedFormProfile:
     if t* is below the least normal double, e.g. at huge curvatures.
     """
     if surface.is_minimal:
-        return ClosedFormProfile(surface.family, surface, _INF, np.zeros_like, None)
+        return ClosedFormProfile(surface.family, _INF, np.zeros_like, None)
     flipped = surface.mean_curvature_at_zero < 0.0
     resolved = surface.flipped() if flipped else surface
     kbar = resolved.space_form.curvature
@@ -198,4 +197,4 @@ def resolve_profile(surface: IsoparametricSurface) -> ClosedFormProfile:
     t_star, xi, pair = builder(resolved)
     if not t_star >= sys.float_info.min:
         raise NumericalRangeError(f"{resolved.family} collapse time underflows to {t_star!r}")
-    return ClosedFormProfile(resolved.family, surface, t_star, xi, pair, flipped)
+    return ClosedFormProfile(resolved.family, t_star, xi, pair, flipped)

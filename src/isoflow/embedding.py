@@ -134,15 +134,9 @@ class Embedding:
     and size 1 along the axes it is constant on.
     """
 
-    family: str
-    surface: IsoparametricSurface
     ambient_dim: int
     axis_kinds: tuple  # per intrinsic axis: "polar" | "azimuth" | "box"
     _frame: callable = None
-
-    @property
-    def intrinsic_dim(self) -> int:
-        return len(self.axis_kinds)
 
     def frame_grid(self, resolution, extent: float = 1.0):
         """Evaluate (F, N) on a parameter grid.
@@ -152,7 +146,7 @@ class Embedding:
         ``_frame`` makes them.  A frame that overflows raises
         InvalidFrameError, as check_frame would.
         """
-        dims = self.intrinsic_dim
+        dims = len(self.axis_kinds)
         if np.ndim(resolution) == 0:
             resolution = [int(resolution)] * dims
         resolution = [int(r) for r in resolution]
@@ -262,7 +256,7 @@ def get_embedding(surface: IsoparametricSurface) -> Embedding:
             shifted = (uu / 2.0, *u, 1.0 - uu / 2.0)
             return (1.0 + uu / 2.0, *u, -uu / 2.0), tuple(-kappa * x for x in shifted)
 
-        return Embedding(family, surface, n + 2, ("box",) * n, frame)
+        return Embedding(n + 2, ("box",) * n, frame)
 
     if family == "euclidean_cylinder":
         m, kappa = surface.blocks[0].mult, surface.blocks[0].kappa
@@ -285,7 +279,7 @@ def get_embedding(surface: IsoparametricSurface) -> Embedding:
     width = sum(dims + (chart is not None) for chart, dims, _, _ in factors)
     axis_kinds = sum((_sphere_axes(dims) if chart is _unit_sphere else ("box",) * dims
                       for chart, dims, _, _ in factors), ())
-    return Embedding(family, surface, width, axis_kinds, _product_frame(factors))
+    return Embedding(width, axis_kinds, _product_frame(factors))
 
 
 def snapshots(surface: IsoparametricSurface, resolution, times, profile,

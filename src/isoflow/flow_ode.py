@@ -73,12 +73,11 @@ class OdeOptions:
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = math.inf
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "max_step"):
-            if not getattr(self, name) > 0.0:
-                raise InvalidInputError(f"{name} must be positive")
+        for name in ("rel_tol", "abs_tol"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise InvalidInputError(f"{name} must be positive and finite")
         if self.rel_tol < 1e-14:
             raise InvalidInputError("rel_tol below 1e-14 is not resolvable in doubles")
 
@@ -261,7 +260,7 @@ def solve_ivp(fun, t_end: float, opts: OdeOptions) -> _Run:
     attempt, 3 per accepted step.
     """
     exponent = -1.0 / 8  # -1 / (order of the error estimate + 1)
-    rtol, atol, max_step = opts.rel_tol, opts.abs_tol, opts.max_step
+    rtol, atol = opts.rel_tol, opts.abs_tol
     sign, span = math.copysign(1.0, t_end), abs(t_end)
     # select_initial_step at y0 = 0, where norm(y0 / scale) = 0 picks h0 = 1e-6.
     f = fun(0.0)
@@ -272,7 +271,7 @@ def solve_ivp(fun, t_end: float, opts: OdeOptions) -> _Run:
         h_abs = max(1e-6, h0 * 1e-3)
     else:
         h_abs = (0.01 / max(d1, d2)) ** -exponent
-    h_abs = min(100 * h0, h_abs, span, max_step)
+    h_abs = min(100 * h0, h_abs, span)
 
     t, y, nfev, accepted, rejected = 0.0, 0.0, 2, 0, 0
     times, xis, steps, coeffs = [0.0], [0.0], [], []
@@ -282,7 +281,7 @@ def solve_ivp(fun, t_end: float, opts: OdeOptions) -> _Run:
 
     while True:
         min_step = 10 * abs(math.nextafter(t, sign * math.inf) - t)
-        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        h_abs = max(h_abs, min_step)
         retried = False
         while True:
             if h_abs < min_step:
@@ -332,13 +331,11 @@ class NumericProfile:
     ``accepted_steps`` and ``rejected_steps`` count the DOP853 work.
     """
 
-    surface: IsoparametricSurface
     times: np.ndarray
     xi_values: np.ndarray
     termination: str  # "reached_t_end" | "hit_singularity"
     t_domain: tuple
     t_star: float | None = None
-    t_star_bracket: tuple | None = None
     t_star_error_bound: float | None = None
     nfev: int = 0
     accepted_steps: int = 0
@@ -417,8 +414,8 @@ def integrate(surface: IsoparametricSurface, t_end: float, opts: OdeOptions = DE
     A forward run whose window reaches the collapse time t* of a focal
     target ends at t* - collapse._limit_eval_offset(t*), the time
     collapse.analyze reads, with termination "hit_singularity"; the profile
-    then carries the collapse time of ``estimate_tstar`` with its error bound
-    and bracket.  ``_quadrature`` is that (t*, bound) when the caller already
+    then carries the collapse time of ``estimate_tstar`` with its error
+    bound.  ``_quadrature`` is that (t*, bound) when the caller already
     has it.  A window short of t* runs to t_end.  Raises
     IntegrationFailureError if the solver gives up first.
     """
@@ -432,7 +429,6 @@ def integrate(surface: IsoparametricSurface, t_end: float, opts: OdeOptions = DE
         lo, hi = min(0.0, t_end), max(0.0, t_end)
         times = np.array([lo, hi]) if t_end != 0.0 else np.array([0.0])
         return NumericProfile(
-            surface=surface,
             times=times,
             xi_values=np.zeros_like(times),
             termination="reached_t_end",
@@ -448,20 +444,17 @@ def integrate(surface: IsoparametricSurface, t_end: float, opts: OdeOptions = DE
         if t_end >= quadrature[0]:
             t_star, bound = quadrature
             t_end = t_star - _limit_eval_offset(t_star)
-    collapses = bound is not None
 
     run = solve_ivp(_kernel(surface), t_end, opts)
     if run.status == -1:
         raise IntegrationFailureError(f"integration failed before t = {t_end!r}: {run.message}")
 
     return NumericProfile(
-        surface=surface,
         times=np.array(run.times),
         xi_values=np.array(run.xi_values),
-        termination="hit_singularity" if collapses else "reached_t_end",
+        termination="reached_t_end" if bound is None else "hit_singularity",
         t_domain=(min(0.0, t_end), max(0.0, t_end)),
         t_star=t_star,
-        t_star_bracket=(t_star - bound, t_star + bound) if collapses else None,
         t_star_error_bound=bound,
         nfev=run.nfev,
         accepted_steps=run.accepted,
@@ -480,7 +473,7 @@ def estimate_tstar(
 
     The value is the graded Gauss-Legendre quadrature of t* = int_0^{xi*}
     d(zeta) / H(zeta), with the measured |Q32 - Q16| as error bound.
-    ``full_output=True`` returns (estimate, error bound, bracket, profile):
+    ``full_output=True`` returns (estimate, error bound, profile):
     ``integrate`` toward 2 t* (it ends at the collapse time first) or, for an
     eternal flow, up to ``ETERNAL_CHECK_TIME``, where ``collapse.analyze``
     reads it.  Only the profile uses ``opts``.
@@ -490,4 +483,4 @@ def estimate_tstar(
         return t_star
     t_end = 2.0 * t_star if math.isfinite(t_star) else ETERNAL_CHECK_TIME
     profile = integrate(surface, t_end, opts, _quadrature=(t_star, bound))
-    return t_star, bound, (t_star - bound, t_star + bound), profile
+    return t_star, bound, profile

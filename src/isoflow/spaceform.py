@@ -54,7 +54,7 @@ class SpaceForm:
     curvature: int
 
     def __post_init__(self):
-        if self.curvature not in (-1, 0, 1):
+        if type(self.curvature) is not int or self.curvature not in (-1, 0, 1):
             raise InvalidInputError(
                 f"ambient curvature must be one of -1, 0, +1, got {self.curvature!r}"
             )
@@ -190,28 +190,6 @@ def _inverse_slope(sf: SpaceForm, xi: float) -> float:
     return math.cosh(xi) / math.sinh(xi)
 
 
-def inner(sf: SpaceForm, u, v):
-    """Ambient inner product along the last axis.
-
-    Lorentzian (negative sign on the first coordinate) when kbar = -1,
-    Euclidean otherwise.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    prod = np.sum(u * v, axis=-1)
-    if sf.curvature == -1:
-        prod = prod - 2.0 * u[..., 0] * v[..., 0]
-    return prod
-
-
-def _columns(X):
-    """The columns of a frame: a tuple of float arrays as it is, else the last axis of an array."""
-    if isinstance(X, tuple):
-        return X
-    X = np.asarray(X, dtype=float)
-    return tuple(X[..., i] for i in range(X.shape[-1]))
-
-
 def _row_sum(A, B):
     """sum_i A_i B_i over the columns, broadcast over the points.
 
@@ -240,13 +218,11 @@ def check_frame(sf: SpaceForm, F, N, tol: float = FRAME_TOL):
     exponentially large components whose inner products cannot cancel below
     roundoff at that scale.
 
-    F and N are arrays with vectors on the last axis, or tuples of columns:
-    one float array per ambient coordinate, broadcast against each other
-    over the points, so a column may keep size 1 along the axes it is
-    constant on.  Batch shapes that do not broadcast raise numpy's
-    ValueError.
+    F and N are tuples of columns: one float array per ambient coordinate,
+    broadcast against each other over the points, so a column may keep size
+    1 along the axes it is constant on.  Batch shapes that do not broadcast
+    raise numpy's ValueError.
     """
-    F, N = _columns(F), _columns(N)
     if len(F) != len(N):
         raise InvalidFrameError(f"F has {len(F)} coordinates and N {len(N)}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -281,8 +257,7 @@ def parallel_point(sf: SpaceForm, F, N, xi):
     xi_arr = _check_finite(xi)
     if xi_arr.ndim != 0:
         raise InvalidInputError("parallel_point takes a scalar offset")
-    F = np.asarray(F, dtype=float)
-    N = np.asarray(N, dtype=float)
+    F, N = (tuple(np.moveaxis(np.asarray(X, dtype=float), -1, 0)) for X in (F, N))
     check_frame(sf, F, N)
     points, normals = parallel_map(sf, F, N, float(xi_arr))
     return np.stack(points, axis=-1), np.stack(normals, axis=-1)
@@ -291,14 +266,14 @@ def parallel_point(sf: SpaceForm, F, N, xi):
 def parallel_map(sf: SpaceForm, F, N, xi: float):
     """parallel_point for frames that check_frame has accepted, column by column.
 
-    F and N are arrays or tuples of columns, as check_frame takes them.
-    Returns (points, normals) as tuples of columns, each with the roundings
-    of c F + s N and -kbar s F + c N.
+    F and N are tuples of columns, as check_frame takes them.  Returns
+    (points, normals) as tuples of columns, each with the roundings of
+    c F + s N and -kbar s F + c N.
     """
     c, s = cs_eval(sf, xi)
     k = -sf.curvature * s
     points, normals = [], []
-    for f, n in zip(_columns(F), _columns(N)):
+    for f, n in zip(F, N):
         points.append(c * f + s * n)
         normals.append(c * n + k * f)
     return tuple(points), tuple(normals)

@@ -19,7 +19,6 @@ from isoflow import (
     export_csv,
     focal_dimension_expected,
     get_embedding,
-    inner,
     integrate,
     make_euclidean_cylinder,
     make_hyperbolic_cylinder,
@@ -45,6 +44,15 @@ from isoflow.verification import (
 )
 
 GRID = builtin_grid()
+
+
+def inner(sf, u, v):
+    """Reference: the ambient inner product along the last axis, Lorentzian in H^n."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    prod = np.sum(u * v, axis=-1)
+    if sf.curvature == -1:
+        prod = prod - 2.0 * u[..., 0] * v[..., 0]
+    return prod
 
 
 def report(criterion, passed, detail):

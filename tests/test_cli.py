@@ -150,6 +150,15 @@ class TestEvolve:
                              "--t-end", "1")
         assert rc == 2
 
+    @pytest.mark.parametrize("window", [["--t-end", "nan"], ["--t-end", "inf"],
+                                        ["--t-start=-inf", "--t-end", "0.1"]])
+    def test_non_finite_window_exits_2(self, capsys, window):
+        rc, out, err = run_cli(capsys, "evolve", "--family", "sphere-umbilic", "--n", "2",
+                               "--kappa", "1", "--engine", "closed", *window)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: --t-start and --t-end must be finite")
+        assert err.count("\n") == 1
+
     def test_minimal_tag_with_nonzero_curvature_sum_exit_2(self, capsys, tmp_path):
         doc = {"space_form": 1, "blocks": [{"kappa": 1.0, "mult": 2}],
                "family": "minimal"}
@@ -593,17 +602,45 @@ with redirect_stdout(io.StringIO()):
         assert len(list(tmp_path.glob("*.csv"))) == 2
 
 
-class TestToleranceOverride:
-    def test_env_var_applies(self, capsys, monkeypatch):
-        monkeypatch.setenv("ISOFLOW_TOL", "1e-6")
-        rc, out, _ = run_cli(
-            capsys, "evolve", "--family", "sphere-umbilic", "--n", "2", "--kappa", "1",
-            "--t-end", "0.1", "--engine", "both", "--samples", "5",
-        )
+class TestTolerances:
+    EVOLVE = ("evolve", "--family", "sphere-umbilic", "--n", "2", "--kappa", "1",
+              "--t-end", "0.1", "--engine", "both", "--samples", "5")
+
+    def test_flags_apply(self, capsys):
+        rc, out, _ = run_cli(capsys, *self.EVOLVE, "--rel-tol", "1e-6", "--abs-tol", "1e-8")
         assert rc == 0
-        _, rows = parse_csv(out)
+        loose = [r["discrepancy"] for r in parse_csv(out)[1]]
         # looser tolerance still comfortably under the closed form scale
-        assert max(r["discrepancy"] for r in rows) < 1e-4
+        assert max(loose) < 1e-4
+        default = [r["discrepancy"] for r in parse_csv(run_cli(capsys, *self.EVOLVE)[1])[1]]
+        assert loose != default
+
+    @pytest.mark.parametrize("argv", [
+        ["collapse", "--family", "sphere-umbilic", "--n", "2", "--kappa", "1",
+         "--abs-tol", "inf"],
+        [*EVOLVE, "--rel-tol", "inf", "--abs-tol", "inf"],
+    ])
+    def test_infinite_tolerance_exits_2(self, capsys, argv):
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and "must be positive and finite" in err
+
+
+class TestUnusablePaths:
+    @pytest.mark.parametrize("argv", [
+        ["collapse", "--surface-json", "{dir}"],
+        ["collapse", "--family", "sphere-umbilic", "--n", "2", "--kappa", "1",
+         "--output", "{dir}"],
+        ["export", "--family", "euclidean-cylinder", "--m", "1", "--n", "2", "--kappa", "1",
+         "--times", "0", "--output-dir", "{file}"],
+    ])
+    def test_directory_or_file_in_the_wrong_place_exits_2(self, capsys, tmp_path, argv):
+        # A directory where a file is read or written, and a file where a directory is made.
+        (tmp_path / "file").write_text("")
+        argv = [a.format(dir=tmp_path, file=tmp_path / "file") for a in argv]
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestSurfaceJson:
@@ -639,6 +676,24 @@ class TestSurfaceJson:
                              "--resolution", "4", "--output-dir", str(tmp_path))
         assert rc == 0
         assert out.strip().endswith("hyperbolic_cylinder_000.csv")
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"space_form": 0.5, "family": "euclidean_cylinder",
+          "blocks": [{"kappa": 1.5, "mult": 2}]}, "ambient curvature"),
+        ({"space_form": True, "family": "sphere_umbilic",
+          "blocks": [{"kappa": 1.0, "mult": 2}]}, "ambient curvature"),
+        ({"space_form": 1, "family": "sphere_umbilic",
+          "blocks": [{"kappa": 1.0, "mult": 1.7}]}, "multiplicity"),
+        ({"space_form": 1, "family": "sphere_umbilic",
+          "blocks": [{"kappa": 1.0, "mult": True}]}, "multiplicity"),
+    ])
+    def test_non_integer_space_form_or_multiplicity_exits_2(self, capsys, tmp_path, doc,
+                                                            message):
+        # int() would take each for a valid value: 0.5 for R^n, 1.7 and true for 1.
+        path = self.write(tmp_path, "doc.json", doc)
+        rc, out, err = run_cli(capsys, "collapse", "--surface-json", path)
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
     def test_hyperbolic_umbilic_with_horosphere_curvature_exits_2(self, capsys, tmp_path):
         # |kappa| = 1 is a horosphere, which the umbilic closed form cannot take.

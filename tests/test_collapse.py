@@ -67,7 +67,7 @@ class TestFocalCollapse:
                    if not s.is_minimal and s.mean_curvature_at_zero < 0]
         assert len(flipped) > 5
         for label, surface in flipped:
-            numeric = estimate_tstar(surface, full_output=True)[3]
+            numeric = estimate_tstar(surface, full_output=True)[2]
             for profile in (resolve_profile(surface), numeric):
                 assert analyze(surface, profile).orientation_flipped, label
 
@@ -250,7 +250,7 @@ class TestSameReportAsTwoBranchReading:
     @pytest.mark.parametrize("label, surface", verification.builtin_grid(),
                              ids=[label for label, _ in verification.builtin_grid()])
     def test_grid_surface(self, label, surface):
-        numeric = estimate_tstar(surface, full_output=True)[3]
+        numeric = estimate_tstar(surface, full_output=True)[2]
         for profile in (resolve_profile(surface), numeric):
             got, want = analyze(surface, profile), _two_branch_analyze(surface, profile)
             assert got.to_dict() == want.to_dict()

@@ -16,7 +16,6 @@ from isoflow import (
     export_csv,
     export_metadata,
     get_embedding,
-    inner,
     make_euclidean_cylinder,
     make_horosphere,
     make_hyperbolic_cylinder,
@@ -36,6 +35,15 @@ from isoflow.errors import InvalidFrameError
 from isoflow.spaceform import check_frame, parallel_map
 
 MiB = 2**20
+
+
+def inner(sf, u, v):
+    """Reference: the ambient inner product along the last axis, Lorentzian in H^n."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    prod = np.sum(u * v, axis=-1)
+    if sf.curvature == -1:
+        prod = prod - 2.0 * u[..., 0] * v[..., 0]
+    return prod
 
 
 def full(columns, shape):
@@ -216,7 +224,7 @@ class TestSnapshots:
 def reference_axes(emb, resolution, extent=1.0):
     """Reference: the axes of Embedding.frame_grid, one linspace per intrinsic axis."""
     if np.ndim(resolution) == 0:
-        resolution = [int(resolution)] * emb.intrinsic_dim
+        resolution = [int(resolution)] * len(emb.axis_kinds)
     axes = []
     for kind, r in zip(emb.axis_kinds, resolution):
         if kind == "polar":
@@ -415,7 +423,8 @@ class TestColumnForm:
         F, N = (tuple(bad), N) if part == "F" else (F, tuple(bad))
         sf = surface.space_form
         got = _raised(lambda: check_frame(sf, F, N))
-        assert got == _raised(lambda: check_frame(sf, full(F, grid_shape), full(N, grid_shape)))
+        assert got == _raised(lambda: check_frame(sf, tuple(full(F, grid_shape).T),
+                                                  tuple(full(N, grid_shape).T)))
         if sf.curvature == 0 and (part == "F" or scale < 0):
             assert got is None  # positions are free in R^n, and there is no <F,N> = 0
         else:

@@ -51,8 +51,9 @@ class TestOptions:
             OdeOptions(rel_tol=-1.0)
         with pytest.raises(InvalidInputError):
             OdeOptions(rel_tol=1e-15)
-        with pytest.raises(InvalidInputError):
-            OdeOptions(max_step=0.0)
+        for name in ("rel_tol", "abs_tol"):
+            with pytest.raises(InvalidInputError, match=f"{name} must be positive and finite"):
+                OdeOptions(**{name: math.inf})
 
 
 class TestRhs:
@@ -88,8 +89,7 @@ class TestIntegrate:
         prof = integrate(euclidean_sphere, 0.3)
         assert prof.termination == "hit_singularity"
         assert prof.t_domain == (0.0, prof.t_star - _limit_eval_offset(prof.t_star))
-        lo, hi = prof.t_star_bracket
-        assert lo <= 0.25 <= hi
+        assert abs(prof.t_star - 0.25) <= prof.t_star_error_bound
         assert prof.t_star == pytest.approx(0.25, abs=1e-8)
 
     def test_rejects_non_finite_horizon(self, euclidean_sphere):
@@ -136,9 +136,9 @@ class TestIntegrate:
         assert np.all(np.diff(prof.xi(ts)) > 0)
         assert prof.xi(0.0) == 0.0
 
-    def test_custom_guard_and_max_step(self):
-        # Tighter error control and a step cap still end the run at the collapse stop.
-        opts = OdeOptions(rel_tol=1e-12, abs_tol=1e-14, max_step=0.01)
+    def test_custom_tolerances_end_at_the_collapse_stop(self):
+        # Tighter error control still ends the run at the collapse stop.
+        opts = OdeOptions(rel_tol=1e-12, abs_tol=1e-14)
         prof = integrate(make_euclidean_cylinder(2, 2, 1.0), 0.3, opts)
         assert prof.termination == "hit_singularity"
         assert prof.t_star == pytest.approx(0.25, abs=1e-9)
@@ -166,10 +166,10 @@ class TestIntegrate:
 
 class TestEstimateTstar:
     def test_euclidean_sphere(self, euclidean_sphere):
-        value, bound, bracket, _ = estimate_tstar(euclidean_sphere, full_output=True)
+        value, bound, _ = estimate_tstar(euclidean_sphere, full_output=True)
         assert value == pytest.approx(0.25, abs=1e-8)
         assert bound <= 1e-8
-        assert bracket[0] <= 0.25 <= bracket[1]
+        assert abs(value - 0.25) <= bound
 
     def test_horosphere_is_eternal(self):
         assert estimate_tstar(make_horosphere(3, 1.0)) == math.inf
@@ -259,7 +259,7 @@ class TestEstimateTstar:
             return collapse_time(*args)
 
         monkeypatch.setattr(flow_ode, "_collapse_time", counted)
-        value, bound, _, prof = estimate_tstar(euclidean_sphere, full_output=True)
+        value, bound, prof = estimate_tstar(euclidean_sphere, full_output=True)
         assert len(calls) == 1
         assert (prof.t_star, prof.t_star_error_bound) == (value, bound)
 
@@ -336,7 +336,7 @@ def _scipy_reference(surface, t_end, opts=DEFAULT_OPTIONS):
     fun = flow_ode._kernel(surface)
     return scipy.integrate.solve_ivp(
         lambda t, y: [fun(float(y[0]))], (0.0, t_end), [0.0], method="DOP853",
-        rtol=opts.rel_tol, atol=opts.abs_tol, max_step=opts.max_step, dense_output=True,
+        rtol=opts.rel_tol, atol=opts.abs_tol, dense_output=True,
     )
 
 
@@ -511,7 +511,7 @@ def _reference_solve_ivp(fun, t_end, opts):
     b, e5, e3 = method.B.tolist(), method.E5.tolist(), method.E3.tolist()
     extra, d = method.A_EXTRA.tolist(), method.D.tolist()
     exponent = -1.0 / 8
-    rtol, atol, max_step = opts.rel_tol, opts.abs_tol, opts.max_step
+    rtol, atol = opts.rel_tol, opts.abs_tol
     sign, span = math.copysign(1.0, t_end), abs(t_end)
     f = fun(0.0)
     h0 = min(1e-6, span)
@@ -521,7 +521,7 @@ def _reference_solve_ivp(fun, t_end, opts):
         h_abs = max(1e-6, h0 * 1e-3)
     else:
         h_abs = (0.01 / max(d1, d2)) ** -exponent
-    h_abs = min(100 * h0, h_abs, span, max_step)
+    h_abs = min(100 * h0, h_abs, span)
 
     t, y, nfev, accepted, rejected = 0.0, 0.0, 2, 0, 0
     times, xis, steps, coeffs = [0.0], [0.0], [], []
@@ -531,7 +531,7 @@ def _reference_solve_ivp(fun, t_end, opts):
 
     while True:
         min_step = 10 * abs(math.nextafter(t, sign * math.inf) - t)
-        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        h_abs = max(h_abs, min_step)
         retried = False
         while True:
             if h_abs < min_step:

@@ -29,8 +29,13 @@ from isoflow.spaceform import _inverse_slope, check_frame, parallel_map
 ALL_FORMS = (HYPERBOLIC, EUCLIDEAN, SPHERE)
 
 
+def cols(rows):
+    """The columns of (P, d) rows, as check_frame and parallel_map take a frame."""
+    return tuple(rows.T)
+
+
 def test_space_form_rejects_other_curvatures():
-    for bad in (2, -3, 0.5):
+    for bad in (2, -3, 0.5, 1.0, True):
         with pytest.raises(InvalidInputError):
             SpaceForm(bad)
 
@@ -253,25 +258,25 @@ class TestCheckFrame:
     @pytest.mark.parametrize("sf", ALL_FORMS)
     def test_each_constraint_violation_raises(self, sf):
         F, N = _valid_frames(sf)
-        check_frame(sf, F, N)
+        check_frame(sf, cols(F), cols(N))
         bad = N.copy()
         bad[1] *= 1.1
         with pytest.raises(InvalidFrameError, match="normal is not unit"):
-            check_frame(sf, F, bad)
+            check_frame(sf, cols(F), cols(bad))
         if sf.curvature == 0:  # positions are free, and _valid_frames' are not orthogonal
-            check_frame(sf, 1.1 * F, N)
+            check_frame(sf, cols(1.1 * F), cols(N))
             return
         scaled = F.copy()
         scaled[0] *= 1.1
         with pytest.raises(InvalidFrameError, match="position does not satisfy"):
-            check_frame(sf, scaled, N)
+            check_frame(sf, cols(scaled), cols(N))
         # N + eps F stays unit after dividing by sqrt(1 + kbar eps^2) and
         # leans toward F: only orthogonality fails.
         eps = 0.1
         leaning = N.copy()
         leaning[2] = (N[2] + eps * F[2]) / math.sqrt(1.0 + sf.curvature * eps * eps)
         with pytest.raises(InvalidFrameError, match="not orthogonal"):
-            check_frame(sf, F, leaning)
+            check_frame(sf, cols(F), cols(leaning))
 
 
     @pytest.mark.parametrize("sf", ALL_FORMS)
@@ -281,7 +286,7 @@ class TestCheckFrame:
         bad = (F if which == "F" else N).copy()
         bad[1, col] = math.nan
         with pytest.raises(InvalidFrameError):
-            check_frame(sf, *((bad, N) if which == "F" else (F, bad)))
+            check_frame(sf, *map(cols, (bad, N) if which == "F" else (F, bad)))
 
     @pytest.mark.parametrize("sf", ALL_FORMS)
     def test_overflowing_row_raises(self, sf):
@@ -289,7 +294,7 @@ class TestCheckFrame:
         F, N = _valid_frames(sf)
         F[2] *= 1e200
         with pytest.raises(InvalidFrameError, match="not finite"):
-            check_frame(sf, F, N)
+            check_frame(sf, cols(F), cols(N))
 
 
 @pytest.mark.parametrize("sf", ALL_FORMS)
@@ -300,7 +305,7 @@ def test_parallel_map_bytes_equal_formula(sf, xi):
     F, N = rng.normal(size=(2, 40, 4))
     F[::3, 1], N[::4, 2], N[1::4, 2] = -0.0, -0.0, 0.0
     c, s = cs_eval(sf, xi)
-    points, normals = parallel_map(sf, F, N, xi)
+    points, normals = parallel_map(sf, cols(F), cols(N), xi)
     assert np.stack(points, axis=-1).tobytes() == (c * F + s * N).tobytes()
     assert np.stack(normals, axis=-1).tobytes() == (-sf.curvature * s * F + c * N).tobytes()
 

@@ -9,6 +9,8 @@ The digest holds the exit code, stdout and stderr of
 * ``isoflow verify`` on the built-in grid,
 * every ``isoflow --help`` text,
 * a fixed set of ``isoflow evolve`` windows,
+* ``isoflow collapse --surface-json`` on one document per ambient, each
+  listing its blocks out of order,
 
 and, for every export-cloud op of the seeds, its exit code, output and the
 sha256 of each CSV and JSON file it writes.  The ops come from
@@ -61,6 +63,18 @@ EVOLVE = [
 
 HELP = [[], ["evolve"], ["collapse"], ["verify"], ["export"]]
 
+# (name, document) of the --surface-json ops: valid surfaces whose blocks are
+# not in the order the catalog sorts them into.
+SURFACE_JSON = [
+    ("euclidean-cylinder", {"space_form": 0, "family": "euclidean_cylinder",
+                            "blocks": [{"kappa": 0.0, "mult": 1}, {"kappa": 1.5, "mult": 2}]}),
+    ("sphere-g4", {"space_form": 1, "family": "sphere_g4",
+                   "blocks": [{"kappa": -3.0, "mult": 2}, {"kappa": 1 / 3, "mult": 2},
+                              {"kappa": 2.0, "mult": 1}, {"kappa": -0.5, "mult": 1}]}),
+    ("hyperbolic-cylinder", {"space_form": -1, "family": "hyperbolic_cylinder",
+                             "blocks": [{"kappa": 0.5, "mult": 2}, {"kappa": 2.0, "mult": 1}]}),
+]
+
 
 def run_cli(cli, argv):
     """[exit code, stdout, stderr] of one in-process call; an uncaught exception is its outcome."""
@@ -83,7 +97,8 @@ def _sha256(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def digest(src, seeds=(0, 1), sections=("collapse", "verify", "export", "help", "evolve"),
+def digest(src, seeds=(0, 1),
+           sections=("collapse", "verify", "export", "help", "evolve", "surface-json"),
            limit=None):
     """The digest as a dict; ``limit`` keeps the first ops of each seeded section."""
     sys.path.insert(0, src)
@@ -118,6 +133,14 @@ def digest(src, seeds=(0, 1), sections=("collapse", "verify", "export", "help", 
                        for argv in HELP}
     if "evolve" in sections:
         doc["evolve"] = {name: run_cli(cli, ["evolve"] + argv) for name, argv in EVOLVE}
+    if "surface-json" in sections:
+        doc["surface-json"] = {}
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, surface in SURFACE_JSON:
+                path = os.path.join(tmp, f"{name}.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(surface, fh)
+                doc["surface-json"][name] = run_cli(cli, ["collapse", "--surface-json", path])
     return doc
 
 
