@@ -117,9 +117,12 @@ def surface_from_dict(data: dict) -> IsoparametricSurface:
     """Rebuild a surface from its JSON document, re-running all validation."""
     try:
         sf = SpaceForm(data["space_form"])
-        blocks = tuple(Block(float(b["kappa"]), b["mult"]) for b in data["blocks"])
+        kappas = [b["kappa"] for b in data["blocks"]]
+        if not all(isinstance(k, (int, float)) and not isinstance(k, bool) for k in kappas):
+            raise InvalidInputError(f"curvatures must be JSON numbers, got {kappas!r}")
+        blocks = tuple(Block(float(k), b["mult"]) for k, b in zip(kappas, data["blocks"]))
         family = str(data["family"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise InvalidInputError(f"malformed surface document: {exc}") from exc
     return IsoparametricSurface(sf, blocks, family)
 
@@ -360,15 +363,11 @@ def sphere_curvatures_from_g(g: int, s_param: float, mults=None) -> Isoparametri
     s = float(s_param)
     if not 0.0 < s < math.pi / g:
         raise InvalidInputError(f"s must lie in (0, pi/{g}), got {s}")
-    if mults is None:
-        mults = [1] * g
-    mults = [int(m) for m in mults]
-    if len(mults) != g or any(m < 1 for m in mults):
-        raise InvalidInputError(
-            f"g={g} needs {g} positive multiplicities, got {mults}"
-        )
+    mults = [1] * g if mults is None else list(mults)
+    if len(mults) != g:
+        raise InvalidInputError(f"g={g} needs {g} positive multiplicities, got {mults}")
     kappas = sphere_curvature_ladder(g, s)
-    blocks = tuple(Block(k, m) for k, m in zip(kappas, mults))
+    blocks = tuple(Block(k, m) for k, m in zip(kappas, mults))  # Block rejects a non-integer
     return IsoparametricSurface(SPHERE, blocks, f"sphere_g{g}")
 
 
@@ -389,7 +388,7 @@ def make_minimal(space_form: SpaceForm, blocks, family: str = "minimal") -> Isop
 
     Flow engines return the constant profile xi = 0 for these.
     """
-    blocks = tuple(b if isinstance(b, Block) else Block(float(b[0]), int(b[1])) for b in blocks)
+    blocks = tuple(b if isinstance(b, Block) else Block(float(b[0]), b[1]) for b in blocks)
     h = sum(b.mult * b.kappa for b in blocks)
     if abs(h) >= MINIMAL_TOL:
         raise InvalidInputError(

@@ -53,8 +53,11 @@ and of a horosphere 9, as each join there would span the grid.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import stat
 import warnings
 from dataclasses import dataclass
 
@@ -324,19 +327,31 @@ def sample(surface: IsoparametricSurface, resolution, t: float, profile,
     return next(snapshots(surface, resolution, [t], profile, extent))
 
 
+@contextlib.contextmanager
+def overwrite(path, mode="w"):
+    """``open(path, mode)`` for "w" (UTF-8) or "wb", but written in place.
+
+    Nothing is truncated first: at the end, also when a write raises, a
+    regular file longer than what was written is cut to it, so the bytes are
+    those ``open`` leaves, and a re-export reuses the blocks it replaces.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), mode,
+              encoding=None if "b" in mode else "utf-8") as fh:
+        try:
+            yield fh
+        finally:
+            fh.flush()
+            st = os.fstat(fh.fileno())
+            if stat.S_ISREG(st.st_mode) and st.st_size > fh.tell():
+                fh.truncate()
+
+
 def export_csv(sampled: SampledSurface, path) -> None:
     """Write the cloud as CSV: x0..xd, nx0..nxd, t with 17 significant digits.
 
-    Each column of a snapshot depends on only some axes of its grid and
-    already has size 1 along most of the others.  Every column is cut to
-    length 1 along each further axis it is constant on, its distinct values
-    are found on the sub-grid that is left, and all of them are formatted
-    with ``%.17g`` in one ``%`` call.
-    Values are told apart by their bits, not as floats, so ``-0.0`` is still
-    written ``-0``.  Adjacent columns, and the constant ``t`` that ends every
-    line, are joined into one piece of text per point of the larger sub-grid
-    when one sub-grid holds the other and is smaller than the grid, so each
-    row is gathered from a few pieces rather than from 2d + 1 fields.
+    Each distinct value of a column, told apart by its bits so that ``-0.0``
+    is still written ``-0``, is formatted once with ``%.17g``; the module
+    docstring says how the columns are cut and joined into a row's pieces.
     """
     d = sampled.ambient_dim
     header = ",".join(
@@ -372,7 +387,7 @@ def export_csv(sampled: SampledSurface, path) -> None:
     pieces = [(text, np.broadcast_to(index, shape).reshape(-1)) for text, index in pieces]
     cells = np.empty((1024, len(pieces)), dtype=object)
     # The text is ASCII bytes: a str chunk would be encoded into a second copy.
-    with open(path, "wb") as fh:
+    with overwrite(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         # 1,024 rows at a time: the whole file's text is never held at once.
         for start in range(0, size, 1024):
@@ -390,6 +405,6 @@ def export_metadata(sampled: SampledSurface, path) -> None:
         "xi": sampled.xi,
         "resolution": list(sampled.grid_shape),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with overwrite(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

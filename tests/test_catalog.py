@@ -146,6 +146,13 @@ class TestSphereLadder:
             sphere_curvatures_from_g(6, 0.3, [3] * 6)
         assert sphere_curvatures_from_g(4, 0.3, [2, 5, 2, 5]).n == 14
 
+    def test_non_integral_multiplicities_are_rejected(self):
+        # int() would truncate each to 1 and build a valid family.
+        for mults in ([1.7] * 3, [1, 1.0, 1], [True] * 3):
+            with pytest.raises(InvalidInputError, match="multiplicity must be a positive"):
+                sphere_curvatures_from_g(3, 0.3, mults)
+        assert sphere_curvatures_from_g(3, 0.3, (m for m in [2] * 3)).n == 6
+
     def test_g4_multiplicity_classification(self):
         # FKM pairs {m, k delta(m) - m - 1}, plus {2, 2} and {4, 5}.
         for m1, m2 in [(1, 1), (1, 9), (2, 2), (2, 3), (3, 4), (4, 5), (4, 7),
@@ -198,6 +205,12 @@ class TestMinimal:
         ladder = sphere_family_from_kappa1(3, math.sqrt(3.0)).blocks
         s = make_minimal(SPHERE, ladder, family="sphere_g3")
         assert s.is_minimal
+
+    def test_non_integral_multiplicities_are_rejected(self):
+        # int() would truncate both to 1 and build the Clifford torus.
+        for blocks in ([(1.0, 1.9), (-1.0, 1.2)], [(1.0, 1.0), (-1.0, 1)]):
+            with pytest.raises(InvalidInputError, match="multiplicity must be a positive"):
+                make_minimal(SPHERE, blocks)
 
     def test_rejects_nonminimal(self):
         with pytest.raises(InvalidInputError):
@@ -288,6 +301,15 @@ class TestSerialization:
     def test_malformed_document(self):
         with pytest.raises(InvalidInputError):
             surface_from_dict({"space_form": 1})
+
+    def test_curvature_must_be_a_number_that_fits_a_float(self):
+        doc = {"space_form": 1, "family": "sphere_umbilic", "blocks": [{"kappa": 2, "mult": 2}]}
+        assert type(surface_from_dict(doc).blocks[0].kappa) is float
+        for kappa, message in (("2", "JSON numbers"), (False, "JSON numbers"),
+                               (None, "JSON numbers"), (10**400, "malformed")):
+            doc["blocks"][0]["kappa"] = kappa
+            with pytest.raises(InvalidInputError, match=message):
+                surface_from_dict(doc)
 
 
 def test_flow_state_raises_on_an_overflowing_factor():

@@ -643,6 +643,52 @@ class TestUnusablePaths:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+class TestOutputFiles:
+    """Each output file is written in place and cut to length: the bytes of a fresh file."""
+
+    EXPORT = ["export", "--family", "hyperbolic-cylinder", "--m1", "1", "--m2", "1",
+              "--kappa1", "2", "--times", "0.01", "--resolution", "5,6", "--stem", "c"]
+    SURFACE = ["--family", "sphere-umbilic", "--n", "2", "--kappa", "1"]
+    OUTPUT = {"evolve": ["evolve", *SURFACE, "--t-end", "0.2", "--samples", "9"],
+              "collapse": ["collapse", *SURFACE]}
+
+    def outputs(self, capsys, directory):
+        """rc and the bytes of each file of every command writing into ``directory``."""
+        directory.mkdir(exist_ok=True)
+        rcs = [run_cli(capsys, *self.EXPORT, "--output-dir", str(directory))[0]]
+        for name, argv in self.OUTPUT.items():
+            rcs.append(run_cli(capsys, *argv, "--output", str(directory / f"{name}.out"))[0])
+        return rcs, {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+    @pytest.mark.parametrize("factor", [3, 0.5], ids=["longer", "shorter"])
+    def test_over_existing_files(self, capsys, tmp_path, factor):
+        rcs, fresh = self.outputs(capsys, tmp_path / "fresh")
+        assert rcs == [0, 0, 0] and sorted(fresh) == [
+            "c_000.csv", "c_000.json", "collapse.out", "evolve.out"]
+        (tmp_path / "over").mkdir()
+        for name, data in fresh.items():
+            (tmp_path / "over" / name).write_bytes(b"#" * int(factor * len(data)))
+        assert self.outputs(capsys, tmp_path / "over") == (rcs, fresh)
+
+    def test_through_symlinks(self, capsys, tmp_path):
+        rcs, fresh = self.outputs(capsys, tmp_path / "fresh")
+        (tmp_path / "links").mkdir()
+        for name, data in fresh.items():
+            (tmp_path / name).write_bytes(b"#" * (2 * len(data)))
+            (tmp_path / "links" / name).symlink_to(tmp_path / name)
+        assert self.outputs(capsys, tmp_path / "links") == (rcs, fresh)
+        for name in fresh:
+            assert (tmp_path / "links" / name).is_symlink()
+            assert (tmp_path / name).read_bytes() == fresh[name]
+
+    def test_symlinks_to_dev_null_exit_0(self, capsys, tmp_path):
+        names = ["c_000.csv", "c_000.json", "evolve.out", "collapse.out"]
+        for name in names:
+            (tmp_path / name).symlink_to(os.devnull)
+        rcs, written = self.outputs(capsys, tmp_path)
+        assert rcs == [0, 0, 0] and written == dict.fromkeys(sorted(names), b"")
+
+
 class TestSurfaceJson:
     """--surface-json blocks may come in any order; the surface is the same."""
 
@@ -694,6 +740,22 @@ class TestSurfaceJson:
         rc, out, err = run_cli(capsys, "collapse", "--surface-json", path)
         assert (rc, out) == (2, "")
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kappa", ["2", True])
+    def test_curvature_that_is_not_a_json_number_exits_2(self, capsys, tmp_path, kappa):
+        # float() would take "2" for 2.0 and true for 1.0.
+        path = self.write(tmp_path, "doc.json", {
+            "space_form": 1, "family": "sphere_umbilic", "blocks": [{"kappa": kappa, "mult": 2}]})
+        rc, out, err = run_cli(capsys, "collapse", "--surface-json", path)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: curvatures must be JSON numbers") and err.count("\n") == 1
+
+    def test_integer_curvature_reads_as_its_float(self, capsys, tmp_path):
+        outs = [run_cli(capsys, "collapse", "--surface-json", self.write(
+            tmp_path, f"{i}.json", {"space_form": 1, "family": "sphere_umbilic",
+                                    "blocks": [{"kappa": kappa, "mult": 2}]}))
+                for i, kappa in enumerate((2, 2.0))]
+        assert outs[0][0] == 0 and outs[0] == outs[1]
 
     def test_hyperbolic_umbilic_with_horosphere_curvature_exits_2(self, capsys, tmp_path):
         # |kappa| = 1 is a horosphere, which the umbilic closed form cannot take.

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -604,3 +605,70 @@ class TestExport:
         assert doc["t"] == 0.05
         assert doc["xi"] == pytest.approx(prof.xi(0.05))
         assert doc["resolution"] == [6, 6]
+
+
+class TestOverwrite:
+    """Every output file is written in place and cut to length: the bytes of a fresh file."""
+
+    @staticmethod
+    def fresh(tmp_path):
+        """The CSV and JSON bytes of one snapshot exported into an empty directory."""
+        snap = snapshot(make_sphere_product(1, 2, 2.0), 9, 0.05)
+        (tmp_path / "fresh").mkdir()
+        export_csv(snap, tmp_path / "fresh" / "c.csv")
+        export_metadata(snap, tmp_path / "fresh" / "c.json")
+        return snap, {name: (tmp_path / "fresh" / name).read_bytes()
+                      for name in ("c.csv", "c.json")}
+
+    @staticmethod
+    def export(snap, directory):
+        export_csv(snap, directory / "c.csv")
+        export_metadata(snap, directory / "c.json")
+
+    @pytest.mark.parametrize("factor", [3, 0.5], ids=["longer", "shorter"])
+    def test_over_an_existing_file(self, tmp_path, factor):
+        snap, fresh = self.fresh(tmp_path)
+        stale = {}
+        for name, data in fresh.items():
+            path = tmp_path / name
+            path.write_bytes(b"#" * int(factor * len(data)))
+            path.chmod(0o640)
+            stale[name] = path.stat()
+        self.export(snap, tmp_path)
+        for name, data in fresh.items():
+            path = tmp_path / name
+            assert path.read_bytes() == data
+            assert path.stat().st_ino == stale[name].st_ino  # the same file, not a new one
+            assert path.stat().st_mode == stale[name].st_mode
+
+    def test_through_a_symlink(self, tmp_path):
+        snap, fresh = self.fresh(tmp_path)
+        (tmp_path / "out").mkdir()
+        for name, data in fresh.items():
+            (tmp_path / f"target-{name}").write_bytes(b"#" * (2 * len(data)))
+            (tmp_path / "out" / name).symlink_to(tmp_path / f"target-{name}")
+        self.export(snap, tmp_path / "out")
+        for name, data in fresh.items():
+            assert (tmp_path / "out" / name).is_symlink()
+            assert (tmp_path / f"target-{name}").read_bytes() == data
+
+    def test_symlink_to_dev_null(self, tmp_path):
+        # A character device has no length to cut; truncating it raises EINVAL.
+        snap, _ = self.fresh(tmp_path)
+        for name in ("c.csv", "c.json"):
+            (tmp_path / name).symlink_to(os.devnull)
+        self.export(snap, tmp_path)
+        assert (tmp_path / "c.csv").is_symlink()
+
+    @pytest.mark.parametrize("mode, new", [("wb", b"a" * 50_000), ("w", "é" * 25_000)],
+                             ids=["bytes", "text"])
+    def test_a_write_that_raises_leaves_only_the_new_prefix(self, tmp_path, mode, new):
+        # The prefix is longer than the write buffer, so part of it is on disk
+        # when the error is raised.
+        path = tmp_path / "out"
+        path.write_bytes(b"#" * 200_000)
+        with pytest.raises(RuntimeError, match="part-way"):
+            with embedding.overwrite(path, mode) as fh:
+                fh.write(new)
+                raise RuntimeError("part-way")
+        assert path.read_bytes() == (new if mode == "wb" else new.encode("utf-8"))

@@ -1,5 +1,6 @@
 """Smoke test of tools/output_digest.py on a small subset of its ops."""
 
+import hashlib
 import importlib.util
 import json
 import pathlib
@@ -34,6 +35,26 @@ def test_digest_of_a_small_subset():
     # Each op runs in process, so a second digest of the same ops is the same.
     assert tool.digest(str(ROOT / "src"), seeds=(0,), limit=2, sections=("export",)) == {
         "export": doc["export"]}
+
+
+def test_export_files_hash_as_exports_into_an_empty_directory(tmp_path):
+    # The digest writes each op over junk longer than its files; a byte of junk
+    # left after the output would change the hash.
+    tool = _tool()
+    doc = tool.digest(str(ROOT / "src"), seeds=(0,), limit=2, sections=("export",))
+    import isoflow.cli as cli
+    from perfbench import workloads
+
+    for i, (op, spec, t, res, _) in enumerate(workloads.export_clouds(0)[:2]):
+        out_dir = tmp_path / str(i)
+        rc, _, _ = tool.run_cli(cli, ["export"] + workloads.argv(spec) + [
+            "--times", repr(t), "--resolution", ",".join(map(str, res)),
+            "--output-dir", str(out_dir), "--stem", f"op{i:02d}"])
+        fresh = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                 for path in out_dir.iterdir()}
+        assert rc == 0 and len(fresh) == 2
+        assert doc["export"]["0"][f"{op}/{i}"][3] == fresh
+        assert all(path.stat().st_size < len(tool.JUNK) for path in out_dir.iterdir())
 
 
 def test_diff_names_each_op_and_line_that_differs(tmp_path, capsys):

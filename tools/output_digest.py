@@ -13,7 +13,10 @@ The digest holds the exit code, stdout and stderr of
   listing its blocks out of order,
 
 and, for every export-cloud op of the seeds, its exit code, output and the
-sha256 of each CSV and JSON file it writes.  The ops come from
+sha256 of each CSV and JSON file it writes.  Each of those files is first
+filled with ``JUNK``, longer than any of them, so the digest covers writing
+over an existing file: a byte of junk left after the output changes its
+hash.  The ops come from
 ``perfbench/workloads.py``, which is only read.  Each op runs in process
 through ``isoflow.cli.main``; a warning is shown once per op, as in a fresh
 interpreter, and the path of the source tree in a warning reads ``<src>``.
@@ -62,6 +65,10 @@ EVOLVE = [
 ]
 
 HELP = [[], ["evolve"], ["collapse"], ["verify"], ["export"]]
+
+# What each export target holds before its op: 4 MiB, above the 3.4 MB of the
+# largest export-cloud CSV.
+JUNK = b"junk\n" * (2**22 // 5)
 
 # (name, document) of the --surface-json ops: valid surfaces whose blocks are
 # not in the order the catalog sorts them into.
@@ -121,6 +128,9 @@ def digest(src, seeds=(0, 1),
             for i, (op, spec, t, res, _) in enumerate(workloads.export_clouds(seed)[:limit]):
                 with tempfile.TemporaryDirectory() as out_dir:
                     stem = f"op{i:02d}"
+                    for ext in (".csv", ".json"):  # each op writes one snapshot, _000
+                        with open(os.path.join(out_dir, f"{stem}_000{ext}"), "wb") as fh:
+                            fh.write(JUNK)
                     rc, stdout, stderr = run_cli(cli, ["export"] + workloads.argv(spec) + [
                         "--times", repr(t), "--resolution", ",".join(map(str, res)),
                         "--output-dir", out_dir, "--stem", stem])
