@@ -38,8 +38,8 @@ from .catalog import (
 )
 from .closed_form import resolve_profile
 from .collapse import analyze
-from .embedding import (export_csv, export_metadata, get_embedding, overwrite,  # noqa: F401
-                        sample, snapshots)  # perfbench/layers.py traces sample here
+# sample stays importable here: perfbench/layers.py traces it at this module.
+from .embedding import export_csv, export_metadata, get_embedding, sample, snapshots  # noqa: F401
 from .errors import InvalidFrameError, InvalidInputError, IsoflowError, UnsupportedEmbeddingError
 from .flow_ode import DEFAULT_OPTIONS, OdeOptions, estimate_tstar, integrate
 
@@ -116,7 +116,7 @@ def _open_output(path):
     """The output stream as a context manager: stdout is left open."""
     if path is None or path == "-":
         return contextlib.nullcontext(sys.stdout)
-    return overwrite(path)
+    return open(path, "w", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

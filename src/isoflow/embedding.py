@@ -328,22 +328,24 @@ def sample(surface: IsoparametricSurface, resolution, t: float, profile,
 
 
 @contextlib.contextmanager
-def overwrite(path, mode="w"):
-    """``open(path, mode)`` for "w" (UTF-8) or "wb", but written in place.
-
-    Nothing is truncated first: at the end, also when a write raises, a
-    regular file longer than what was written is cut to it, so the bytes are
-    those ``open`` leaves, and a re-export reuses the blocks it replaces.
+def overwrite(path):
+    """``open(path, "wb")``, but written in place: at the end, also when a
+    write or the flush raises, a regular file longer than what reached it is
+    cut to that length, so no old byte follows the new ones, and a re-export
+    reuses the blocks it replaces instead of truncating them to zero first.
     """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), mode,
-              encoding=None if "b" in mode else "utf-8") as fh:
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
         try:
             yield fh
         finally:
-            fh.flush()
-            st = os.fstat(fh.fileno())
-            if stat.S_ISREG(st.st_mode) and st.st_size > fh.tell():
-                fh.truncate()
+            try:
+                fh.flush()
+            finally:
+                st = os.fstat(fd := fh.fileno())
+                if stat.S_ISREG(st.st_mode):  # a pipe has no offset, /dev/null no length
+                    end = os.lseek(fd, 0, os.SEEK_CUR)  # what reached the file
+                    if st.st_size > end:
+                        os.ftruncate(fd, end)
 
 
 def export_csv(sampled: SampledSurface, path) -> None:
@@ -387,7 +389,7 @@ def export_csv(sampled: SampledSurface, path) -> None:
     pieces = [(text, np.broadcast_to(index, shape).reshape(-1)) for text, index in pieces]
     cells = np.empty((1024, len(pieces)), dtype=object)
     # The text is ASCII bytes: a str chunk would be encoded into a second copy.
-    with overwrite(path, "wb") as fh:
+    with overwrite(path) as fh:
         fh.write(header.encode() + b"\n")
         # 1,024 rows at a time: the whole file's text is never held at once.
         for start in range(0, size, 1024):
@@ -406,5 +408,4 @@ def export_metadata(sampled: SampledSurface, path) -> None:
         "resolution": list(sampled.grid_shape),
     }
     with overwrite(path) as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2).encode() + b"\n")  # ASCII: ensure_ascii

@@ -644,7 +644,10 @@ class TestUnusablePaths:
 
 
 class TestOutputFiles:
-    """Each output file is written in place and cut to length: the bytes of a fresh file."""
+    """Writing over an existing file leaves the bytes of a fresh one.
+
+    Exports are written in place and cut to length; ``--output`` is truncated on open.
+    """
 
     EXPORT = ["export", "--family", "hyperbolic-cylinder", "--m1", "1", "--m2", "1",
               "--kappa1", "2", "--times", "0.01", "--resolution", "5,6", "--stem", "c"]

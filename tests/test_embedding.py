@@ -2,8 +2,10 @@
 
 import csv
 import dataclasses
+import errno
 import math
 import os
+import resource
 import tracemalloc
 import warnings
 
@@ -606,7 +608,7 @@ class TestExport:
         assert doc["xi"] == pytest.approx(prof.xi(0.05))
         assert doc["resolution"] == [6, 6]
 
-
+    """Each export is written in place and cut to length: the bytes of a fresh file."""
 class TestOverwrite:
     """Every output file is written in place and cut to length: the bytes of a fresh file."""
 
@@ -660,15 +662,30 @@ class TestOverwrite:
         self.export(snap, tmp_path)
         assert (tmp_path / "c.csv").is_symlink()
 
-    @pytest.mark.parametrize("mode, new", [("wb", b"a" * 50_000), ("w", "é" * 25_000)],
-                             ids=["bytes", "text"])
-    def test_a_write_that_raises_leaves_only_the_new_prefix(self, tmp_path, mode, new):
+    def test_a_write_that_raises_leaves_only_the_new_prefix(self, tmp_path):
         # The prefix is longer than the write buffer, so part of it is on disk
         # when the error is raised.
         path = tmp_path / "out"
         path.write_bytes(b"#" * 200_000)
         with pytest.raises(RuntimeError, match="part-way"):
-            with embedding.overwrite(path, mode) as fh:
-                fh.write(new)
+            with embedding.overwrite(path) as fh:
+                fh.write(b"a" * 50_000)
                 raise RuntimeError("part-way")
-        assert path.read_bytes() == (new if mode == "wb" else new.encode("utf-8"))
+        assert path.read_bytes() == b"a" * 50_000
+
+    def test_a_flush_that_raises_still_cuts_the_old_tail(self, tmp_path):
+        # A file size limit makes the final flush fail part-way (EFBIG, as
+        # ENOSPC would): what reached the file is kept, the old tail is not.
+        path = tmp_path / "out"
+        path.write_bytes(b"#" * 200_000)
+        soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, hard))
+        try:
+            with pytest.raises(OSError) as err:
+                with embedding.overwrite(path) as fh:
+                    fh.write(b"a" * 99_990)
+                    fh.write(b"b" * 100)  # buffered: only the flush meets the limit
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        assert err.value.errno == errno.EFBIG
+        assert path.read_bytes() == b"a" * 99_990 + b"b" * 10
