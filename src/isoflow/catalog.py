@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,10 @@ class Block:
     mult: int
 
     def __post_init__(self):
-        if not isinstance(self.mult, int) or isinstance(self.mult, bool) or self.mult < 1:
-            raise InvalidInputError(f"multiplicity must be a positive integer, got {self.mult!r}")
+        if (not isinstance(self.mult, int) or isinstance(self.mult, bool)
+                or not 1 <= self.mult <= sys.float_info.max):
+            raise InvalidInputError(
+                f"multiplicity must be a positive integer that fits a float, got {self.mult!r}")
         if not math.isfinite(self.kappa):
             raise InvalidInputError(f"curvature must be finite, got {self.kappa!r}")
 

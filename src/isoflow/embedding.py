@@ -29,10 +29,11 @@ Charts:
 
 Every frame and snapshot is carried as its columns, one array per ambient
 coordinate.  A column has the grid's number of axes and size 1 along each
-axis it is constant on by construction: a product factor's columns span that
-factor's own axes, so each chart runs on those axes only; a horosphere's
-u_j spans axis j, and its |u|^2 columns span the whole grid.  The (P, d)
-arrays, one row per grid point in C order, are built only when
+axis it is constant on by construction.  Each grid axis is such a column; a
+chart broadcasts its factor's axis columns into its m+1 columns, each then
+spanning that factor's own axes (a flat factor's are its axes); a
+horosphere's u_j spans axis j, and its |u|^2 columns span the whole grid.
+The (P, d) arrays, one row per grid point in C order, are built only when
 SampledSurface.points or .normals is read.
 
 A snapshot at time t applies the parallel map (F, N) -> (cF + sN, ...) with
@@ -132,9 +133,9 @@ def _rows(columns, shape):
 class Embedding:
     """Evaluator mapping a parameter grid to ambient (position, normal) pairs.
 
-    ``_frame`` takes the grid's axes, one 1-D array per intrinsic axis, and
-    returns F and N as tuples of d columns, each with one axis per grid axis
-    and size 1 along the axes it is constant on.
+    ``_frame`` takes the grid's axes as columns, each spanning its own axis
+    alone, and returns F and N as tuples of d columns, each with one axis per
+    grid axis and size 1 along the axes it is constant on.
     """
 
     ambient_dim: int
@@ -158,13 +159,14 @@ class Embedding:
                 f"resolution needs {dims} nonnegative entries, got {resolution}"
             )
         axes = []
-        for kind, r in zip(self.axis_kinds, resolution):
+        for j, (kind, r) in enumerate(zip(self.axis_kinds, resolution)):
             if kind == "polar":
-                axes.append(np.linspace(POLAR_MARGIN, math.pi - POLAR_MARGIN, r))
+                ax = np.linspace(POLAR_MARGIN, math.pi - POLAR_MARGIN, r)
             elif kind == "azimuth":
-                axes.append(np.linspace(0.0, 2.0 * math.pi, r, endpoint=False))
+                ax = np.linspace(0.0, 2.0 * math.pi, r, endpoint=False)
             else:
-                axes.append(np.linspace(-extent, extent, r))
+                ax = np.linspace(-extent, extent, r)
+            axes.append(ax.reshape([-1 if i == j else 1 for i in range(dims)]))
         try:
             with np.errstate(over="raise", invalid="raise"):
                 F, N = self._frame(axes)
@@ -178,67 +180,52 @@ def _sphere_axes(m):
     return ("polar",) * (m - 1) + ("azimuth",)
 
 
+def _square_sum(columns):
+    """sum_j x_j^2 of columns, added as np.sum adds a row of up to 128 (a grid has at
+    most 64 axes): in turn below 8 terms, else 8 strided sums, paired, then the rest."""
+    squares = [x * x for x in columns]
+    cut = len(squares) - len(squares) % 8
+    if cut:
+        r = [sum(squares[j + 8:cut:8], squares[j]) for j in range(8)]
+        squares[:cut] = [((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))]
+    return sum(squares[1:], squares[0])
+
+
 def _unit_sphere(angles):
-    """Hyperspherical chart: (P, m) angles -> (P, m+1) unit vectors."""
-    p, m = angles.shape
-    out = np.empty((p, m + 1))
-    running = np.ones(p)
-    for i in range(m):
-        out[:, i] = running * np.cos(angles[:, i])
-        running = running * np.sin(angles[:, i])
-    out[:, m] = running
-    return out
+    """Hyperspherical chart of S^m: m angle columns -> the m+1 unit-vector columns."""
+    out, running = [], 1.0
+    for angle in angles:
+        out.append(running * np.cos(angle))
+        running = running * np.sin(angle)
+    return [*out, running]
 
 
 def _hyperboloid_chart(v):
-    """Exponential chart of H^m in L^{m+1}: (P, m) -> (P, m+1)."""
-    p, m = v.shape
-    norm = np.linalg.norm(v, axis=1)
-    scale = np.ones(p)
-    nz = norm > 0
-    scale[nz] = np.sinh(norm[nz]) / norm[nz]
-    out = np.empty((p, m + 1))
-    out[:, 0] = np.cosh(norm)
-    out[:, 1:] = scale[:, None] * v
-    return out
-
-
-def _grid_params(axes):
-    """(P, len(axes)) parameters of the grid of ``axes``, one row per point in C order."""
-    shape = tuple(len(ax) for ax in axes)
-    params = np.empty((math.prod(shape), len(axes)))
-    # Each axis is broadcast into its own column: no meshgrid of all axes is held.
-    grid = params.reshape(*shape, len(axes))
-    for j, ax in enumerate(axes):
-        grid[..., j] = ax.reshape([-1 if i == j else 1 for i in range(len(axes))])
-    return params
+    """Exponential chart of H^m in L^(m+1): m columns v -> (cosh|v|, sinh|v| v/|v|)."""
+    norm = np.sqrt(_square_sum(v))
+    scale = np.divide(np.sinh(norm), norm, out=np.ones_like(norm), where=norm > 0)
+    return [np.cosh(norm), *(scale * x for x in v)]
 
 
 def _product_frame(factors):
     """Frame of a product of scaled charts, one block of axes and columns per factor.
 
-    A factor (chart, dims, a, b) maps the grid of its own ``dims`` axes by
-    ``chart`` into columns on those axes, a * chart for F and b * chart for
-    N.  A flat factor (chart and b None) writes its parameters to F and 0
-    to N: 0 * y would give -0.0 where y < 0.
+    A factor (chart, dims, a, b) maps the columns of its own ``dims`` axes by
+    ``chart`` to columns, each broadcast to span all of those axes: a * column
+    for F and b * column for N.  A flat factor (chart and b None) puts its
+    axes into F and 0 into N: 0 * y would give -0.0 where y < 0.
     """
 
     def frame(axes):
         F, N = [], []
         zero = np.zeros((1,) * len(axes))
-        start = 0
         for chart, dims, a, b in factors:
-            own = axes[start:start + dims]
-            x = _grid_params(own)
-            if chart is not None:
-                x = chart(x)
-            shape = ((1,) * start + tuple(len(ax) for ax in own)
-                     + (1,) * (len(axes) - start - dims))
-            for column in x.T:
-                column = column.reshape(shape)
+            own, axes = axes[:dims], axes[dims:]
+            shape = np.broadcast_shapes(*(x.shape for x in own))
+            for column in (own if chart is None else chart(own)):
+                column = np.broadcast_to(column, shape)
                 F.append(a * column)
                 N.append(zero if b is None else b * column)
-            start += dims
         return tuple(F), tuple(N)
 
     return frame
@@ -249,17 +236,13 @@ def get_embedding(surface: IsoparametricSurface) -> Embedding:
     family = surface.family
     if family == "horosphere":
         kappa = surface.blocks[0].kappa
-        n = surface.n
 
-        def frame(axes):
-            params = _grid_params(axes)
-            uu = np.sum(params * params, axis=1).reshape(tuple(len(ax) for ax in axes))
-            u = [ax.reshape([-1 if i == j else 1 for i in range(n)])
-                 for j, ax in enumerate(axes)]
+        def frame(u):
+            uu = _square_sum(u)
             shifted = (uu / 2.0, *u, 1.0 - uu / 2.0)
             return (1.0 + uu / 2.0, *u, -uu / 2.0), tuple(-kappa * x for x in shifted)
 
-        return Embedding(n + 2, ("box",) * n, frame)
+        return Embedding(surface.n + 2, ("box",) * surface.n, frame)
 
     if family == "euclidean_cylinder":
         m, kappa = surface.blocks[0].mult, surface.blocks[0].kappa

@@ -249,10 +249,8 @@ def _g_param_grid(g, count=20):
 
 
 def a_formula(g: int, kappa1: float) -> float:
-    """Closed-form sum of the g distinct curvatures in terms of kappa1."""
+    """Closed-form sum of the g = 3, 4, 6 distinct curvatures in terms of kappa1."""
     k = kappa1
-    if g == 2:
-        return k - 1.0 / k
     if g == 3:
         return 3.0 * k * (k * k - 3.0) / (3.0 * k * k - 1.0)
     if g == 4:
@@ -285,7 +283,8 @@ def check_curvature_parametrization():
             if g in (3, 4, 6):
                 worst["a"] = max(worst["a"], abs(sum(ladder) - a_formula(g, k1)))
     for k1 in np.linspace(1.1, 6.0, 25):
-        worst["cyl"] = max(worst["cyl"], abs(k1 * (1.0 / k1) - 1.0))
+        kappa1, kappa2 = make_hyperbolic_cylinder(1, 1, k1).curvatures
+        worst["cyl"] = max(worst["cyl"], abs(kappa1 * kappa2 - 1.0))
     ok = (
         worst["pair"] <= 1e-12
         and worst["kappa4"] <= 1e-10

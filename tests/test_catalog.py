@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -301,6 +302,18 @@ class TestSerialization:
     def test_malformed_document(self):
         with pytest.raises(InvalidInputError):
             surface_from_dict({"space_form": 1})
+
+    def test_multiplicity_must_fit_a_float(self):
+        # Summing m * kappa in floats raised OverflowError past the largest float.
+        big = int(sys.float_info.max)
+        assert Block(2.0, big).mult == big
+        doc = {"space_form": 1, "family": "sphere_umbilic", "blocks": [{"kappa": 2.0, "mult": 0}]}
+        for mult in (big + 1, 10**400):
+            doc["blocks"][0]["mult"] = mult
+            for build in (lambda: Block(2.0, mult), lambda: make_sphere_umbilic(mult, 2.0),
+                          lambda: surface_from_dict(doc)):
+                with pytest.raises(InvalidInputError, match="positive integer that fits a float"):
+                    build()
 
     def test_curvature_must_be_a_number_that_fits_a_float(self):
         doc = {"space_form": 1, "family": "sphere_umbilic", "blocks": [{"kappa": 2, "mult": 2}]}

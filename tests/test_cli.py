@@ -744,6 +744,18 @@ class TestSurfaceJson:
         assert (rc, out) == (2, "")
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [["collapse"], ["verify"],
+                                      ["evolve", "--t-end", "0.1", "--samples", "3"]])
+    def test_multiplicity_too_large_for_a_float_exits_2(self, capsys, tmp_path, argv):
+        # The mean curvature sum(m * kappa) raised OverflowError: a traceback and exit 1.
+        path = self.write(tmp_path, "doc.json", {
+            "space_form": 1, "family": "sphere_umbilic",
+            "blocks": [{"kappa": 2.0, "mult": 10**400}]})
+        rc, out, err = run_cli(capsys, *argv, "--surface-json", path)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: multiplicity must be a positive integer that fits a float")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("kappa", ["2", True])
     def test_curvature_that_is_not_a_json_number_exits_2(self, capsys, tmp_path, kappa):
         # float() would take "2" for 2.0 and true for 1.0.

@@ -33,7 +33,7 @@ from isoflow import (
     sphere_family_from_kappa1,
 )
 import isoflow.embedding as embedding
-from isoflow.embedding import POLAR_MARGIN, _hyperboloid_chart, _unit_sphere
+from isoflow.embedding import POLAR_MARGIN
 from isoflow.errors import InvalidFrameError
 from isoflow.spaceform import check_frame, parallel_map
 
@@ -239,12 +239,43 @@ def reference_axes(emb, resolution, extent=1.0):
     return axes
 
 
+def axis_columns(axes):
+    """The axes as Embedding._frame takes them: each spans its own grid axis alone."""
+    return [ax.reshape([-1 if i == j else 1 for i in range(len(axes))])
+            for j, ax in enumerate(axes)]
+
+
 def meshgrid_params(axes):
     """Reference: the (P, dims) parameters of the grid of ``axes`` by np.meshgrid."""
     if any(len(ax) == 0 for ax in axes):
         return np.zeros((0, len(axes)))
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def unit_sphere_rows(angles):
+    """Reference: the hyperspherical chart on rows, (P, m) angles -> (P, m+1) unit vectors."""
+    p, m = angles.shape
+    out = np.empty((p, m + 1))
+    running = np.ones(p)
+    for i in range(m):
+        out[:, i] = running * np.cos(angles[:, i])
+        running = running * np.sin(angles[:, i])
+    out[:, m] = running
+    return out
+
+
+def hyperboloid_rows(v):
+    """Reference: the exponential chart of H^m in L^(m+1) on rows, (P, m) -> (P, m+1)."""
+    p, m = v.shape
+    norm = np.linalg.norm(v, axis=1)
+    scale = np.ones(p)
+    nz = norm > 0
+    scale[nz] = np.sinh(norm[nz]) / norm[nz]
+    out = np.empty((p, m + 1))
+    out[:, 0] = np.cosh(norm)
+    out[:, 1:] = scale[:, None] * v
+    return out
 
 
 def per_family_frame(surface):
@@ -265,7 +296,7 @@ def per_family_frame(surface):
         r, sign = 1.0 / abs(kappa), math.copysign(1.0, kappa)
 
         def frame(params):
-            omega = _unit_sphere(params[:, :m])
+            omega = unit_sphere_rows(params[:, :m])
             y = params[:, m:]
             F = np.concatenate([r * omega, y], axis=1)
             N = np.concatenate([-sign * omega, np.zeros_like(y)], axis=1)
@@ -277,8 +308,8 @@ def per_family_frame(surface):
         r2 = b[0].kappa * r1
 
         def frame(params):
-            omega = _unit_sphere(params[:, :l])
-            eta = _unit_sphere(params[:, l:])
+            omega = unit_sphere_rows(params[:, :l])
+            eta = unit_sphere_rows(params[:, l:])
             F = np.concatenate([r1 * omega, r2 * eta], axis=1)
             N = np.concatenate([-r2 * omega, r1 * eta], axis=1)
             return F, N
@@ -289,8 +320,8 @@ def per_family_frame(surface):
         rho = k1 * r
 
         def frame(params):
-            chi = _hyperboloid_chart(params[:, :m2])
-            omega = _unit_sphere(params[:, m2:])
+            chi = hyperboloid_rows(params[:, :m2])
+            omega = unit_sphere_rows(params[:, m2:])
             F = np.concatenate([rho * chi, r * omega], axis=1)
             N = np.concatenate([-r * chi, -rho * omega], axis=1)
             return F, N
@@ -316,6 +347,16 @@ class TestFrameGrid:
         (make_hyperbolic_cylinder(1, 2, 3.0), (5, 0, 4), 1.0),  # no points
         (make_horosphere(3, 1.0), (5, 1, 4), 2.0),
         (make_horosphere(2, 1.0), (0, 6), 1.0),  # no points
+        # np.sum adds a row of 8 terms or more in 8 partial sums, not in turn.
+        (make_horosphere(9, 1.0), (3, 2, 2, 2, 4, 2, 2, 2, 3), 0.7),
+        (make_horosphere(12, -1.0), (4, 2, 2, 2, 2, 3, 2, 2, 2, 2, 2, 4), 1.3),
+        (make_hyperbolic_cylinder(2, 9, 1.5), (4,) + (2,) * 7 + (3, 2, 2), 0.7),  # H^9 x S^2
+        (make_hyperbolic_cylinder(1, 12, 3.0), (4,) + (2,) * 11 + (3,), 0.3),  # H^12 x S^1
+        (make_euclidean_cylinder(10, 12, 1.3), 2, 1.0),  # S^10 x R^2
+        (make_sphere_product(4, 9, 2.0), 2, 1.0),  # S^4 x S^5
+        # Odd resolutions sample |v| = 0, where sinh|v| / |v| is 1.
+        (make_hyperbolic_cylinder(1, 9, 2.0), (3,) * 9 + (2,), 0.7),
+        (make_hyperbolic_cylinder(2, 3, 1.2), (5, 5, 7, 3, 4), 2.0),
     ])
     def test_bytes_equal_meshgrid(self, surface, resolution, extent):
         emb = get_embedding(surface)
@@ -329,8 +370,12 @@ class TestFrameGrid:
             resolution, extent=extent)
         axes = reference_axes(emb, resolution, extent)
         assert len(seen) == 1
-        assert_same_arrays(zip(seen[0], axes))
-        F_ref, N_ref = per_family_frame(surface)(meshgrid_params(axes))
+        assert_same_arrays(zip(seen[0], axis_columns(axes)))
+        params = meshgrid_params(axes)
+        m = surface.blocks[1].mult if surface.family == "hyperbolic_cylinder" else 0
+        if m and all(len(ax) % 2 for ax in axes[:m]):
+            assert not params[:, :m].any(axis=1).all()  # |v| = 0 is sampled
+        F_ref, N_ref = per_family_frame(surface)(params)
         assert_same_arrays([(full(F, grid_shape), F_ref), (full(N, grid_shape), N_ref)])
         assert grid_shape == tuple(len(ax) for ax in axes)
 
@@ -357,23 +402,45 @@ class TestProductFrame:
         emb = get_embedding(surface)
         axes = reference_axes(emb, resolution, extent)
         shape = tuple(len(ax) for ax in axes)
-        F, N = emb._frame(axes)
+        F, N = emb._frame(axis_columns(axes))
         F_ref, N_ref = per_family_frame(surface)(meshgrid_params(axes))
         assert emb.ambient_dim == F_ref.shape[1]
         assert_same_arrays([(full(F, shape), F_ref), (full(N, shape), N_ref)])
 
-    def test_each_chart_runs_on_its_own_axes(self, monkeypatch):
-        # S^1 x S^2 on a 7 x 6 x 5 grid: the charts see 7 and 30 points, not 210.
-        rows = []
+    @pytest.mark.parametrize("surface, resolution, charts, factor_shapes", [
+        # S^1 x S^2: one axis of 7 angles, then two axes of 6 and 5.
+        (make_sphere_product(1, 3, 2.5), (7, 6, 5),
+         [("_unit_sphere", [(7, 1, 1)]), ("_unit_sphere", [(1, 6, 1), (1, 1, 5)])],
+         [(7, 1, 1)] * 2 + [(1, 6, 5)] * 3),
+        # H^2 x S^1: |v| is summed on the 4 x 3 grid of v alone.
+        (make_hyperbolic_cylinder(1, 2, 2.0), (4, 3, 5),
+         [("_hyperboloid_chart", [(4, 1, 1), (1, 3, 1)]),
+          ("_square_sum", [(4, 1, 1), (1, 3, 1)]), ("_unit_sphere", [(1, 1, 5)])],
+         [(4, 3, 1)] * 3 + [(1, 1, 5)] * 2),
+        # S^1 x R^2: the flat axes go to F as they are, with no chart.
+        (make_euclidean_cylinder(1, 3, 0.7), (8, 2, 3),
+         [("_unit_sphere", [(8, 1, 1)])], [(8, 1, 1)] * 2 + [(1, 2, 3)] * 2),
+        # A horosphere's u_j spans axis j, and only |u|^2 spans the grid.
+        (make_horosphere(2, 1.0), (4, 3), [("_square_sum", [(4, 1), (1, 3)])],
+         [(4, 3), (4, 1), (1, 3), (4, 3)]),
+    ])
+    def test_each_chart_runs_on_its_own_axes(self, monkeypatch, surface, resolution, charts,
+                                             factor_shapes):
+        # Each chart gets its factor's axes as columns, not (P, m) parameter rows.
+        seen = []
 
-        def recording_sphere(angles):
-            rows.append(len(angles))
-            return _unit_sphere(angles)
+        def recording(name, chart):
+            def run(columns):
+                seen.append((name, [c.shape for c in columns]))
+                return chart(columns)
+            return run
 
-        monkeypatch.setattr(embedding, "_unit_sphere", recording_sphere)
-        F, _, grid_shape = get_embedding(make_sphere_product(1, 3, 2.5)).frame_grid((7, 6, 5))
-        assert full(F, grid_shape).shape == (210, 5)
-        assert rows == [7, 30]
+        for name in ("_square_sum", "_unit_sphere", "_hyperboloid_chart"):
+            monkeypatch.setattr(embedding, name, recording(name, getattr(embedding, name)))
+        F, _, grid_shape = get_embedding(surface).frame_grid(resolution)
+        assert seen == charts
+        assert [f.shape for f in F] == factor_shapes
+        assert grid_shape == resolution
 
     def test_frame_grid_peak_memory(self):
         # As (P, d) arrays F and N were 2.25 MiB, and concatenating whole per-factor

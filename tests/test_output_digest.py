@@ -19,7 +19,7 @@ def _tool():
 def test_digest_of_a_small_subset():
     tool = _tool()
     doc = tool.digest(str(ROOT / "src"), seeds=(0,), limit=2,
-                      sections=("collapse", "export", "help", "evolve"))
+                      sections=("collapse", "export", "export-wide", "help", "evolve"))
     json.dumps(doc)  # the digest is plain JSON
     collapse = doc["collapse"]["0"]
     assert len(collapse) == 2
@@ -29,6 +29,10 @@ def test_digest_of_a_small_subset():
         assert rc == 0 and out.startswith("<out>/")
         assert sorted(name[-4:] for name in files) == [".csv", "json"]
         assert all(len(digest) == 64 for digest in files.values())
+    assert list(doc["export-wide"]) == [name for name, _ in tool.EXPORT]
+    for name, (rc, out, _, files) in doc["export-wide"].items():
+        assert rc == 0 and out == f"<out>/{name}_000.csv\n"
+        assert sorted(files) == [f"{name}_000.csv", f"{name}_000.json"]
     assert set(doc["help"]) == {"isoflow", "evolve", "collapse", "verify", "export"}
     assert all(rc == 0 and "usage: isoflow" in out for rc, out, _ in doc["help"].values())
     assert [rc for rc, _, _ in doc["evolve"].values()] == [0] * len(tool.EVOLVE)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from isoflow import (
-    EUCLIDEAN, HYPERBOLIC, SPHERE, closed_form, collapse, cs_eval, flow_ode, mean_curvature,
-    resolve_profile, verification,
+    EUCLIDEAN, HYPERBOLIC, SPHERE, Block, IsoparametricSurface, closed_form, collapse, cs_eval,
+    flow_ode, mean_curvature, resolve_profile, verification,
 )
 
 MiB = 2**20
@@ -137,6 +137,20 @@ def _traced_peak(fn):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_cylinder_product_reads_the_catalog(monkeypatch):
+    # k1 * (1 / k1) tested float arithmetic: a constructor storing a wrong
+    # reciprocal, within the catalog's own 1e-8 pattern check, must fail it.
+    def wrong_reciprocal(m1, m2, kappa1):
+        blocks = (Block(kappa1, m1), Block((1.0 + 1e-10) / kappa1, m2))
+        return IsoparametricSurface(HYPERBOLIC, blocks, "hyperbolic_cylinder")
+
+    passed, detail = verification.check_curvature_parametrization()
+    assert passed and detail.endswith("cylinder product: 1.11e-16")
+    monkeypatch.setattr(verification, "make_hyperbolic_cylinder", wrong_reciprocal)
+    passed, detail = verification.check_curvature_parametrization()
+    assert not passed and detail.endswith("cylinder product: 1.00e-10")
 
 
 def test_identities_peak_memory():

@@ -12,11 +12,12 @@ The digest holds the exit code, stdout and stderr of
 * ``isoflow collapse --surface-json`` on one document per ambient, each
   listing its blocks out of order,
 
-and, for every export-cloud op of the seeds, its exit code, output and the
-sha256 of each CSV and JSON file it writes.  Each of those files is first
+and, for every export-cloud op of the seeds and for a fixed set of exports
+whose charts are wider than any of those clouds', its exit code, output and
+the sha256 of each CSV and JSON file it writes.  Each of those files is first
 filled with ``JUNK``, longer than any of them, so the digest covers writing
 over an existing file: a byte of junk left after the output changes its
-hash.  The ops come from
+hash.  The seeded ops come from
 ``perfbench/workloads.py``, which is only read.  Each op runs in process
 through ``isoflow.cli.main``; a warning is shown once per op, as in a fresh
 interpreter, and the path of the source tree in a warning reads ``<src>``.
@@ -64,6 +65,19 @@ EVOLVE = [
                             "--rel-tol", "1e-8", "--abs-tol", "1e-10"]),
 ]
 
+# (name, argv) of the fixed exports, run at resolution 2 and extent 0.9: charts
+# of 8 axes and more, past any export-cloud op, where np.sum adds a row in 8
+# partial sums; at extent 0.9 the order in which |u|^2 is summed shows.
+EXPORT = [
+    ("horosphere-9", ["--family", "horosphere", "--n", "9", "--kappa", "1", "--times", "0.5"]),
+    ("hyperbolic-cylinder-2-9", ["--family", "hyperbolic-cylinder", "--m1", "2", "--m2", "9",
+                                 "--kappa1", "1.5", "--times", "0.01"]),
+    ("euclidean-cylinder-10-12", ["--family", "euclidean-cylinder", "--m", "10", "--n", "12",
+                                  "--kappa", "-1.3", "--times", "0.01"]),
+    ("sphere-product-4-9", ["--family", "sphere-product", "--l", "4", "--n", "9",
+                            "--kappa1", "2", "--times", "0.01"]),
+]
+
 HELP = [[], ["evolve"], ["collapse"], ["verify"], ["export"]]
 
 # What each export target holds before its op: 4 MiB, above the 3.4 MB of the
@@ -104,8 +118,23 @@ def _sha256(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def run_export(cli, argv, stem):
+    """[exit code, stdout, stderr, {file: sha256}] of one single-time export, each
+    of its two files written over ``JUNK``."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        for ext in (".csv", ".json"):
+            with open(os.path.join(out_dir, f"{stem}_000{ext}"), "wb") as fh:
+                fh.write(JUNK)
+        rc, stdout, stderr = run_cli(cli, ["export"] + argv + [
+            "--output-dir", out_dir, "--stem", stem])
+        files = {name: _sha256(os.path.join(out_dir, name))
+                 for name in sorted(os.listdir(out_dir))}
+        return [rc, stdout.replace(out_dir, "<out>"), stderr, files]
+
+
 def digest(src, seeds=(0, 1),
-           sections=("collapse", "verify", "export", "help", "evolve", "surface-json"),
+           sections=("collapse", "verify", "export", "export-wide", "help", "evolve",
+                     "surface-json"),
            limit=None):
     """The digest as a dict; ``limit`` keeps the first ops of each seeded section."""
     sys.path.insert(0, src)
@@ -122,22 +151,15 @@ def digest(src, seeds=(0, 1),
     if "verify" in sections:
         doc["verify"] = run_cli(cli, ["verify"])
     if "export" in sections:
-        doc["export"] = {}
-        for seed in seeds:
-            ops = {}
-            for i, (op, spec, t, res, _) in enumerate(workloads.export_clouds(seed)[:limit]):
-                with tempfile.TemporaryDirectory() as out_dir:
-                    stem = f"op{i:02d}"
-                    for ext in (".csv", ".json"):  # each op writes one snapshot, _000
-                        with open(os.path.join(out_dir, f"{stem}_000{ext}"), "wb") as fh:
-                            fh.write(JUNK)
-                    rc, stdout, stderr = run_cli(cli, ["export"] + workloads.argv(spec) + [
-                        "--times", repr(t), "--resolution", ",".join(map(str, res)),
-                        "--output-dir", out_dir, "--stem", stem])
-                    files = {name: _sha256(os.path.join(out_dir, name))
-                             for name in sorted(os.listdir(out_dir))}
-                    ops[f"{op}/{i}"] = [rc, stdout.replace(out_dir, "<out>"), stderr, files]
-            doc["export"][str(seed)] = ops
+        doc["export"] = {
+            str(seed): {f"{op}/{i}": run_export(cli, workloads.argv(spec) + [
+                "--times", repr(t), "--resolution", ",".join(map(str, res))], f"op{i:02d}")
+                for i, (op, spec, t, res, _) in enumerate(workloads.export_clouds(seed)[:limit])}
+            for seed in seeds}
+    if "export-wide" in sections:
+        doc["export-wide"] = {
+            name: run_export(cli, argv + ["--resolution", "2", "--extent", "0.9"], name)
+            for name, argv in EXPORT}
     if "help" in sections:
         doc["help"] = {" ".join(argv) or "isoflow": run_cli(cli, argv + ["--help"])
                        for argv in HELP}
