@@ -158,6 +158,8 @@ class Embedding:
             raise InvalidInputError(
                 f"resolution needs {dims} nonnegative entries, got {resolution}"
             )
+        if dims > 32:  # numpy broadcasts at most 32 dimensions
+            raise InvalidInputError(f"a grid of {dims} axes exceeds numpy's limit of 32 axes")
         axes = []
         for j, (kind, r) in enumerate(zip(self.axis_kinds, resolution)):
             if kind == "polar":
@@ -182,7 +184,7 @@ def _sphere_axes(m):
 
 def _square_sum(columns):
     """sum_j x_j^2 of columns, added as np.sum adds a row of up to 128 (a grid has at
-    most 64 axes): in turn below 8 terms, else 8 strided sums, paired, then the rest."""
+    most 32 axes): in turn below 8 terms, else 8 strided sums, paired, then the rest."""
     squares = [x * x for x in columns]
     cut = len(squares) - len(squares) % 8
     if cut:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -233,21 +232,56 @@ def _interpolant(coef, x, y0):
     return value + y0
 
 
-class _Run(NamedTuple):
-    """A DOP853 run: status 0 reached t_end, -1 failed."""
+@dataclass
+class NumericProfile:
+    """Dense numeric solution xi(t) of one DOP853 run, with its counters.
 
-    status: int
-    message: str
-    times: list
-    xi_values: list
-    steps: list
-    coeffs: list
-    nfev: int
-    accepted: int
-    rejected: int
+    Step i runs from times[i] to times[i + 1].  ``t_star`` is the quadrature
+    collapse time when the run ended at it, +inf when the flow has no focal
+    target, and None when integration simply reached ``t_end`` without
+    establishing either.  ``nfev``, ``accepted_steps`` and ``rejected_steps``
+    count the DOP853 work.
+    """
+
+    times: np.ndarray
+    xi_values: np.ndarray
+    t_domain: tuple
+    t_star: float | None = None
+    nfev: int = 0
+    accepted_steps: int = 0
+    rejected_steps: int = 0
+    _coeffs: np.ndarray | None = None  # (steps, 7) interpolant terms
+
+    def xi(self, t):
+        t_arr = np.asarray(t, dtype=float)
+        lo, hi = self.t_domain
+        if t_arr.size:
+            first, last = float(np.min(t_arr)), float(np.max(t_arr))
+            if first < lo - 1e-15 or last > hi + 1e-15:
+                bad = first if first < lo - 1e-15 else last
+                raise InvalidInputError(
+                    f"time {bad!r} outside the integrated domain [{lo}, {hi}]"
+                )
+        if self._coeffs is None:
+            out = np.zeros_like(t_arr)
+        else:
+            out = self._interpolate(np.clip(t_arr, lo, hi))
+        if np.ndim(t) == 0:
+            return float(out)
+        return np.asarray(out, dtype=float)
+
+    def _interpolate(self, t):
+        """Each time on the interpolant of its step, chosen as the standard OdeSolution does."""
+        ts, last = self.times, len(self._coeffs) - 1
+        if ts[-1] >= ts[0]:
+            seg = np.clip(np.searchsorted(ts, t, side="left") - 1, 0, last)
+        else:
+            seg = last - np.clip(np.searchsorted(ts[::-1], t, side="right") - 1, 0, last)
+        x = (t - ts[seg]) / (ts[seg + 1] - ts[seg])
+        return _interpolant(self._coeffs[seg].T, x, self.xi_values[seg])
 
 
-def solve_ivp(fun, t_end: float, opts: OdeOptions) -> _Run:
+def solve_ivp(fun, t_end: float, opts: OdeOptions) -> NumericProfile:
     """DOP853 for xi' = fun(xi), xi(0) = 0, from t = 0 to t_end, in Python floats.
 
     The controller is that of the standard solve_ivp(method="DOP853") driver
@@ -257,7 +291,8 @@ def solve_ivp(fun, t_end: float, opts: OdeOptions) -> _Run:
     step of 10 ulp of t, and per accepted step the 7-term interpolant, which
     costs 3 more stages.  _attempt and _dense run the stages.  ``nfev``
     counts RHS calls as that driver does: 2 for the initial step, 12 per
-    attempt, 3 per accepted step.
+    attempt, 3 per accepted step.  Raises IntegrationFailureError where the
+    step underflows before t_end.
     """
     exponent = -1.0 / 8  # -1 / (order of the error estimate + 1)
     rtol, atol = opts.rel_tol, opts.abs_tol
@@ -274,18 +309,16 @@ def solve_ivp(fun, t_end: float, opts: OdeOptions) -> _Run:
     h_abs = min(100 * h0, h_abs, span)
 
     t, y, nfev, accepted, rejected = 0.0, 0.0, 2, 0, 0
-    times, xis, steps, coeffs = [0.0], [0.0], [], []
-
-    def run(status, message=""):
-        return _Run(status, message, times, xis, steps, coeffs, nfev, accepted, rejected)
-
+    times, xis, coeffs = [0.0], [0.0], []
     while True:
         min_step = 10 * abs(math.nextafter(t, sign * math.inf) - t)
         h_abs = max(h_abs, min_step)
         retried = False
         while True:
             if h_abs < min_step:
-                return run(-1, "Required step size is less than spacing between numbers.")
+                raise IntegrationFailureError(
+                    f"integration failed before t = {t_end!r}: "
+                    "Required step size is less than spacing between numbers.")
             t_new = t + h_abs * sign
             if sign * (t_new - t_end) > 0:
                 t_new = t_end
@@ -311,65 +344,15 @@ def solve_ivp(fun, t_end: float, opts: OdeOptions) -> _Run:
         accepted += 1
         nfev += 3
         dy = y_new - y
-        coef = (dy, h * f - dy, 2 * dy - h * (f_new + f), *_dense(fun, y, h, k))
-        steps.append(h)
-        coeffs.append(coef)
+        coeffs.append((dy, h * f - dy, 2 * dy - h * (f_new + f), *_dense(fun, y, h, k)))
         t, y, f = t_new, y_new, f_new
         times.append(t)
         xis.append(y)
         if sign * (t - t_end) >= 0:
-            return run(0)
-
-
-@dataclass
-class NumericProfile:
-    """Dense numeric solution xi(t) with its termination record and counters.
-
-    ``t_star`` is the quadrature collapse time when the run ended at it,
-    +inf when the flow has no focal target, and None when integration simply
-    reached ``t_end`` without establishing either.  ``nfev``,
-    ``accepted_steps`` and ``rejected_steps`` count the DOP853 work.
-    """
-
-    times: np.ndarray
-    xi_values: np.ndarray
-    termination: str  # "reached_t_end" | "hit_singularity"
-    t_domain: tuple
-    t_star: float | None = None
-    t_star_error_bound: float | None = None
-    nfev: int = 0
-    accepted_steps: int = 0
-    rejected_steps: int = 0
-    _steps: np.ndarray | None = None  # full length h of each step
-    _coeffs: np.ndarray | None = None  # (steps, 7) interpolant terms
-
-    def xi(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        lo, hi = self.t_domain
-        if t_arr.size:
-            first, last = float(np.min(t_arr)), float(np.max(t_arr))
-            if first < lo - 1e-15 or last > hi + 1e-15:
-                bad = first if first < lo - 1e-15 else last
-                raise InvalidInputError(
-                    f"time {bad!r} outside the integrated domain [{lo}, {hi}]"
-                )
-        if self._coeffs is None:
-            out = np.zeros_like(t_arr)
-        else:
-            out = self._interpolate(np.clip(t_arr, lo, hi))
-        if np.ndim(t) == 0:
-            return float(out)
-        return np.asarray(out, dtype=float)
-
-    def _interpolate(self, t):
-        """Each time on the interpolant of its step, chosen as the standard OdeSolution does."""
-        ts, last = self.times, len(self._steps) - 1
-        if ts[-1] >= ts[0]:
-            seg = np.clip(np.searchsorted(ts, t, side="left") - 1, 0, last)
-        else:
-            seg = last - np.clip(np.searchsorted(ts[::-1], t, side="right") - 1, 0, last)
-        x = (t - ts[seg]) / self._steps[seg]
-        return _interpolant(self._coeffs[seg].T, x, self.xi_values[seg])
+            return NumericProfile(np.array(times), np.array(xis),
+                                  (min(0.0, t_end), max(0.0, t_end)), nfev=nfev,
+                                  accepted_steps=accepted, rejected_steps=rejected,
+                                  _coeffs=np.array(coeffs))
 
 
 def _collapse_time(surface: IsoparametricSurface, direction: int, watched):
@@ -413,55 +396,33 @@ def integrate(surface: IsoparametricSurface, t_end: float, opts: OdeOptions = DE
 
     A forward run whose window reaches the collapse time t* of a focal
     target ends at t* - collapse._limit_eval_offset(t*), the time
-    collapse.analyze reads, with termination "hit_singularity"; the profile
-    then carries the collapse time of ``estimate_tstar`` with its error
-    bound.  ``_quadrature`` is that (t*, bound) when the caller already
-    has it.  A window short of t* runs to t_end.  Raises
-    IntegrationFailureError if the solver gives up first.
+    collapse.analyze reads, and the profile carries the t* of
+    ``estimate_tstar``.  ``_quadrature`` is the (t*, bound) of
+    ``_collapse_time`` when the caller already has it.  A window short of t*
+    runs to t_end.  Raises IntegrationFailureError if the solver gives up
+    first.
     """
     t_end = float(t_end)
     if not math.isfinite(t_end):
         raise InvalidInputError(f"t_end must be finite, got {t_end!r}")
     direction, watched = focal_blocks(surface)
+    # No focal target in the flow direction: no collapse, ever.
+    t_star = math.inf if direction == 0 or (t_end > 0 and not watched) else None
 
     if t_end == 0.0 or direction == 0:
         # Stationary flow or empty window: xi stays identically zero.
         lo, hi = min(0.0, t_end), max(0.0, t_end)
         times = np.array([lo, hi]) if t_end != 0.0 else np.array([0.0])
-        return NumericProfile(
-            times=times,
-            xi_values=np.zeros_like(times),
-            termination="reached_t_end",
-            t_domain=(lo, hi),
-            t_star=math.inf if direction == 0 else None,
-        )
+        return NumericProfile(times, np.zeros_like(times), (lo, hi), t_star)
 
-    t_star = bound = None
-    if t_end > 0 and not watched:
-        t_star = math.inf  # no focal target in the flow direction: no collapse, ever
-    elif t_end > 0:
+    if t_end > 0 and watched:
         quadrature = _quadrature or _collapse_time(surface, direction, watched)
         if t_end >= quadrature[0]:
-            t_star, bound = quadrature
+            t_star = quadrature[0]
             t_end = t_star - _limit_eval_offset(t_star)
-
-    run = solve_ivp(_kernel(surface), t_end, opts)
-    if run.status == -1:
-        raise IntegrationFailureError(f"integration failed before t = {t_end!r}: {run.message}")
-
-    return NumericProfile(
-        times=np.array(run.times),
-        xi_values=np.array(run.xi_values),
-        termination="reached_t_end" if bound is None else "hit_singularity",
-        t_domain=(min(0.0, t_end), max(0.0, t_end)),
-        t_star=t_star,
-        t_star_error_bound=bound,
-        nfev=run.nfev,
-        accepted_steps=run.accepted,
-        rejected_steps=run.rejected,
-        _steps=np.array(run.steps),
-        _coeffs=np.array(run.coeffs),
-    )
+    profile = solve_ivp(_kernel(surface), t_end, opts)
+    profile.t_star = t_star
+    return profile
 
 
 def estimate_tstar(

@@ -105,7 +105,7 @@ class TestNumericProfiles:
     def test_numeric_point_collapse(self):
         surface = make_sphere_umbilic(2, 1.0)
         prof = integrate(surface, 0.5)
-        assert prof.termination == "hit_singularity"
+        assert math.isfinite(prof.t_star)
         report = analyze(surface, prof)
         assert report.limit_kind == "point"
         assert report.t_star == pytest.approx(math.log(2.0) / 4.0, abs=1e-8)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from operator import add, mul
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -81,15 +82,16 @@ class TestIntegrate:
     def test_euclidean_sphere_profile_value(self, euclidean_sphere):
         # xi(t) = 1 - sqrt(1 - 4t) for two unit curvatures
         prof = integrate(euclidean_sphere, 0.2)
-        assert prof.termination == "reached_t_end"
+        assert prof.t_star is None and prof.times[-1] == 0.2
         assert prof.xi(0.2) == pytest.approx(1.0 - math.sqrt(0.2), abs=1e-9)
 
     def test_guard_triggers_before_collapse(self, euclidean_sphere):
         # A window past t* = 0.25 ends at the time collapse.analyze reads.
         prof = integrate(euclidean_sphere, 0.3)
-        assert prof.termination == "hit_singularity"
+        assert math.isfinite(prof.t_star)
         assert prof.t_domain == (0.0, prof.t_star - _limit_eval_offset(prof.t_star))
-        assert abs(prof.t_star - 0.25) <= prof.t_star_error_bound
+        _, bound, _ = estimate_tstar(euclidean_sphere, full_output=True)
+        assert abs(prof.t_star - 0.25) <= bound
         assert prof.t_star == pytest.approx(0.25, abs=1e-8)
 
     def test_rejects_non_finite_horizon(self, euclidean_sphere):
@@ -102,7 +104,7 @@ class TestIntegrate:
         surface = make_sphere_umbilic(2, 1e4)
         t_star = estimate_tstar(surface)
         prof = integrate(surface, 0.99 * t_star)
-        assert prof.termination == "reached_t_end" and prof.t_star is None
+        assert prof.t_star is None
         assert prof.times[-1] == 0.99 * t_star
 
     def test_domain_enforced(self, euclidean_sphere):
@@ -140,7 +142,7 @@ class TestIntegrate:
         # Tighter error control still ends the run at the collapse stop.
         opts = OdeOptions(rel_tol=1e-12, abs_tol=1e-14)
         prof = integrate(make_euclidean_cylinder(2, 2, 1.0), 0.3, opts)
-        assert prof.termination == "hit_singularity"
+        assert math.isfinite(prof.t_star)
         assert prof.t_star == pytest.approx(0.25, abs=1e-9)
 
     def test_mean_curvature_equals_slope(self):
@@ -230,7 +232,7 @@ class TestEstimateTstar:
         # xi* = arccot(1e7) at t* = 2.5e-15: the run ends at t*/2, short of xi*.
         surface = make_sphere_umbilic(2, 1e7)
         prof = integrate(surface, 1.0)
-        assert prof.termination == "hit_singularity"
+        assert math.isfinite(prof.t_star)
         t_stop, xi_stop = prof.times[-1], prof.xi_values[-1]
         assert t_stop == prof.t_star - _limit_eval_offset(prof.t_star) == prof.t_domain[1]
         assert 0.0 < xi_stop < math.atan2(1.0, 1e7)
@@ -244,7 +246,7 @@ class TestEstimateTstar:
             surface = make_hyperbolic_umbilic(2, kappa)
             t_star = estimate_tstar(surface)
             prof = integrate(surface, 2.0 * t_star)
-            assert prof.termination == "hit_singularity", kappa
+            assert math.isfinite(prof.t_star), kappa
             assert prof.times[-1] == t_star - _limit_eval_offset(t_star), kappa
         t_star = estimate_tstar(make_hyperbolic_umbilic(2, 1 + 1e-12))
         end = integrate(make_hyperbolic_umbilic(2, 1 + 1e-12), 2.0 * t_star).times[-1]
@@ -261,7 +263,7 @@ class TestEstimateTstar:
         monkeypatch.setattr(flow_ode, "_collapse_time", counted)
         value, bound, prof = estimate_tstar(euclidean_sphere, full_output=True)
         assert len(calls) == 1
-        assert (prof.t_star, prof.t_star_error_bound) == (value, bound)
+        assert prof.t_star == value and (value, bound) == collapse_time(*calls[0])
 
     def test_small_kappa_umbilic(self):
         # t* = log1p(1/kappa^2) / (2n): the sphere numerator sin(xi) + kappa cos(xi)
@@ -409,10 +411,10 @@ class TestDriver:
         # The coefficient table is written into the step, so an integration
         # that ends at the collapse stop loads no scipy module at all.
         code = """
-import sys
+import math, sys
 import isoflow
 prof = isoflow.integrate(isoflow.make_sphere_umbilic(2, 1.0), 1.0)
-assert prof.termination == "hit_singularity"
+assert math.isfinite(prof.t_star)
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
 """
@@ -438,7 +440,7 @@ assert not loaded, loaded
                 t_stop = t_star - _limit_eval_offset(t_star)
                 prof, _ = _assert_agrees_with_scipy(surface, 2.0 * t_star,
                                                     np.linspace(0.0, 0.999 * t_stop, 200))
-                stops += prof.termination == "hit_singularity"
+                stops += math.isfinite(prof.t_star)
         assert stops >= 40
 
     def test_backward_run(self):
@@ -504,6 +506,16 @@ def _reference_fun(surface, floor=1e-14):
     return fun
 
 
+class _ReferenceRun(NamedTuple):
+    times: list
+    xi_values: list
+    steps: list  # the h of each step, as the loop computed it
+    coeffs: list
+    nfev: int
+    accepted: int
+    rejected: int
+
+
 def _reference_solve_ivp(fun, t_end, opts):
     """The DOP853 loop on scipy's table, with every stage sum as sum(map(mul, a, k))."""
     method = scipy.integrate.DOP853
@@ -525,17 +537,13 @@ def _reference_solve_ivp(fun, t_end, opts):
 
     t, y, nfev, accepted, rejected = 0.0, 0.0, 2, 0, 0
     times, xis, steps, coeffs = [0.0], [0.0], [], []
-
-    def run(status, message=""):
-        return flow_ode._Run(status, message, times, xis, steps, coeffs, nfev, accepted, rejected)
-
     while True:
         min_step = 10 * abs(math.nextafter(t, sign * math.inf) - t)
         h_abs = max(h_abs, min_step)
         retried = False
         while True:
             if h_abs < min_step:
-                return run(-1, "Required step size is less than spacing between numbers.")
+                raise IntegrationFailureError("step size below 10 ulp of t")
             t_new = t + h_abs * sign
             if sign * (t_new - t_end) > 0:
                 t_new = t_end
@@ -574,7 +582,7 @@ def _reference_solve_ivp(fun, t_end, opts):
         times.append(t)
         xis.append(y)
         if sign * (t - t_end) >= 0:
-            return run(0)
+            return _ReferenceRun(times, xis, steps, coeffs, nfev, accepted, rejected)
 
 
 class TestStraightLine:
@@ -598,12 +606,14 @@ class TestStraightLine:
                 key = (label, t_end)
                 assert prof.times.tobytes() == np.array(ref.times).tobytes(), key
                 assert prof.xi_values.tobytes() == np.array(ref.xi_values).tobytes(), key
-                assert prof._steps.tobytes() == np.array(ref.steps).tobytes(), key
+                assert np.diff(prof.times).tobytes() == np.array(ref.steps).tobytes(), key
                 assert prof._coeffs.tobytes() == np.array(ref.coeffs).tobytes(), key
                 assert (prof.nfev, prof.accepted_steps, prof.rejected_steps) == (
                     ref.nfev, ref.accepted, ref.rejected), key
-                assert prof.termination == ("hit_singularity" if end < t_end
-                                            else "reached_t_end"), key
+                if end < t_end:  # the run ended at the collapse stop
+                    assert prof.t_star == t_star, key
+                else:
+                    assert prof.t_star in (None, math.inf), key
                 stops += end < t_end
         assert stops >= 40
 

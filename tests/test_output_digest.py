@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import pathlib
+import re
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -30,8 +31,11 @@ def test_digest_of_a_small_subset():
         assert sorted(name[-4:] for name in files) == [".csv", "json"]
         assert all(len(digest) == 64 for digest in files.values())
     assert list(doc["export-wide"]) == [name for name, _ in tool.EXPORT]
-    for name, (rc, out, _, files) in doc["export-wide"].items():
+    for name, (rc, out, err, files) in doc["export-wide"].items():
         assert rc == 0 and out == f"<out>/{name}_000.csv\n"
+        # The warning lands in the op's stderr, not in the test runner's recorder.
+        assert re.match(r"<src>/isoflow/cli\.py:\d+: UserWarning: ambient dimension \d+ "
+                        r"exceeds the default export target of 4;", err), err
         assert sorted(files) == [f"{name}_000.csv", f"{name}_000.json"]
     assert set(doc["help"]) == {"isoflow", "evolve", "collapse", "verify", "export"}
     assert all(rc == 0 and "usage: isoflow" in out for rc, out, _ in doc["help"].values())

@@ -98,11 +98,20 @@ SURFACE_JSON = [
 
 
 def run_cli(cli, argv):
-    """[exit code, stdout, stderr] of one in-process call; an uncaught exception is its outcome."""
+    """[exit code, stdout, stderr] of one in-process call; an uncaught exception is its outcome.
+
+    Each warning is written into that stderr as a fresh interpreter prints it,
+    also where a test runner has installed its own ``warnings.showwarning``.
+    """
     out, err = io.StringIO(), io.StringIO()
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        err.write(warnings.formatwarning(message, category, filename, lineno, line))
+
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
         warnings.simplefilter("default")
+        warnings.showwarning = show
         try:
             rc = cli.main(argv)
         except SystemExit as exc:  # --help and argparse errors
