@@ -252,7 +252,8 @@ def get_embedding(surface: IsoparametricSurface) -> Embedding:
                    (None, surface.n - m, 1.0, None)]
     elif family == "sphere_g2":
         b1, b2 = surface.blocks  # kappa1 > 0 > kappa2 = -1/kappa1
-        r1 = 1.0 / math.sqrt(1.0 + b1.kappa**2)
+        # Past 1e16 the root of 1 + kappa1^2 rounds to kappa1; kappa1^2 overflows past 1.34e154.
+        r1 = 1.0 / b1.kappa if b1.kappa > 1e16 else 1.0 / math.sqrt(1.0 + b1.kappa**2)
         r2 = b1.kappa * r1
         factors = [(_unit_sphere, b1.mult, r1, -r2), (_unit_sphere, b2.mult, r2, r1)]
     elif family == "hyperbolic_cylinder":

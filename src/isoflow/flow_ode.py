@@ -15,11 +15,12 @@ with its 7th-order dense output (Hairer, Norsett & Wanner, Solving ODEs I,
 II.5-II.6), stepped in Python floats: on a scalar ODE, per-step array work
 costs ten times the right-hand side.  One step is straight-line code with
 the tableau written out (_attempt, _dense), and the right-hand side is
-written once per ambient.  A forward run whose window reaches the collapse
-time t* ends at a time known in advance, t* - collapse._limit_eval_offset(t*),
-where collapse.analyze reads the limit; no event or root search decides the
-stop.  A run that meets the singularity before it fails with
-IntegrationFailureError.
+written once per ambient.  Forward runs toward a focal offset add
+Gustafsson's predictive step control; other runs step as scipy does.  A
+forward run whose window reaches the collapse time t* ends at a time known
+in advance, t* - collapse._limit_eval_offset(t*), where collapse.analyze
+reads the limit; no event or root search decides the stop.  A run that
+meets the singularity before it fails with IntegrationFailureError.
 
 Distinct trajectories share no mutable state and may run in parallel.
 """
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,7 +283,7 @@ class NumericProfile:
         return _interpolant(self._coeffs[seg].T, x, self.xi_values[seg])
 
 
-def solve_ivp(fun, t_end: float, opts: OdeOptions) -> NumericProfile:
+def solve_ivp(fun, t_end: float, opts: OdeOptions, _predictive=False) -> NumericProfile:
     """DOP853 for xi' = fun(xi), xi(0) = 0, from t = 0 to t_end, in Python floats.
 
     The controller is that of the standard solve_ivp(method="DOP853") driver
@@ -289,10 +291,14 @@ def solve_ivp(fun, t_end: float, opts: OdeOptions) -> NumericProfile:
     step with the 5th/3rd-order error norm, safety 0.9, step factors between
     0.2 and 10 (at most 1 right after a rejection), exponent -1/8, a minimum
     step of 10 ulp of t, and per accepted step the 7-term interpolant, which
-    costs 3 more stages.  _attempt and _dense run the stages.  ``nfev``
-    counts RHS calls as that driver does: 2 for the initial step, 12 per
-    attempt, 3 per accepted step.  Raises IntegrationFailureError where the
-    step underflows before t_end.
+    costs 3 more stages.  With ``_predictive`` (integrate's forward runs
+    toward a focal offset, where the step needed shrinks at every step and
+    that rule rejects about every other attempt), each accepted step after
+    the first takes the smaller of that proposal and Gustafsson's predictive
+    one, factor (h_n / h_{n-1}) (err_{n-1} / err_n)^(1/8), floored at 0.2
+    (Hairer & Wanner, Solving ODEs II, IV.2).  ``nfev`` counts RHS calls as
+    that driver does: 2 for the initial step, 12 per attempt, 3 per accepted
+    step.  Raises IntegrationFailureError where the step underflows before t_end.
     """
     exponent = -1.0 / 8  # -1 / (order of the error estimate + 1)
     rtol, atol = opts.rel_tol, opts.abs_tol
@@ -309,7 +315,8 @@ def solve_ivp(fun, t_end: float, opts: OdeOptions) -> NumericProfile:
     h_abs = min(100 * h0, h_abs, span)
 
     t, y, nfev, accepted, rejected = 0.0, 0.0, 2, 0, 0
-    times, xis, coeffs = [0.0], [0.0], []
+    times, xis, coeffs = array("d", [0.0]), array("d", [0.0]), array("d")
+    h_prev = err_prev = 0.0  # the last accepted step and its error norm, if _predictive
     while True:
         min_step = 10 * abs(math.nextafter(t, sign * math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -335,7 +342,13 @@ def solve_ivp(fun, t_end: float, opts: OdeOptions) -> NumericProfile:
                 error_norm = h_abs * err5 / math.sqrt(err5 + 0.01 * err3)
             if error_norm < 1:
                 factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** exponent)
-                h_abs *= min(1, factor) if retried else factor
+                h_next = h_abs * (min(1, factor) if retried else factor)
+                if err_prev and error_norm:
+                    h_next = min(h_next, h_abs * max(0.2, factor * (h_abs / h_prev)
+                                                      * (err_prev / error_norm) ** -exponent))
+                if _predictive:
+                    h_prev, err_prev = h_abs, error_norm
+                h_abs = h_next
                 break
             h_abs *= max(0.2, 0.9 * error_norm ** exponent)
             retried = True
@@ -344,7 +357,7 @@ def solve_ivp(fun, t_end: float, opts: OdeOptions) -> NumericProfile:
         accepted += 1
         nfev += 3
         dy = y_new - y
-        coeffs.append((dy, h * f - dy, 2 * dy - h * (f_new + f), *_dense(fun, y, h, k)))
+        coeffs.extend((dy, h * f - dy, 2 * dy - h * (f_new + f), *_dense(fun, y, h, k)))
         t, y, f = t_new, y_new, f_new
         times.append(t)
         xis.append(y)
@@ -352,7 +365,7 @@ def solve_ivp(fun, t_end: float, opts: OdeOptions) -> NumericProfile:
             return NumericProfile(np.array(times), np.array(xis),
                                   (min(0.0, t_end), max(0.0, t_end)), nfev=nfev,
                                   accepted_steps=accepted, rejected_steps=rejected,
-                                  _coeffs=np.array(coeffs))
+                                  _coeffs=np.array(coeffs).reshape(-1, 7))
 
 
 def _collapse_time(surface: IsoparametricSurface, direction: int, watched):
@@ -420,7 +433,7 @@ def integrate(surface: IsoparametricSurface, t_end: float, opts: OdeOptions = DE
         if t_end >= quadrature[0]:
             t_star = quadrature[0]
             t_end = t_star - _limit_eval_offset(t_star)
-    profile = solve_ivp(_kernel(surface), t_end, opts)
+    profile = solve_ivp(_kernel(surface), t_end, opts, _predictive=t_end > 0 and bool(watched))
     profile.t_star = t_star
     return profile
 

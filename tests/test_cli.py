@@ -451,6 +451,21 @@ class TestExport:
             assert err == "error: frame is not finite, or its squared norm overflows\n"
             assert not list(tmp_path.glob("*.csv"))
 
+    def test_sphere_product_whose_curvature_squared_overflows(self, capsys, tmp_path):
+        # kappa1^2 overflows past kappa1 ~ 1.34e154, where t* lies below the least normal
+        # double: export ends in one error line and exit 4, verify in a FAIL line, not a
+        # traceback.
+        surface = ["--family", "sphere-product", "--l", "1", "--n", "3", "--kappa1", "1e160"]
+        rc, out, err = run_cli(capsys, "export", *surface, "--times", "0",
+                               "--output-dir", str(tmp_path))
+        assert (rc, out, err) == (4, "", "error: sphere_g2 collapse time underflows to 0.0\n")
+        assert not list(tmp_path.iterdir())
+        rc, out, err = run_cli(capsys, "verify", *surface, "--check", "embedding-constraints")
+        assert (rc, err) == (1, "")
+        assert out.splitlines() == [
+            "FAIL  embedding-constraints  cli surface: NumericalRangeError: sphere_g2 collapse "
+            "time underflows to 0.0", "0/1 checks passed"]
+
     @pytest.mark.parametrize("surface", [
         ["--family", "horosphere", "--n", "33", "--kappa", "1"],
         ["--family", "euclidean-cylinder", "--m", "20", "--n", "40", "--kappa", "1"],

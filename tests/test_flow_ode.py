@@ -1,6 +1,7 @@
 """ODE engine: right-hand side, integration, collapse stop and collapse-time estimates."""
 
 import functools
+import json
 import math
 import os
 import subprocess
@@ -17,6 +18,7 @@ from isoflow import (
     InvalidInputError,
     NumericalRangeError,
     OdeOptions,
+    cli,
     collapse,
     estimate_tstar,
     integrate,
@@ -461,6 +463,49 @@ assert not loaded, loaded
             assert len(prof.times) == prof.accepted_steps + 1, label
 
 
+class TestStepControl:
+    """Gustafsson's predictive step toward a focal offset, scipy's controller elsewhere."""
+
+    def test_collapsing_runs_reject_few_steps(self):
+        # Without the predictive step, these runs reject about every other attempt.
+        attempts = rejected = 0
+        for _, surface in verification.builtin_grid():
+            t_star = resolve_profile(surface).t_star
+            if not math.isfinite(t_star):
+                continue
+            # The oracle-agreement window and the full_output window.
+            for t_end in (verification._window_end(t_star), 2.0 * estimate_tstar(surface)):
+                prof = integrate(surface, t_end)
+                attempts += prof.accepted_steps + prof.rejected_steps
+                rejected += prof.rejected_steps
+        assert attempts > 1000 and rejected <= 0.02 * attempts
+
+    def test_sphere_umbilic_collapse_rejects_at_most_two_steps(self, capsys):
+        assert cli.main(["collapse", "--family", "sphere-umbilic", "--n", "3",
+                         "--kappa", "2"]) == 0
+        counters = json.loads(capsys.readouterr().out)["ode"]["integrator"]
+        assert counters["rejected_steps"] <= 2
+
+    def test_oracle_agreement_times_match_the_closed_form(self):
+        for label, surface in verification.builtin_grid():
+            if surface.is_minimal:
+                continue
+            closed = resolve_profile(surface)
+            ts = np.linspace(0.0, verification._window_end(closed.t_star), 200)
+            want = closed.xi(ts)
+            got = integrate(surface, ts[-1]).xi(ts)
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), label
+
+    @pytest.mark.parametrize("surface, t_end, counters", [
+        (make_hyperbolic_umbilic(2, 0.5), 10.0, (518, 32, 3)),  # eternal
+        (make_sphere_product(1, 2, 2.0), -3.0, (467, 31, 0)),  # backward
+    ])
+    def test_runs_without_a_focal_target_ahead_keep_scipys_steps(self, surface, t_end,
+                                                                  counters):
+        prof = integrate(surface, t_end)
+        assert (prof.nfev, prof.accepted_steps, prof.rejected_steps) == counters
+
+
 if sys.version_info < (3, 12):
     def _dot(a, k):
         return sum(map(mul, a, k))
@@ -516,8 +561,12 @@ class _ReferenceRun(NamedTuple):
     rejected: int
 
 
-def _reference_solve_ivp(fun, t_end, opts):
-    """The DOP853 loop on scipy's table, with every stage sum as sum(map(mul, a, k))."""
+def _reference_solve_ivp(fun, t_end, opts, predictive=False):
+    """The DOP853 loop on scipy's table, with every stage sum as sum(map(mul, a, k)).
+
+    Its step control is scipy's; with ``predictive``, an accepted step after
+    the first also proposes Gustafsson's step, and the smaller one is taken.
+    """
     method = scipy.integrate.DOP853
     stages = [method.A[s, :s].tolist() for s in range(1, method.n_stages)]
     b, e5, e3 = method.B.tolist(), method.E5.tolist(), method.E3.tolist()
@@ -537,6 +586,7 @@ def _reference_solve_ivp(fun, t_end, opts):
 
     t, y, nfev, accepted, rejected = 0.0, 0.0, 2, 0, 0
     times, xis, steps, coeffs = [0.0], [0.0], [], []
+    last = None  # (h, error norm) of the last accepted step
     while True:
         min_step = 10 * abs(math.nextafter(t, sign * math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -564,7 +614,12 @@ def _reference_solve_ivp(fun, t_end, opts):
                 error_norm = h_abs * err5 / math.sqrt(err5 + 0.01 * err3)
             if error_norm < 1:
                 factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** exponent)
-                h_abs *= min(1, factor) if retried else factor
+                proposal = h_abs * (min(1, factor) if retried else factor)
+                if predictive and last and last[1] > 0 < error_norm:
+                    ratio = factor * (h_abs / last[0]) * (last[1] / error_norm) ** 0.125
+                    proposal = min(proposal, h_abs * max(0.2, ratio))
+                last = (h_abs, error_norm)
+                h_abs = proposal
                 break
             h_abs *= max(0.2, 0.9 * error_norm ** exponent)
             retried = True
@@ -602,7 +657,8 @@ class TestStraightLine:
             for t_end in windows:
                 prof = integrate(surface, t_end)
                 end = t_end if t_end < t_star else t_star - _limit_eval_offset(t_star)
-                ref = _reference_solve_ivp(_reference_fun(surface), end, DEFAULT_OPTIONS)
+                ref = _reference_solve_ivp(_reference_fun(surface), end, DEFAULT_OPTIONS,
+                                           predictive=math.isfinite(t_star))
                 key = (label, t_end)
                 assert prof.times.tobytes() == np.array(ref.times).tobytes(), key
                 assert prof.xi_values.tobytes() == np.array(ref.xi_values).tobytes(), key
