@@ -27,6 +27,7 @@ from .spaceform import (
     SPHERE,
     SpaceForm,
     _inverse_slope,
+    _like,
     parallel_curvature,
     parallel_metric_factor,
 )
@@ -414,9 +415,7 @@ def mean_curvature(surface: IsoparametricSurface, xi):
     for b in surface.blocks:
         term = np.asarray(parallel_curvature(sf, b.kappa, xi)) * b.mult
         total = term if total is None else total + term
-    if np.ndim(xi) == 0:
-        return float(total)
-    return total
+    return _like(xi, total)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ files.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
@@ -39,7 +38,8 @@ from .catalog import (
 from .closed_form import resolve_profile
 from .collapse import analyze
 # sample stays importable here: perfbench/layers.py traces it at this module.
-from .embedding import export_csv, export_metadata, get_embedding, sample, snapshots  # noqa: F401
+from .embedding import sample  # noqa: F401
+from .embedding import export_csv, export_metadata, get_embedding, overwrite, snapshots
 from .errors import InvalidFrameError, InvalidInputError, IsoflowError, UnsupportedEmbeddingError
 from .flow_ode import DEFAULT_OPTIONS, OdeOptions, estimate_tstar, integrate
 
@@ -61,17 +61,13 @@ def _add_surface_args(parser):
     grp.add_argument("--m1", type=int, help="first multiplicity")
     grp.add_argument("--m2", type=int, help="second multiplicity")
     grp.add_argument("--l", type=int, help="first factor dimension (sphere-product)")
-    grp.add_argument("--g", type=int, choices=[2, 3, 4, 6],
-                     help="number of distinct curvatures (sphere-g)")
     grp.add_argument("--s-param", type=float,
                      help="ladder parameter s in (0, pi/g) instead of --kappa1")
     grp.add_argument("--mults", type=str,
-                     help="comma-separated multiplicities for sphere-g families")
+                     help="comma-separated multiplicities for sphere-gN families")
 
 
 def _sphere_g(args, g):
-    if g is None:
-        raise InvalidInputError("--family sphere-g needs --g")
     mults = [int(x) for x in args.mults.split(",") if x.strip()] if args.mults else None
     if args.s_param is not None:
         return sphere_curvatures_from_g(g, args.s_param, mults)
@@ -92,7 +88,6 @@ _FAMILIES = {
                             lambda a: make_hyperbolic_cylinder(a.m1, a.m2, a.kappa1)),
     "sphere-umbilic": (("n", "kappa"), lambda a: make_sphere_umbilic(a.n, a.kappa)),
     "sphere-product": (("l", "n", "kappa1"), lambda a: make_sphere_product(a.l, a.n, a.kappa1)),
-    "sphere-g": ((), lambda a: _sphere_g(a, a.g)),
     **{f"sphere-g{g}": ((), lambda a, g=g: _sphere_g(a, g)) for g in (2, 3, 4, 6)},
 }
 
@@ -112,11 +107,13 @@ def build_surface(args):
     return construct(args)
 
 
-def _open_output(path):
-    """The output stream as a context manager: stdout is left open."""
+def _write_output(text, path):
+    """A command's whole output, to stdout or written in place over the file at path."""
     if path is None or path == "-":
-        return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8")
+        sys.stdout.write(text)
+        return
+    with overwrite(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -179,17 +176,15 @@ def cmd_evolve(args) -> int:
             row["discrepancy"] = abs(xi - ode_xi(t))
         rows.append(row)
 
-    with _open_output(args.output) as out:
-        if args.format == "csv":
-            if rows:
-                header = list(rows[0])
-                out.write(",".join(header) + "\n")
-                for row in rows:
-                    out.write(",".join(f"{row[h]:.17g}" for h in header) + "\n")
-        else:
-            json.dump({"surface": surface.to_dict(), "engine": args.engine,
-                       "rows": rows}, out, indent=2)
-            out.write("\n")
+    text = ""
+    if args.format == "json":
+        text = json.dumps({"surface": surface.to_dict(), "engine": args.engine,
+                           "rows": rows}, indent=2) + "\n"
+    elif rows:
+        header = list(rows[0])
+        lines = [header] + [[f"{row[h]:.17g}" for h in header] for row in rows]
+        text = "".join(",".join(line) + "\n" for line in lines)
+    _write_output(text, args.output)
     return EXIT_OK
 
 
@@ -226,9 +221,7 @@ def cmd_collapse(args) -> int:
         },
         "delta_t_star": delta,
     }
-    with _open_output(args.output) as out:
-        json.dump(doc, out, indent=2)
-        out.write("\n")
+    _write_output(json.dumps(doc, indent=2) + "\n", args.output)
     return EXIT_OK
 
 
@@ -238,10 +231,11 @@ def cmd_collapse(args) -> int:
 def cmd_verify(args) -> int:
     opts = OdeOptions(args.rel_tol, args.abs_tol)
     checks = args.check if args.check else None
+    surfaces = None
     if args.surface_json or args.family:
-        surfaces = [("cli surface", build_surface(args))]
-    else:
-        surfaces = None
+        surface = build_surface(args)
+        resolve_profile(surface)  # without a closed form, exit 4 as collapse does
+        surfaces = [("cli surface", surface)]
     results = verification.run_verification(surfaces=surfaces, checks=checks, opts=opts)
     width = max(len(r.check) for r in results)
     failed = 0

@@ -23,13 +23,14 @@ import numpy as np
 
 from .catalog import IsoparametricSurface
 from .errors import InvalidInputError, NumericalRangeError
+from .spaceform import _like
 
 _INF = math.inf
 
 
 @dataclass
 class ClosedFormProfile:
-    """A resolved evolution: evaluate xi(t) on the maximal domain (-inf, t_star].
+    """A resolved evolution: evaluate xi(t) on the maximal domain ``t_domain``, (-inf, t_star].
 
     ``angle_pair(t)`` exposes the raw (cos g xi, sin g xi) or (cosh g xi,
     sinh g xi) pair of the resolved (positive mean curvature) orientation,
@@ -43,6 +44,10 @@ class ClosedFormProfile:
     _pair: callable  # t -> (co, si), or None
     orientation_flipped: bool = False
 
+    @property
+    def t_domain(self):
+        return (-_INF, self.t_star)
+
     def xi(self, t):
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr > self.t_star) or np.any(t_arr == -_INF):
@@ -51,11 +56,7 @@ class ClosedFormProfile:
             out = self._xi_resolved(t_arr)
         if not np.all(np.isfinite(out)):
             raise NumericalRangeError(f"{self.family} closed form gives a non-finite offset")
-        if self.orientation_flipped:
-            out = -out
-        if np.ndim(t) == 0:
-            return float(out)
-        return np.asarray(out, dtype=float)
+        return _like(t, -out if self.orientation_flipped else out)
 
     def angle_pair(self, t):
         """Raw closed-form pair at t, or None for families without one."""

@@ -80,10 +80,10 @@ def analyze(surface: IsoparametricSurface, profile) -> CollapseReport:
     """Classify the limit of a flow profile (closed-form or numeric).
 
     The limit is read at one time: t* - _limit_eval_offset(t*), or
-    ETERNAL_CHECK_TIME without a finite collapse, clamped to the
-    ``t_domain`` of a numeric profile.
+    ETERNAL_CHECK_TIME without a finite collapse, clamped to the profile's
+    ``t_domain``.
     """
-    t_star = getattr(profile, "t_star", None)
+    t_star = profile.t_star
     if t_star is None:
         raise AnalysisIncompleteError(
             "profile carries no collapse information; integrate past the collapse "
@@ -94,9 +94,7 @@ def analyze(surface: IsoparametricSurface, profile) -> CollapseReport:
     sf, blocks = surface.space_form, surface.blocks
     collapses = math.isfinite(t_star)
     t_eval = t_star - _limit_eval_offset(t_star) if collapses else ETERNAL_CHECK_TIME
-    domain = getattr(profile, "t_domain", None)
-    if domain is not None:
-        t_eval = max(domain[0], min(t_eval, domain[1]))
+    t_eval = max(profile.t_domain[0], min(t_eval, profile.t_domain[1]))
     xi_end = float(profile.xi(t_eval))
     factors = tuple(float(parallel_metric_factor(sf, b.kappa, xi_end)) for b in blocks)
 

@@ -331,47 +331,25 @@ def check_typo_resolution():
 
 
 _CHUNK = 2**14
-_GAMMA = 0x9E3779B97F4A7C15
 
 
-def _splitmix64_uniform(z, tmp, out):
-    """SplitMix64's output mix (Steele, Lea & Flood 2014) of the counters ``z``, in
-    place, then their top 53 bits as uniforms on [-10, 10) into ``out``; ``tmp`` is
-    uint64 scratch.  Array operations only: there the uint64 products wrap silently."""
-    np.right_shift(z, 30, out=tmp)
-    z ^= tmp
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    np.right_shift(z, 27, out=tmp)
-    z ^= tmp
-    z *= np.uint64(0x94D049BB133111EB)
-    np.right_shift(z, 31, out=tmp)
-    z ^= tmp
-    z >>= 11
-    np.multiply(z, 20.0 * 2.0**-53, out=out)
-    out -= 10.0
-    return out
-
-
-def check_cs_identity(samples=10**6, seed=20240801):
+def check_cs_identity():
     """c^2 + kbar s^2 = 1 within 4 ulp of the largest intermediate.
 
-    Draw i, for i over the samples // 3 draws per ambient in turn, is the
-    SplitMix64 mix of seed + (i+1) gamma mod 2^64.  The draws come in 2^14
-    chunks on reused buffers, in about 1 MB, and each chunk is worked in place;
-    the intermediate is >= 1, so its ulp is 2^-52 times its exponent bits, and
-    dividing by it is exact.
+    Each ambient takes the n = 10**6 // 3 evenly spaced offsets
+    i (20 / n) - 10 on [-10, 10) in 2^14 chunks on a reused buffer, in about
+    1 MB, and each chunk is worked in place; the intermediate is >= 1, so its
+    ulp is 2^-52 times its exponent bits, and dividing by it is exact.
     """
-    steps = np.arange(1, _CHUNK + 1, dtype=np.uint64)
-    steps *= np.uint64(_GAMMA)
-    z, tmp, draws = np.empty_like(steps), np.empty_like(steps), np.empty(_CHUNK)
-    per_ambient = samples // 3
+    count = 10**6 // 3
+    steps, offsets = np.arange(_CHUNK, dtype=float), np.empty(_CHUNK)
     worst = 0.0
-    for block, (kbar, sf) in enumerate(((-1, HYPERBOLIC), (0, EUCLIDEAN), (1, SPHERE))):
-        for start in range(0, per_ambient, _CHUNK):
-            n = min(_CHUNK, per_ambient - start)
-            base = (seed + (block * per_ambient + start) * _GAMMA) % 2**64
-            np.add(steps[:n], np.uint64(base), out=z[:n])
-            xi = _splitmix64_uniform(z[:n], tmp[:n], draws[:n])
+    for kbar, sf in ((-1, HYPERBOLIC), (0, EUCLIDEAN), (1, SPHERE)):
+        for start in range(0, count, _CHUNK):
+            xi = offsets[:min(_CHUNK, count - start)]
+            np.add(steps[:len(xi)], start, out=xi)
+            xi *= 20 / count
+            xi -= 10.0
             c, s = cs_eval(sf, xi)
             c *= c
             s *= s if kbar else 0.0

@@ -16,7 +16,7 @@ import isoflow
 from isoflow import cli, verification
 from isoflow.cli import main
 from isoflow.collapse import ETERNAL_CHECK_TIME
-from isoflow.embedding import Embedding
+from isoflow.embedding import Embedding, overwrite
 
 
 def run_cli(capsys, *argv):
@@ -238,18 +238,10 @@ class TestCollapse:
         surface = ["--family", "hyperbolic-cylinder", "--m1", "1", "--m2", "1",
                    "--kappa1", "1e155"]
         for argv in (["collapse"], ["evolve", "--t-end", "0.1", "--samples", "3"],
-                     ["export", "--times", "0", "--output-dir", str(tmp_path)]):
+                     ["export", "--times", "0", "--output-dir", str(tmp_path)], ["verify"]):
             rc, out, err = run_cli(capsys, *argv, *surface)
             assert (rc, out) == (4, ""), argv
             assert err == "error: hyperbolic_cylinder collapse time underflows to 0.0\n"
-        rc, out, _ = run_cli(capsys, "verify", *surface)
-        fails = [line.split(None, 2) for line in out.splitlines() if line.startswith("FAIL")]
-        assert rc == 1
-        assert [check for _, check, _ in fails] == [
-            check for check in verification.INSTANCE_CHECKS if check != "validation"]
-        for _, _, detail in fails:
-            assert detail.startswith("cli surface: NumericalRangeError: hyperbolic_cylinder "
-                                     "collapse time underflows")
 
     def test_eternal_reports_null(self, capsys):
         rc, out, _ = run_cli(
@@ -285,7 +277,6 @@ _FAMILY_CASES = {
                             "make_hyperbolic_cylinder"),
     "sphere-umbilic": (["--n", "2", "--kappa", "1"], "make_sphere_umbilic"),
     "sphere-product": (["--l", "1", "--n", "2", "--kappa1", "2"], "make_sphere_product"),
-    "sphere-g": (["--g", "3", "--kappa1", "2"], "sphere_family_from_kappa1"),
     "sphere-g2": (["--kappa1", "2"], "sphere_family_from_kappa1"),
     "sphere-g3": (["--kappa1", "2"], "sphere_family_from_kappa1"),
     "sphere-g4": (["--kappa1", "2"], "sphere_family_from_kappa1"),
@@ -316,6 +307,14 @@ class TestFamilyTable:
         assert len(calls) == 1
         assert json.loads(out)["surface"] == calls[0].to_dict()
 
+    @pytest.mark.parametrize("argv", [["--family", "sphere-g", "--kappa1", "2"],
+                                      ["--family", "sphere-g3", "--g", "3", "--kappa1", "2"]])
+    def test_sphere_families_are_spelled_only_sphere_gN(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["collapse", *argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestVerify:
     def test_subset_check_on_single_surface(self, capsys):
@@ -345,13 +344,20 @@ class TestVerify:
         [line] = [x for x in lines if x.split()[1] == "embedding-constraints"]
         assert line.startswith("FAIL") and "InvalidFrameError: " in line
 
-    def test_each_check_that_reads_a_failing_profile_fails(self, capsys):
-        # t* = 5e-601 underflows to 0 in both engines; the eight checks that
-        # read the closed form or the quadrature each report the error, and
-        # the checks that do not still pass.
-        rc, out, _ = run_cli(capsys, "verify", "--family", "euclidean-cylinder", "--m", "1",
-                             "--n", "1", "--kappa", "1e300")
+    def test_each_check_that_reads_a_failing_profile_fails(self, capsys, monkeypatch):
+        # t* = 5e-601 underflows to 0 in both engines.  verify on that one
+        # surface exits 4 with one error line, as collapse does.
+        surface = ["--family", "euclidean-cylinder", "--m", "1", "--n", "1", "--kappa", "1e300"]
+        rc, out, err = run_cli(capsys, "verify", *surface)
         error = "NumericalRangeError: euclidean_cylinder collapse time underflows to 0.0"
+        assert (rc, out, err) == (4, "", "error: euclidean_cylinder collapse time underflows"
+                                         " to 0.0\n")
+        # A grid run checks each surface: the eight checks that read the closed
+        # form or the quadrature each report the error, and the checks that do
+        # not still pass.
+        monkeypatch.setattr(verification, "builtin_grid", lambda: [
+            ("cli surface", isoflow.make_euclidean_cylinder(1, 1, 1e300))])
+        rc, out, _ = run_cli(capsys, "verify")
         assert rc == 1
         assert out == "\n".join([
             "PASS  validation                 cli surface: JSON round-trip re-validates",
@@ -453,18 +459,14 @@ class TestExport:
 
     def test_sphere_product_whose_curvature_squared_overflows(self, capsys, tmp_path):
         # kappa1^2 overflows past kappa1 ~ 1.34e154, where t* lies below the least normal
-        # double: export ends in one error line and exit 4, verify in a FAIL line, not a
-        # traceback.
+        # double: export and verify, with every check or one, end in one error line and
+        # exit 4, as collapse does, not a traceback or a FAIL per check.
         surface = ["--family", "sphere-product", "--l", "1", "--n", "3", "--kappa1", "1e160"]
-        rc, out, err = run_cli(capsys, "export", *surface, "--times", "0",
-                               "--output-dir", str(tmp_path))
-        assert (rc, out, err) == (4, "", "error: sphere_g2 collapse time underflows to 0.0\n")
+        for argv in (["export", "--times", "0", "--output-dir", str(tmp_path)], ["verify"],
+                     ["verify", "--check", "embedding-constraints"], ["collapse"]):
+            rc, out, err = run_cli(capsys, *argv, *surface)
+            assert (rc, out, err) == (4, "", "error: sphere_g2 collapse time underflows to 0.0\n")
         assert not list(tmp_path.iterdir())
-        rc, out, err = run_cli(capsys, "verify", *surface, "--check", "embedding-constraints")
-        assert (rc, err) == (1, "")
-        assert out.splitlines() == [
-            "FAIL  embedding-constraints  cli surface: NumericalRangeError: sphere_g2 collapse "
-            "time underflows to 0.0", "0/1 checks passed"]
 
     @pytest.mark.parametrize("surface", [
         ["--family", "horosphere", "--n", "33", "--kappa", "1"],
@@ -584,7 +586,7 @@ assert not loaded, loaded
         assert len(list(tmp_path.glob("*.csv"))) == 2
 
     def test_verify_leaves_numpy_random_and_scipy_unloaded(self):
-        # The identities draws are SplitMix64 on numpy arrays, and the DOP853
+        # The identities offsets are evenly spaced, with no generator, and the DOP853
         # oracle's table is written into its step: the whole grid loads neither.
         code = """
 import io, sys
@@ -687,7 +689,7 @@ class TestUnusablePaths:
 class TestOutputFiles:
     """Writing over an existing file leaves the bytes of a fresh one.
 
-    Exports are written in place and cut to length; ``--output`` is truncated on open.
+    Exports and ``--output`` go through one writer, in place and cut to length.
     """
 
     EXPORT = ["export", "--family", "hyperbolic-cylinder", "--m1", "1", "--m2", "1",
@@ -713,6 +715,17 @@ class TestOutputFiles:
         for name, data in fresh.items():
             (tmp_path / "over" / name).write_bytes(b"#" * int(factor * len(data)))
         assert self.outputs(capsys, tmp_path / "over") == (rcs, fresh)
+
+    def test_output_goes_through_the_export_writer(self, capsys, monkeypatch, tmp_path):
+        written = []
+
+        def spy(path):
+            written.append(os.path.basename(path))
+            return overwrite(path)
+
+        monkeypatch.setattr(cli, "overwrite", spy)
+        rcs, _ = self.outputs(capsys, tmp_path)
+        assert rcs == [0, 0, 0] and written == ["evolve.out", "collapse.out"]
 
     def test_through_symlinks(self, capsys, tmp_path):
         rcs, fresh = self.outputs(capsys, tmp_path / "fresh")

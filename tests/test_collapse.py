@@ -25,6 +25,7 @@ from isoflow import (
     verification,
 )
 from isoflow.catalog import SPHERE
+from isoflow.closed_form import ClosedFormProfile
 
 
 def closed_report(surface):
@@ -114,6 +115,19 @@ class TestNumericProfiles:
         surface = make_horosphere(2, 1.0)
         prof = integrate(surface, 50.0)
         assert analyze(surface, prof).limit_kind == "eternal"
+
+    def test_limit_read_is_clamped_to_the_domain_of_either_profile_kind(self, monkeypatch):
+        # An eternal flow's limit is read at ETERNAL_CHECK_TIME (50), clamped to
+        # the profile's t_domain, which both kinds carry.
+        surface = make_horosphere(3, 1.0)
+        closed = resolve_profile(surface)
+        assert closed.t_domain == (-math.inf, math.inf)
+        monkeypatch.setattr(ClosedFormProfile, "t_domain", (-math.inf, 10.0))
+        for profile in (closed, integrate(surface, 10.0)):
+            read = []
+            monkeypatch.setattr(profile, "xi", lambda t, xi=profile.xi: read.append(t) or xi(t))
+            assert analyze(surface, profile).limit_kind == "eternal"
+            assert read == [10.0], type(profile).__name__
 
     def test_undetermined_profile_rejected(self):
         surface = make_sphere_umbilic(2, 1.0)

@@ -640,6 +640,18 @@ def _reference_solve_ivp(fun, t_end, opts, predictive=False):
             return _ReferenceRun(times, xis, steps, coeffs, nfev, accepted, rejected)
 
 
+def _two_branch_xi(prof, t):
+    """Reference: the interpolant of each time's step, found in the times as
+    stored on a forward run and in the reversed times on a backward one."""
+    ts, last = prof.times, len(prof._coeffs) - 1
+    if ts[-1] >= ts[0]:
+        seg = np.clip(np.searchsorted(ts, t, side="left") - 1, 0, last)
+    else:
+        seg = last - np.clip(np.searchsorted(ts[::-1], t, side="right") - 1, 0, last)
+    x = (t - ts[seg]) / (ts[seg + 1] - ts[seg])
+    return flow_ode._interpolant(prof._coeffs[seg].T, x, prof.xi_values[seg])
+
+
 class TestStraightLine:
     """The written-out stages and the per-ambient kernel change no bit."""
 
@@ -672,6 +684,18 @@ class TestStraightLine:
                     assert prof.t_star in (None, math.inf), key
                 stops += end < t_end
         assert stops >= 40
+
+    def test_interpolation_equals_the_two_branch_search(self):
+        # At every node, between nodes and at 257 times of each run, forward
+        # and backward, over the grid.
+        for label, surface in verification.builtin_grid():
+            for t_end in (-3.0, -0.3, 0.5, 2.0):
+                prof = integrate(surface, t_end)
+                ts = np.concatenate([prof.times, 0.5 * (prof.times[1:] + prof.times[:-1]),
+                                     np.linspace(0.0, prof.times[-1], 257)])
+                expected = np.zeros_like(ts) if prof._coeffs is None else _two_branch_xi(prof, ts)
+                assert prof.xi(ts).tobytes() == expected.tobytes(), (label, t_end)
+                assert [prof.xi(t) for t in ts[:3]] == expected[:3].tolist(), (label, t_end)
 
     def test_rhs_equals_the_dispatch_loop(self):
         # Every family and the H^n blocks with |k| = 1 (horosphere) and |k| < 1.

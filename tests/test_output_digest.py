@@ -20,7 +20,8 @@ def _tool():
 def test_digest_of_a_small_subset():
     tool = _tool()
     doc = tool.digest(str(ROOT / "src"), seeds=(0,), limit=2,
-                      sections=("collapse", "export", "export-wide", "help", "evolve"))
+                      sections=("collapse", "export", "export-wide", "output", "help",
+                                "evolve"))
     json.dumps(doc)  # the digest is plain JSON
     collapse = doc["collapse"]["0"]
     assert len(collapse) == 2
@@ -40,6 +41,16 @@ def test_digest_of_a_small_subset():
     assert set(doc["help"]) == {"isoflow", "evolve", "collapse", "verify", "export"}
     assert all(rc == 0 and "usage: isoflow" in out for rc, out, _ in doc["help"].values())
     assert [rc for rc, _, _ in doc["evolve"].values()] == [0] * len(tool.EVOLVE)
+    # Each --output file, written over junk, holds what the op prints without it.
+    import isoflow.cli as cli
+
+    printed = {"evolve.csv": doc["evolve"]["euclidean-both-csv"][1],
+               "evolve.json": doc["evolve"]["sphere-g4-flipped-json"][1],
+               "collapse.json": tool.run_cli(cli, tool.OUTPUT[2][1])[1]}
+    assert list(doc["output"]) == [name for name, _ in tool.OUTPUT] == list(printed)
+    for name, (rc, out, _, files) in doc["output"].items():
+        assert (rc, out) == (0, "")
+        assert files == {name: hashlib.sha256(printed[name].encode()).hexdigest()}
     # Each op runs in process, so a second digest of the same ops is the same.
     assert tool.digest(str(ROOT / "src"), seeds=(0,), limit=2, sections=("export",)) == {
         "export": doc["export"]}

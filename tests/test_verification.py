@@ -75,56 +75,38 @@ def test_ode_residual_equals_scalar_stencil(grid, family):
     assert verification._ode_residual(surface, profile) == _scalar_ode_residual(surface, profile)
 
 
-def _splitmix64(seed, count):
-    """Reference: SplitMix64's first ``count`` outputs, in one shot; output i
-    mixes seed + (i+1) gamma mod 2^64."""
-    z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z += np.uint64(seed)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+def _one_shot_cs_identity():
+    """Reference: the identities check on all n = 10**6 // 3 offsets of each
+    ambient at once, np.arange(n) * (20 / n) - 10, taken by the hyperbolic,
+    Euclidean and spherical ambients in turn.
 
-
-def test_splitmix64_reference_is_the_published_stream():
-    # The first outputs for seeds 0 and 1234567 in Vigna's splitmix64.c
-    # and Java's SplittableRandom.
-    assert list(map(int, _splitmix64(0, 3))) == [
-        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
-    assert list(map(int, _splitmix64(1234567, 3))) == [
-        6457827717110365317, 3203168211198807973, 9817491932198370423]
-
-
-def _one_shot_cs_identity(samples, seed):
-    """Reference: the identities check on all 3 (samples // 3) draws at once,
-    the top 53 bits of each SplitMix64 output scaled to [-10, 10), taken by the
-    hyperbolic, Euclidean and spherical ambients in turn.
-
-    Returns the worst ulp and the draws, in order.
+    Returns the worst ulp and the offsets of one ambient.
     """
-    per_ambient = samples // 3
-    draws = (_splitmix64(seed, 3 * per_ambient) >> np.uint64(11)) * (20.0 * 2.0**-53) - 10.0
+    n = 10**6 // 3
+    offsets = np.arange(n) * (20 / n) - 10
     worst = 0.0
-    for block, (kbar, sf) in enumerate(((-1, HYPERBOLIC), (0, EUCLIDEAN), (1, SPHERE))):
-        c, s = cs_eval(sf, draws[block * per_ambient:(block + 1) * per_ambient])
+    for kbar, sf in ((-1, HYPERBOLIC), (0, EUCLIDEAN), (1, SPHERE)):
+        c, s = cs_eval(sf, offsets)
         residual = np.abs(c * c + kbar * s * s - 1.0)
         scale = np.maximum(1.0, np.maximum(c * c, np.abs(kbar) * s * s))
         worst = max(worst, float(np.max(residual / np.spacing(scale))))
-    return worst, draws
+    return worst, offsets
 
 
-@pytest.mark.parametrize("samples, seed", [(10**6, 20240801), (3 * 2**14 + 7, 5)])
-def test_cs_identity_streams_the_one_shot_draws(monkeypatch, samples, seed):
+def test_cs_identity_chunks_the_one_shot_offsets(monkeypatch):
     seen = []
 
     def recording_cs_eval(sf, xi):
-        seen.append(np.array(xi))
+        seen.append((sf, np.array(xi)))
         return cs_eval(sf, xi)
 
     monkeypatch.setattr(verification, "cs_eval", recording_cs_eval)
-    passed, detail = verification.check_cs_identity(samples=samples, seed=seed)
-    worst, draws = _one_shot_cs_identity(samples, seed)
-    assert max(len(xi) for xi in seen) <= 2**14
-    np.testing.assert_array_equal(np.concatenate(seen), draws)
+    passed, detail = verification.check_cs_identity()
+    worst, offsets = _one_shot_cs_identity()
+    assert max(len(xi) for _, xi in seen) == 2**14
+    for sf in (HYPERBOLIC, EUCLIDEAN, SPHERE):
+        np.testing.assert_array_equal(
+            np.concatenate([xi for owner, xi in seen if owner == sf]), offsets)
     assert detail == f"max identity residual = {worst:.2f} ulp (tol 4)"
     assert passed == (worst <= 4.0)
 

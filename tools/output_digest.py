@@ -12,15 +12,16 @@ The digest holds the exit code, stdout and stderr of
 * ``isoflow collapse --surface-json`` on one document per ambient, each
   listing its blocks out of order,
 
-and, for every export-cloud op of the seeds and for a fixed set of exports
-whose charts are wider than any of those clouds', its exit code, output and
-the sha256 of each CSV and JSON file it writes.  Each of those files is first
-filled with ``JUNK``, longer than any of them, so the digest covers writing
-over an existing file: a byte of junk left after the output changes its
-hash.  The seeded ops come from
-``perfbench/workloads.py``, which is only read.  Each op runs in process
-through ``isoflow.cli.main``; a warning is shown once per op, as in a fresh
-interpreter, and the path of the source tree in a warning reads ``<src>``.
+and, for every export-cloud op of the seeds, for a fixed set of exports
+whose charts are wider than any of those clouds' and for ``evolve`` (CSV and
+JSON) and ``collapse`` with ``--output``, its exit code, output and the
+sha256 of each file it writes.  Each of those files is first filled with
+``JUNK``, longer than any of them, so the digest covers writing over an
+existing file: a byte of junk left after the output changes its hash.  The
+seeded ops come from ``perfbench/workloads.py``, which is only read.  Each
+op runs in process through ``isoflow.cli.main``; a warning is shown once
+per op, as in a fresh interpreter, and the path of the source tree in a
+warning reads ``<src>``.
 A change meant to keep every output byte runs the tool on the parent
 checkout (``--src``) and on the change and compares the two files with
 ``--diff``: it prints each op whose outcome differs, with each differing
@@ -78,6 +79,14 @@ EXPORT = [
                             "--kappa1", "2", "--times", "0.01"]),
 ]
 
+# (name, argv) of the --output ops, each writing <out>/<name>.
+OUTPUT = [
+    ("evolve.csv", ["evolve", *dict(EVOLVE)["euclidean-both-csv"]]),
+    ("evolve.json", ["evolve", *dict(EVOLVE)["sphere-g4-flipped-json"]]),
+    ("collapse.json", ["collapse", "--family", "sphere-g4", "--kappa1", "2",
+                       "--mults", "1,2,1,2"]),
+]
+
 HELP = [[], ["evolve"], ["collapse"], ["verify"], ["export"]]
 
 # What each export target holds before its op: 4 MiB, above the 3.4 MB of the
@@ -127,23 +136,28 @@ def _sha256(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def run_export(cli, argv, stem):
-    """[exit code, stdout, stderr, {file: sha256}] of one single-time export, each
-    of its two files written over ``JUNK``."""
+def run_writing(cli, argv, names):
+    """[exit code, stdout, stderr, {file: sha256}] of one op that writes into a new
+    directory, ``<out>`` in its argv, where each of ``names`` first holds ``JUNK``."""
     with tempfile.TemporaryDirectory() as out_dir:
-        for ext in (".csv", ".json"):
-            with open(os.path.join(out_dir, f"{stem}_000{ext}"), "wb") as fh:
+        for name in names:
+            with open(os.path.join(out_dir, name), "wb") as fh:
                 fh.write(JUNK)
-        rc, stdout, stderr = run_cli(cli, ["export"] + argv + [
-            "--output-dir", out_dir, "--stem", stem])
+        rc, stdout, stderr = run_cli(cli, [arg.replace("<out>", out_dir) for arg in argv])
         files = {name: _sha256(os.path.join(out_dir, name))
                  for name in sorted(os.listdir(out_dir))}
         return [rc, stdout.replace(out_dir, "<out>"), stderr, files]
 
 
+def run_export(cli, argv, stem):
+    """run_writing of one single-time export, over its two files."""
+    return run_writing(cli, ["export"] + argv + ["--output-dir", "<out>", "--stem", stem],
+                       [f"{stem}_000.csv", f"{stem}_000.json"])
+
+
 def digest(src, seeds=(0, 1),
-           sections=("collapse", "verify", "export", "export-wide", "help", "evolve",
-                     "surface-json"),
+           sections=("collapse", "verify", "export", "export-wide", "output", "help",
+                     "evolve", "surface-json"),
            limit=None):
     """The digest as a dict; ``limit`` keeps the first ops of each seeded section."""
     sys.path.insert(0, src)
@@ -169,6 +183,9 @@ def digest(src, seeds=(0, 1),
         doc["export-wide"] = {
             name: run_export(cli, argv + ["--resolution", "2", "--extent", "0.9"], name)
             for name, argv in EXPORT}
+    if "output" in sections:
+        doc["output"] = {name: run_writing(cli, argv + ["--output", f"<out>/{name}"], [name])
+                         for name, argv in OUTPUT}
     if "help" in sections:
         doc["help"] = {" ".join(argv) or "isoflow": run_cli(cli, argv + ["--help"])
                        for argv in HELP}
