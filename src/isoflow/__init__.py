@@ -10,9 +10,7 @@ export, and a CLI tying them together.
 
 from .catalog import (
     Block,
-    FlowState,
     IsoparametricSurface,
-    flow_state,
     make_euclidean_cylinder,
     make_horosphere,
     make_hyperbolic_cylinder,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalRangeError
+from .errors import InvalidInputError
 from .spaceform import (
     EUCLIDEAN,
     HYPERBOLIC,
@@ -29,7 +29,6 @@ from .spaceform import (
     _inverse_slope,
     _like,
     parallel_curvature,
-    parallel_metric_factor,
 )
 
 # |sum(m_i kappa_i)| below this counts as a minimal hypersurface.
@@ -223,6 +222,10 @@ def _g4_pair_exists(m1: int, m2: int) -> bool:
     return any((m1 + m2 + 1) % _clifford_delta(m) == 0 for m in (m1, m2))
 
 
+# g -> the one multiplicity all blocks share, for g = 3 (Cartan 1939) and g = 6 (Abresch 1983).
+_EQUAL_MULTS = {3: (1, 2, 4, 8), 6: (1, 2)}
+
+
 def _validate_spherical(surface: IsoparametricSurface):
     g = surface.g
     if g not in (1, 2, 3, 4, 6):
@@ -241,12 +244,12 @@ def _validate_spherical(surface: IsoparametricSurface):
                 f"a two-curvature spherical surface needs kappa1*kappa2 = -1, got {prod}"
             )
         return
-    if g == 3:
-        if len(set(mults)) != 1 or mults[0] not in (1, 2, 4, 8):
-            raise InvalidInputError(
-                f"g=3 multiplicities must be equal and in {{1,2,4,8}}, got {mults}"
-            )
-    elif g == 4:
+    if g in _EQUAL_MULTS:
+        allowed = _EQUAL_MULTS[g]
+        if len(set(mults)) != 1 or mults[0] not in allowed:
+            raise InvalidInputError(f"g={g} multiplicities must be equal and in "
+                                    f"{{{','.join(map(str, allowed))}}}, got {mults}")
+    else:  # g == 4
         if mults[0] != mults[2] or mults[1] != mults[3]:
             raise InvalidInputError(
                 f"g=4 multiplicities must satisfy m1=m3 and m2=m4, got {mults}"
@@ -255,11 +258,6 @@ def _validate_spherical(surface: IsoparametricSurface):
             raise InvalidInputError(
                 f"no g=4 hypersurface has multiplicities {{{mults[0]}, {mults[1]}}}: "
                 f"they must be an FKM pair {{m, k delta(m) - m - 1}}, {{2, 2}} or {{4, 5}}"
-            )
-    else:  # g == 6
-        if len(set(mults)) != 1 or mults[0] not in (1, 2):
-            raise InvalidInputError(
-                f"g=6 multiplicities must be equal and in {{1,2}}, got {mults}"
             )
     s = math.atan2(1.0, kappas[0])
     if not 0.0 < s < math.pi / g:
@@ -416,24 +414,3 @@ def mean_curvature(surface: IsoparametricSurface, xi):
         term = np.asarray(parallel_curvature(sf, b.kappa, xi)) * b.mult
         total = term if total is None else total + term
     return _like(xi, total)
-
-
-@dataclass(frozen=True)
-class FlowState:
-    """Snapshot of an evolving surface: curvatures, mean curvature, factors."""
-
-    kappa_hat: tuple
-    mean_curvature: float
-    factors: tuple
-
-
-def flow_state(surface: IsoparametricSurface, xi: float) -> FlowState:
-    sf = surface.space_form
-    hats = tuple(float(parallel_curvature(sf, b.kappa, xi)) for b in surface.blocks)
-    h = float(sum(b.mult * k for b, k in zip(surface.blocks, hats)))
-    with np.errstate(over="ignore"):  # an overflowing factor raises below
-        facts = tuple(float(parallel_metric_factor(sf, b.kappa, xi)) for b in surface.blocks)
-    if not all(map(math.isfinite, facts)):
-        raise NumericalRangeError(
-            f"a metric factor at xi = {float(xi)!r} leaves double range: {facts}")
-    return FlowState(kappa_hat=hats, mean_curvature=h, factors=facts)

@@ -24,13 +24,13 @@ import numpy as np
 
 from . import verification
 from .catalog import (
-    flow_state,
     make_euclidean_cylinder,
     make_horosphere,
     make_hyperbolic_cylinder,
     make_hyperbolic_umbilic,
     make_sphere_product,
     make_sphere_umbilic,
+    mean_curvature,
     sphere_curvatures_from_g,
     sphere_family_from_kappa1,
     surface_from_json,
@@ -40,8 +40,10 @@ from .collapse import analyze
 # sample stays importable here: perfbench/layers.py traces it at this module.
 from .embedding import sample  # noqa: F401
 from .embedding import export_csv, export_metadata, get_embedding, overwrite, snapshots
-from .errors import InvalidFrameError, InvalidInputError, IsoflowError, UnsupportedEmbeddingError
+from .errors import (InvalidFrameError, InvalidInputError, IsoflowError, NumericalRangeError,
+                     UnsupportedEmbeddingError)
 from .flow_ode import DEFAULT_OPTIONS, OdeOptions, estimate_tstar, integrate
+from .spaceform import parallel_curvature, parallel_metric_factor
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -126,55 +128,47 @@ def cmd_evolve(args) -> int:
         raise InvalidInputError(
             f"--t-start and --t-end must be finite, got {args.t_start!r} and {args.t_end!r}")
     times = np.linspace(args.t_start, args.t_end, args.samples)
-    earliest = min(args.t_start, args.t_end)
 
-    engines = {}
+    # Each engine's own domain picks the rows: the closed form's t < t*, and
+    # each ODE run's t <= its end.
+    keep, engines = times, []
     if args.engine in ("closed", "both"):
-        engines["closed"] = resolve_profile(surface)
-    backward = None
+        closed = resolve_profile(surface)
+        keep = keep[keep < closed.t_star]
+        engines.append(closed)
     if args.engine in ("ode", "both"):
-        # Each run starts at xi(0) = 0: one forward to the window's far end,
-        # and one backward when the window reaches below t = 0.
-        engines["ode"] = integrate(surface, max(args.t_start, args.t_end, 0.0), opts)
-        if earliest < 0.0:
-            backward = integrate(surface, earliest, opts)
-
-    def ode_xi(t):
-        return float((backward if t < 0.0 else engines["ode"]).xi(t))
-
-    # Clip rows past the maximal domain of any engine in use.
-    hi = math.inf
-    if "closed" in engines:
-        hi = min(hi, engines["closed"].t_star)
-    if "ode" in engines:
-        hi = min(hi, engines["ode"].t_domain[1] + 1e-15)
-    keep = times[times < hi] if math.isfinite(hi) else times
+        # Each run starts at xi(0) = 0: one forward to the window's far end and one
+        # backward to its near end (empty unless below 0); a time reads the run on its side.
+        forward = integrate(surface, max(args.t_start, args.t_end, 0.0), opts)
+        backward = integrate(surface, min(args.t_start, args.t_end, 0.0), opts)
+        keep = keep[keep <= forward.t_domain[1]]
+        ode_xi = np.where(keep < 0.0, backward.xi(np.minimum(keep, 0.0)),
+                          forward.xi(np.maximum(keep, 0.0)))
+        engines.append(forward)
     dropped = len(times) - len(keep)
     if dropped:
         # Name the earliest collapse time, not the ODE run's end just before it.
-        t_star = min((e.t_star for e in engines.values() if e.t_star is not None),
-                     default=math.inf)
+        t_star = min((e.t_star for e in engines if e.t_star is not None), default=math.inf)
         named = f" (t* = {t_star:.9g})" if math.isfinite(t_star) else ""
         print(f"warning: {dropped} sample(s) beyond the flow domain{named} were clipped",
               file=sys.stderr)
 
-    primary = engines["closed"].xi if "closed" in engines else ode_xi
-    rows = []
-    for t in keep:
-        xi = float(primary(t))
-        state = flow_state(surface, xi)
-        row = {
-            "t": float(t),
-            "xi": xi,
-            "H": state.mean_curvature,
-        }
-        for i, k in enumerate(state.kappa_hat, start=1):
-            row[f"kappa_hat_{i}"] = k
-        for i, f in enumerate(state.factors, start=1):
-            row[f"factor_{i}"] = f
-        if args.engine == "both":
-            row["discrepancy"] = abs(xi - ode_xi(t))
-        rows.append(row)
+    xi = ode_xi if args.engine == "ode" else closed.xi(keep)
+    sf, blocks = surface.space_form, surface.blocks
+    columns = {"t": keep, "xi": xi, "H": mean_curvature(surface, xi)}
+    for i, b in enumerate(blocks, start=1):
+        columns[f"kappa_hat_{i}"] = parallel_curvature(sf, b.kappa, xi)
+    with np.errstate(over="ignore"):  # an overflowing factor raises below
+        factors = [parallel_metric_factor(sf, b.kappa, xi) for b in blocks]
+    bad = ~np.isfinite(factors).all(axis=0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericalRangeError(f"a metric factor at xi = {float(xi[i])!r} leaves double "
+                                  f"range: {tuple(float(f[i]) for f in factors)}")
+    columns.update((f"factor_{i}", f) for i, f in enumerate(factors, start=1))
+    if args.engine == "both":
+        columns["discrepancy"] = np.abs(xi - ode_xi)
+    rows = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
 
     text = ""
     if args.format == "json":

@@ -54,15 +54,8 @@ class CollapseReport:
     orientation_flipped: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "t_star": None if math.isinf(self.t_star) else self.t_star,
-            "limit_kind": self.limit_kind,
-            "degenerate_block_index": self.degenerate_block_index,
-            "focal_dimension": self.focal_dimension,
-            "focal_condition_residual": self.focal_condition_residual,
-            "metric_factors_at_limit": list(self.metric_factors_at_limit),
-            "orientation_flipped": self.orientation_flipped,
-        }
+        return {**vars(self), "t_star": None if math.isinf(self.t_star) else self.t_star,
+                "metric_factors_at_limit": list(self.metric_factors_at_limit)}
 
 
 def focal_blocks(surface: IsoparametricSurface):

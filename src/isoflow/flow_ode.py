@@ -259,15 +259,11 @@ class NumericProfile:
         lo, hi = self.t_domain
         if t_arr.size:
             first, last = float(np.min(t_arr)), float(np.max(t_arr))
-            if first < lo - 1e-15 or last > hi + 1e-15:
-                bad = first if first < lo - 1e-15 else last
+            if first < lo or last > hi:
                 raise InvalidInputError(
-                    f"time {bad!r} outside the integrated domain [{lo}, {hi}]"
-                )
-        if self._coeffs is None:
-            out = np.zeros_like(t_arr)
-        else:
-            out = self._interpolate(np.clip(t_arr, lo, hi))
+                    f"time {first if first < lo else last!r} outside the integrated domain "
+                    f"[{lo}, {hi}]")
+        out = np.zeros_like(t_arr) if self._coeffs is None else self._interpolate(t_arr)
         return _like(t, out)
 
     def _interpolate(self, t):
@@ -335,7 +331,7 @@ def solve_ivp(fun, t_end: float, opts: OdeOptions, _predictive=False) -> Numeric
             scale = atol + max(abs(y), abs(y_new)) * rtol
             err5, err3 = err5 / scale, err3 / scale
             err5, err3 = err5 * err5, err3 * err3
-            if err5 == 0 and err3 == 0:
+            if err5 == 0:  # also where 0.01 * err3 underflows
                 error_norm = 0.0
             else:
                 error_norm = h_abs * err5 / math.sqrt(err5 + 0.01 * err3)

@@ -14,9 +14,7 @@ from isoflow import (
     Block,
     InvalidInputError,
     IsoparametricSurface,
-    NumericalRangeError,
     SingularParallelError,
-    flow_state,
     make_euclidean_cylinder,
     make_horosphere,
     make_hyperbolic_cylinder,
@@ -323,20 +321,6 @@ class TestSerialization:
             doc["blocks"][0]["kappa"] = kappa
             with pytest.raises(InvalidInputError, match=message):
                 surface_from_dict(doc)
-
-
-def test_flow_state_raises_on_an_overflowing_factor():
-    # sinh(anchor - xi)^2 overflows at xi = -400 while the curvature stays 1.
-    with pytest.raises(NumericalRangeError, match="metric factor"):
-        flow_state(make_hyperbolic_umbilic(2, 2.0), -400.0)
-
-
-def test_flow_state_snapshot():
-    s2 = make_euclidean_cylinder(2, 2, 1.0)
-    st = flow_state(s2, 0.5)
-    assert st.kappa_hat == (pytest.approx(2.0),)
-    assert st.mean_curvature == pytest.approx(4.0)
-    assert st.factors == (pytest.approx(0.25),)
 
 
 class TestAFormulaConsistency:

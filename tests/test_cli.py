@@ -123,6 +123,44 @@ class TestEvolve:
         assert len(rows) == 7 and rows[-1]["t"] == pytest.approx(0.15)
         assert [r["xi"] for r in parse_csv(outs["closed"])[1]] == [r["xi"] for r in rows]
 
+    def test_row_at_a_known_offset(self, capsys):
+        # The Euclidean sphere of radius 1 has radius 0.5 at t = 3/16: xi = 0.5,
+        # kappa_hat 2, H = m kappa_hat = 4 and metric factor (1 - xi)^2 = 0.25.
+        rc, out, err = run_cli(
+            capsys, "evolve", "--family", "euclidean-cylinder", "--m", "2", "--n", "2",
+            "--kappa", "1", "--t-start", "0.1875", "--t-end", "0.1875", "--samples", "1",
+            "--engine", "closed")
+        assert (rc, err) == (0, "")
+        header, [row] = parse_csv(out)
+        assert header == ["t", "xi", "H", "kappa_hat_1", "factor_1"]
+        assert row == pytest.approx({"t": 0.1875, "xi": 0.5, "H": 4.0, "kappa_hat_1": 2.0,
+                                     "factor_1": 0.25})
+
+    @pytest.mark.parametrize("engine", ["closed", "ode", "both"])
+    @pytest.mark.parametrize("window", [
+        # t* = 50, and an eternal flow: each last time has an ulp above 2e-15.
+        ["--family", "euclidean-cylinder", "--m", "1", "--n", "2", "--kappa", "0.1",
+         "--t-end", "20"],
+        ["--family", "hyperbolic-umbilic", "--n", "2", "--kappa", "0.5", "--t-end", "16"],
+    ])
+    def test_window_inside_the_domain_keeps_its_last_row(self, capsys, window, engine):
+        rc, out, err = run_cli(capsys, "evolve", *window, "--samples", "3",
+                               "--engine", engine)
+        assert (rc, err) == (0, "")
+        assert [r["t"] for r in parse_csv(out)[1]] == [0.0, float(window[-1]) / 2,
+                                                      float(window[-1])]
+
+    @pytest.mark.parametrize("window", [
+        ["--family", "horosphere", "--n", "3", "--kappa", "1", "--t-end", "1e300"],
+        ["--family", "euclidean-cylinder", "--m", "1", "--n", "2", "--kappa", "1",
+         "--t-start=-1e300", "--t-end", "0", "--engine", "ode"],
+    ])
+    def test_window_of_huge_times_is_integrated(self, capsys, window):
+        # Steps grow until 0.01 * err3 of the error norm underflows.
+        rc, out, err = run_cli(capsys, "evolve", *window, "--samples", "3")
+        assert (rc, err) == (0, "")
+        assert len(parse_csv(out)[1]) == 3
+
     def test_json_format_deterministic(self, capsys):
         args = ("evolve", "--family", "sphere-umbilic", "--n", "2", "--kappa", "1",
                 "--t-end", "0.1", "--format", "json", "--samples", "5")
@@ -845,11 +883,16 @@ class TestSurfaceJson:
             assert (rc, out) == (2, ""), argv
             assert err == "error: family 'minimal' needs sum(m_i kappa_i) = 0, got 2.0\n"
 
-    def test_overflowing_metric_factor_exits_4(self, capsys):
-        # At xi = -800 the factor sinh^2 overflows while H and kappa_hat_1 stay finite:
-        # one error line and no rows, not a row with an infinite factor.
-        rc, out, err = run_cli(
-            capsys, "evolve", "--family", "hyperbolic-umbilic", "--n", "2", "--kappa", "2",
-            "--t-start", "-400", "--t-end", "0", "--samples", "3", "--engine", "ode")
+    @pytest.mark.parametrize("argv", [
+        # At xi = -800 the factor sinh^2 overflows while H and kappa_hat_1 stay finite.
+        ["--family", "hyperbolic-umbilic", "--n", "2", "--kappa", "2",
+         "--t-start", "-400", "--t-end", "0", "--engine", "ode"],
+        # The horosphere's factor exp(-2 xi) overflows long before t = -1e300.
+        ["--family", "horosphere", "--n", "3", "--kappa", "1", "--t-start=-1e300",
+         "--t-end", "0"],
+    ])
+    def test_overflowing_metric_factor_exits_4(self, capsys, argv):
+        # One error line and no rows, not a row with an infinite factor.
+        rc, out, err = run_cli(capsys, "evolve", *argv, "--samples", "3")
         assert (rc, out) == (4, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: a metric factor at xi = ") and err.count("\n") == 1

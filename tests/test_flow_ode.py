@@ -114,6 +114,16 @@ class TestIntegrate:
         with pytest.raises(InvalidInputError):
             prof.xi(0.21)
 
+    def test_domain_is_exactly_the_run(self, euclidean_sphere):
+        # A run's ends are in its domain and the next doubles past them are not:
+        # forward to its collapse stop, and backward from 0.
+        for prof in (integrate(euclidean_sphere, 1.0), integrate(euclidean_sphere, -0.3)):
+            lo, hi = prof.t_domain
+            assert np.all(np.isfinite(prof.xi(np.array([lo, hi]))))
+            for t in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)):
+                with pytest.raises(InvalidInputError, match="outside the integrated domain"):
+                    prof.xi(t)
+
     def test_domain_error_names_the_extreme_time(self, euclidean_sphere):
         # 200 requested times give one short message, not the whole array.
         prof = integrate(euclidean_sphere, 0.2)

@@ -64,6 +64,14 @@ EVOLVE = [
     ("sphere-product-tol", ["--family", "sphere-product", "--l", "2", "--n", "5",
                             "--kappa1", "2", "--t-end", "0.05", "--samples", "6",
                             "--rel-tol", "1e-8", "--abs-tol", "1e-10"]),
+    # Windows whose last time has an ulp above 2e-15, short of t* or eternal,
+    # and an eternal one far past the step where the DOP853 error norm underflows.
+    ("euclidean-late-end", ["--family", "euclidean-cylinder", "--m", "1", "--n", "2",
+                            "--kappa", "0.1", "--t-end", "20", "--samples", "3"]),
+    ("hyperbolic-umbilic-late-end", ["--family", "hyperbolic-umbilic", "--n", "2",
+                                     "--kappa", "0.5", "--t-end", "16", "--samples", "3"]),
+    ("horosphere-huge-end", ["--family", "horosphere", "--n", "3", "--kappa", "1",
+                             "--t-end", "1e300", "--samples", "3"]),
 ]
 
 # (name, argv) of the fixed exports, run at resolution 2 and extent 0.9: charts
