@@ -246,7 +246,7 @@ def cmd_verify(args) -> int:
 
 def cmd_export(args) -> int:
     surface = build_surface(args)
-    get_embedding(surface)  # an unsupported family exits 3 even if every time is clipped
+    emb = get_embedding(surface)  # an unsupported family exits 3 even if every time is clipped
     times = [float(x) for x in args.times.split(",") if x.strip()]
     if not all(math.isfinite(t) for t in times):
         raise InvalidInputError(f"snapshot times must be finite, got {args.times!r}")
@@ -269,6 +269,9 @@ def cmd_export(args) -> int:
     stem = args.stem or surface.family
     for idx, snap in enumerate(snapshots(surface, resolution, kept, profile,
                                          extent=args.extent)):
+        if idx == 0 and emb.ambient_dim > 4:  # after the frame is built, which may fail
+            print(f"warning: ambient dimension {emb.ambient_dim} exceeds the default export "
+                  "target of 4; downstream viewers may not cope", file=sys.stderr)
         csv_path = os.path.join(args.output_dir, f"{stem}_{idx:03d}.csv")
         export_csv(snap, csv_path)
         export_metadata(snap, os.path.join(args.output_dir, f"{stem}_{idx:03d}.json"))

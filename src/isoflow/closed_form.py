@@ -50,7 +50,7 @@ class ClosedFormProfile:
 
     def xi(self, t):
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr > self.t_star) or np.any(t_arr == -_INF):
+        if not np.all(t_arr <= self.t_star) or np.any(t_arr == -_INF):  # NaN fails it too
             raise InvalidInputError(f"time outside the profile domain (-inf, {self.t_star}]")
         with np.errstate(all="ignore"):  # a non-finite offset raises below
             out = self._xi_resolved(t_arr)

@@ -59,7 +59,6 @@ import json
 import math
 import os
 import stat
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +66,9 @@ import numpy as np
 from .catalog import IsoparametricSurface
 from .errors import (InvalidFrameError, InvalidInputError, NumericalRangeError,
                      UnsupportedEmbeddingError)
+from .spaceform import HYPERBOLIC, SPHERE, _anchor, check_frame, parallel_map
 # parallel_point stays importable here: perfbench/layers.py traces it at this module.
-from .spaceform import check_frame, parallel_map, parallel_point  # noqa: F401
+from .spaceform import parallel_point  # noqa: F401
 
 POLAR_MARGIN = 0.2
 
@@ -252,15 +252,15 @@ def get_embedding(surface: IsoparametricSurface) -> Embedding:
                    (None, surface.n - m, 1.0, None)]
     elif family == "sphere_g2":
         b1, b2 = surface.blocks  # kappa1 > 0 > kappa2 = -1/kappa1
-        # Past 1e16 the root of 1 + kappa1^2 rounds to kappa1; kappa1^2 overflows past 1.34e154.
-        r1 = 1.0 / b1.kappa if b1.kappa > 1e16 else 1.0 / math.sqrt(1.0 + b1.kappa**2)
+        r1 = 1.0 / _anchor(SPHERE, b1.kappa)[2]  # 1 / sqrt(1 + kappa1^2)
         r2 = b1.kappa * r1
         factors = [(_unit_sphere, b1.mult, r1, -r2), (_unit_sphere, b2.mult, r2, r1)]
-    elif family == "hyperbolic_cylinder":
-        b1, b2 = surface.blocks
-        r = 1.0 / math.sqrt(b1.kappa * b1.kappa - 1.0)  # sphere factor radius sinh(w)
-        rho = b1.kappa * r  # hyperbolic factor radius cosh(w)
-        factors = [(_hyperboloid_chart, b2.mult, rho, -r), (_unit_sphere, b1.mult, r, -rho)]
+    elif family == "hyperbolic_cylinder":  # either orientation: kappa < 0 negates N
+        small, big = sorted(surface.blocks, key=lambda b: abs(b.kappa))  # big: |kappa| > 1
+        q = 1.0 / _anchor(HYPERBOLIC, big.kappa)[2]  # sign(kappa) sinh(w) = 1/sqrt(kappa^2 - 1)
+        rho = big.kappa * q  # hyperbolic factor radius cosh(w)
+        factors = [(_hyperboloid_chart, small.mult, rho, -q),
+                   (_unit_sphere, big.mult, abs(q), -abs(big.kappa) * q)]
     else:
         raise UnsupportedEmbeddingError(
             f"family {family!r} has no explicit ambient embedding"
@@ -277,19 +277,11 @@ def snapshots(surface: IsoparametricSurface, resolution, times, profile,
 
     The flow moves by parallel hypersurfaces, so each snapshot is the parallel
     map of one intrinsic frame, built and validated once (not at all for no
-    times), at xi(t) from ``profile``; each t must lie in its domain.  Ambient
-    dimensions above 4 are allowed but flagged with a warning.
+    times), at xi(t) from ``profile``; each t must lie in its domain.
     """
     if len(times) == 0:
         return
-    emb = get_embedding(surface)
-    if emb.ambient_dim > 4:
-        warnings.warn(
-            f"ambient dimension {emb.ambient_dim} exceeds the default export "
-            "target of 4; downstream viewers may not cope",
-            stacklevel=2,
-        )
-    F, N, grid_shape = emb.frame_grid(resolution, extent=extent)
+    F, N, grid_shape = get_embedding(surface).frame_grid(resolution, extent=extent)
     check_frame(surface.space_form, F, N)
     for k, t in enumerate(times, 1):
         xi = float(np.asarray(profile.xi(t), dtype=float))

@@ -86,6 +86,8 @@ class OdeOptions:
 DEFAULT_OPTIONS = OdeOptions()
 # The least magnitude _kernel lets a block's denominator reach.
 _FLOOR = 1e-14
+# The most accepted steps of one run, DifferentialEquations.jl's default maxiters.
+_MAX_STEPS = 10**5
 
 
 def _kernel(surface: IsoparametricSurface):
@@ -259,7 +261,7 @@ class NumericProfile:
         lo, hi = self.t_domain
         if t_arr.size:
             first, last = float(np.min(t_arr)), float(np.max(t_arr))
-            if first < lo or last > hi:
+            if not (lo <= first and last <= hi):  # NaN fails it too
                 raise InvalidInputError(
                     f"time {first if first < lo else last!r} outside the integrated domain "
                     f"[{lo}, {hi}]")
@@ -293,7 +295,8 @@ def solve_ivp(fun, t_end: float, opts: OdeOptions, _predictive=False) -> Numeric
     and takes two eternal hyperbolic umbilics past the scipy cross-check's
     bound.  ``nfev`` counts RHS calls as scipy's solve_ivp does: 2 for the
     initial step, 12 per attempt, 3 per accepted step.  Raises
-    IntegrationFailureError where the step underflows before t_end.
+    IntegrationFailureError where the step underflows before t_end, or where
+    _MAX_STEPS accepted steps fall short of it.
     """
     exponent = -1.0 / 8  # -1 / (order of the error estimate + 1)
     rtol, atol = opts.rel_tol, opts.abs_tol
@@ -313,6 +316,10 @@ def solve_ivp(fun, t_end: float, opts: OdeOptions, _predictive=False) -> Numeric
     times, xis, coeffs = array("d", [0.0]), array("d", [0.0]), array("d")
     h_prev = err_prev = 0.0  # the last accepted step and its error norm, if _predictive
     while True:
+        if accepted == _MAX_STEPS:
+            raise IntegrationFailureError(
+                f"integration stopped at t = {t!r}, short of t = {t_end!r}: "
+                f"the run reached its cap of {_MAX_STEPS} steps")
         min_step = 10 * abs(math.nextafter(t, sign * math.inf) - t)
         h_abs = max(h_abs, min_step)
         retried = False

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from collections import deque
 from dataclasses import dataclass
 
@@ -220,10 +219,8 @@ def check_embedding_constraints(case):
     profile = case.profile
     t_star = profile.t_star
     times = [0.0, 0.5, 1.0] if math.isinf(t_star) else [0.0, 0.5 * t_star, 0.9 * t_star]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        # Each SampledSurface checks its quadric to 1e-10; deque(maxlen=0) drops it at once.
-        deque(embedding.snapshots(case.surface, 4, times, profile), maxlen=0)
+    # Each SampledSurface checks its quadric to 1e-10; deque(maxlen=0) drops it at once.
+    deque(embedding.snapshots(case.surface, 4, times, profile), maxlen=0)
     return True, f"frames on the quadric at {len(times)} times"
 
 

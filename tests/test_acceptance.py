@@ -267,12 +267,8 @@ def test_criterion_9_export_constraints(tmp_path):
             times = [0.0, 0.5 / surface.n, 1.0 / surface.n]
         else:
             times = [0.0, 0.5 * t_star, 0.9 * t_star]
-        import warnings
-
         for t in times:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                snap = sample(surface, 5, t, profile)
+            snap = sample(surface, 5, t, profile)
             norms = inner(surface.space_form, snap.points, snap.points)
             drift = float(np.max(np.abs(norms - surface.space_form.curvature)))
             worst = max(worst, drift)

@@ -1,6 +1,5 @@
 """Command-line surface: outputs, exit codes, clipping, determinism."""
 
-import contextlib
 import hashlib
 import json
 import math
@@ -15,8 +14,9 @@ import pytest
 import isoflow
 from isoflow import cli, verification
 from isoflow.cli import main
+from isoflow.catalog import make_hyperbolic_cylinder, surface_from_json
 from isoflow.collapse import ETERNAL_CHECK_TIME
-from isoflow.embedding import Embedding, overwrite
+from isoflow.embedding import Embedding, get_embedding, overwrite
 
 
 def run_cli(capsys, *argv):
@@ -489,7 +489,6 @@ class TestExport:
         ):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                warnings.filterwarnings("ignore", "ambient dimension", UserWarning)
                 rc, _, err = run_cli(capsys, "export", *argv, "--output-dir", str(tmp_path))
             assert rc == 2
             assert err == "error: frame is not finite, or its squared norm overflows\n"
@@ -513,20 +512,16 @@ class TestExport:
     ])
     def test_grid_of_more_than_32_axes_exits_2(self, capsys, tmp_path, surface):
         # numpy broadcasts at most 32 dimensions: one error line, not a traceback.
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "ambient dimension", UserWarning)
-            rc, out, err = run_cli(capsys, "export", *surface, "--times", "0",
-                                   "--resolution", "1", "--output-dir", str(tmp_path))
+        rc, out, err = run_cli(capsys, "export", *surface, "--times", "0",
+                               "--resolution", "1", "--output-dir", str(tmp_path))
         assert rc == 2 and out == ""
         assert re.fullmatch(r"error: a grid of \d+ axes exceeds numpy's limit of 32 axes\n", err)
         assert not list(tmp_path.iterdir())
 
     def test_grid_of_32_axes_exports(self, capsys, tmp_path):
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "ambient dimension", UserWarning)
-            rc, out, _ = run_cli(capsys, "export", "--family", "horosphere", "--n", "32",
-                                 "--kappa", "1", "--times", "0", "--resolution", "1",
-                                 "--output-dir", str(tmp_path))
+        rc, out, _ = run_cli(capsys, "export", "--family", "horosphere", "--n", "32",
+                             "--kappa", "1", "--times", "0", "--resolution", "1",
+                             "--output-dir", str(tmp_path))
         assert rc == 0 and out == f"{tmp_path / 'horosphere_000.csv'}\n"
         header, rows = parse_csv((tmp_path / "horosphere_000.csv").read_text())
         assert len(rows) == 1 and len(header) == 2 * 34 + 1  # x0..x33, nx0..nx33, t
@@ -583,18 +578,16 @@ class TestExport:
 
         times = ["0", "0.05", "0.1"]
         common = ["export", *surface, "--resolution", "5"]
-        # S^1 x S^2 lies in R^5, past the default export target: each command warns.
-        expect_warning = (pytest.warns(UserWarning, match="ambient dimension 5 exceeds")
-                          if "sphere-product" in surface else contextlib.nullcontext())
-        with expect_warning:
-            rc, _, _ = run_cli(capsys, *common, "--times", ",".join(times),
-                               "--output-dir", str(tmp_path / "all"))
-            assert rc == 0
-            for idx, t in enumerate(times):
-                rc, _, _ = run_cli(capsys, *common, "--times", t,
-                                   "--output-dir", str(tmp_path / "one"),
-                                   "--stem", f"t{idx}")
-                assert rc == 0
+        # S^1 x S^2 lies in R^5, past the default export target: each command warns once.
+        warning = ("warning: ambient dimension 5 exceeds the default export target of 4; "
+                   "downstream viewers may not cope\n" if "sphere-product" in surface else "")
+        rc, _, err = run_cli(capsys, *common, "--times", ",".join(times),
+                             "--output-dir", str(tmp_path / "all"))
+        assert (rc, err) == (0, warning)
+        for idx, t in enumerate(times):
+            rc, _, err = run_cli(capsys, *common, "--times", t,
+                                 "--output-dir", str(tmp_path / "one"), "--stem", f"t{idx}")
+            assert (rc, err) == (0, warning)
         assert len(digests(tmp_path / "all")) == 6
         assert digests(tmp_path / "all") == digests(tmp_path / "one")
 
@@ -806,7 +799,7 @@ class TestSurfaceJson:
             assert reversed_ == canonical
 
     def test_hyperbolic_cylinder_small_curvature_first(self, capsys, tmp_path):
-        # The embedding takes sqrt(kappa1^2 - 1) of the leading block: kappa1 must lead.
+        # The embedding takes sqrt(kappa1^2 - 1) of the block with |kappa| > 1, given second.
         path = self.write(tmp_path, "hcyl.json", {
             "space_form": -1, "family": "hyperbolic_cylinder",
             "blocks": [{"kappa": 0.5, "mult": 1}, {"kappa": 2.0, "mult": 1}]})
@@ -817,6 +810,25 @@ class TestSurfaceJson:
                              "--resolution", "4", "--output-dir", str(tmp_path))
         assert rc == 0
         assert out.strip().endswith("hyperbolic_cylinder_000.csv")
+
+    def test_hyperbolic_cylinder_of_negative_curvatures(self, capsys, tmp_path):
+        # The flipped cylinder: -0.5 leads, and sqrt(kappa^2 - 1) of it was a math domain
+        # error (exit 2).  Its frame is the cylinder's with the normal negated.
+        path = self.write(tmp_path, "hcyl.json", {
+            "space_form": -1, "family": "hyperbolic_cylinder",
+            "blocks": [{"kappa": -0.5, "mult": 1}, {"kappa": -2.0, "mult": 1}]})
+        rc, out, err = run_cli(capsys, "verify", "--surface-json", path)
+        assert (rc, err) == (0, "")
+        assert out.endswith("12/12 checks passed\n")
+        rc, out, err = run_cli(capsys, "export", "--surface-json", path, "--times", "0,0.05",
+                               "--resolution", "4", "--output-dir", str(tmp_path / "flipped"))
+        assert (rc, err) == (0, "")
+        assert len(out.splitlines()) == 2
+        flipped = get_embedding(surface_from_json((tmp_path / "hcyl.json").read_text()))
+        flipped = flipped.frame_grid(4)
+        upright = get_embedding(make_hyperbolic_cylinder(1, 1, 2.0)).frame_grid(4)
+        assert [c.tobytes() for c in flipped[0]] == [c.tobytes() for c in upright[0]]
+        assert [c.tobytes() for c in flipped[1]] == [(-c).tobytes() for c in upright[1]]
 
     @pytest.mark.parametrize("doc, message", [
         ({"space_form": 0.5, "family": "euclidean_cylinder",

@@ -364,6 +364,13 @@ class TestResolveDispatch:
         with pytest.raises(InvalidInputError):
             prof.xi(prof.t_star + 1e-3)
 
+    @pytest.mark.parametrize("t", [math.nan, np.array([0.0, math.nan])], ids=["scalar", "array"])
+    def test_domain_rejects_nan(self, t):
+        # NaN lies in no domain: invalid input (exit 2), not a numerical failure (exit 4).
+        for surface in (make_sphere_product(1, 2, 2.0), make_horosphere(2, 1.0)):
+            with pytest.raises(InvalidInputError, match="outside the profile domain"):
+                resolve_profile(surface).xi(t)
+
     def test_limit_evaluation_at_t_star(self):
         prof = resolve_profile(make_sphere_umbilic(2, 1.0))
         # the collapse offset of a unit-curvature sphere is arccot(1) = pi/4

@@ -33,6 +33,7 @@ from isoflow import (
     sphere_family_from_kappa1,
 )
 import isoflow.embedding as embedding
+from isoflow.cli import main
 from isoflow.embedding import POLAR_MARGIN
 from isoflow.errors import InvalidFrameError
 from isoflow.spaceform import check_frame, parallel_map
@@ -82,9 +83,7 @@ def _mixed_zero_cloud():
     no grid mixes them; the snapshot's 30 zeros there are all -0.0 (azimuth 0)
     and every other one is set to 0.0, the same frame as numbers.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # ambient dimension above 4
-        snap = snapshot(make_sphere_product(1, 3, 2.5), (8, 6, 5), 0.02)
+    snap = snapshot(make_sphere_product(1, 3, 2.5), (8, 6, 5), 0.02)
     normals = snap.normals.copy()
     zeros = np.flatnonzero(normals[:, 1] == 0.0)
     assert len(zeros) == 30 and np.all(np.signbit(normals[zeros, 1]))
@@ -157,10 +156,20 @@ class TestSupportedFamilies:
             with pytest.raises(UnsupportedEmbeddingError):
                 get_embedding(surface)
 
-    def test_high_ambient_dimension_flagged(self):
+    def test_high_ambient_dimension_flagged(self, capsys, tmp_path):
+        # The library warns nothing; the export command prints one line per command.
         surface = make_sphere_product(2, 4, 2.0)  # ambient R^6
-        with pytest.warns(UserWarning):
-            snapshot(surface, 4, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert list(snapshots(surface, 4, [0.0, 0.01], resolve_profile(surface)))
+        assert capsys.readouterr() == ("", "")
+        rc = main(["export", "--family", "sphere-product", "--l", "2", "--n", "4",
+                   "--kappa1", "2", "--times", "0,0.01", "--resolution", "4",
+                   "--output-dir", str(tmp_path)])
+        assert rc == 0
+        assert capsys.readouterr().err == (
+            "warning: ambient dimension 6 exceeds the default export target of 4; "
+            "downstream viewers may not cope\n")
 
 
 def reference_sample(surface, resolution, t, profile):
@@ -183,10 +192,8 @@ class TestSnapshots:
         prof = resolve_profile(surface)
         t_star = prof.t_star
         times = [0.0, 0.7, 2.0] if math.isinf(t_star) else [0.0, 0.4 * t_star, 0.9 * t_star]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # ambient dimension above 4
-            snaps = list(snapshots(surface, resolution, times, prof))
-            single = [sample(surface, resolution, t, prof) for t in times]
+        snaps = list(snapshots(surface, resolution, times, prof))
+        single = [sample(surface, resolution, t, prof) for t in times]
         assert len(snaps) == len(times)
         for snap, one, t in zip(snaps, single, times):
             F_t, N_t, grid_shape, xi = reference_sample(surface, resolution, t, prof)
@@ -206,16 +213,14 @@ class TestSnapshots:
         cloud = 2 * math.prod(grid_shape) * len(F) * 8
         gen = snapshots(surface, (8, 8, 8, 8), [0.0, 0.01], resolve_profile(surface))
         held = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # ambient dimension above 4
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                for snap in gen:
-                    held.append(tracemalloc.get_traced_memory()[0] - base)
-                    del snap
-            finally:
-                tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for snap in gen:
+                held.append(tracemalloc.get_traced_memory()[0] - base)
+                del snap
+        finally:
+            tracemalloc.stop()
         assert max(held) < 0.1 * cloud
         assert held[0] - held[1] >= frame  # the frame is dropped before the last yield
 
@@ -581,9 +586,7 @@ class TestExport:
         (make_hyperbolic_cylinder(2, 2, 2.0), (5, 4, 0, 3), 0.01),  # no rows
     ])
     def test_bytes_equal_row_writer(self, tmp_path, surface, resolution, t):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # ambient dimension above 4
-            snap = snapshot(surface, resolution, t)
+        snap = snapshot(surface, resolution, t)
         export_csv(snap, tmp_path / "chunked.csv")
         row_writer_csv(snap, tmp_path / "rows.csv")
         assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
@@ -598,9 +601,7 @@ class TestExport:
         (make_euclidean_cylinder(2, 3, 0.9), (40, 30, 1), 0.1),
     ])
     def test_bytes_equal_row_writer_at_benchmark_size(self, tmp_path, surface, resolution, t):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # ambient dimension above 4
-            snap = snapshot(surface, resolution, t)
+        snap = snapshot(surface, resolution, t)
         export_csv(snap, tmp_path / "pieces.csv")
         row_writer_csv(snap, tmp_path / "rows.csv")
         assert (tmp_path / "pieces.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
@@ -635,9 +636,7 @@ class TestExport:
         # The export-cloud hyperbolic cylinder: 12,672 rows in R^6.  The writer
         # that formatted every field read 2.04 MiB.
         surface = make_hyperbolic_cylinder(2, 2, 2.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # ambient dimension above 4
-            snap = snapshot(surface, (12, 12, 11, 8), 0.01)
+        snap = snapshot(surface, (12, 12, 11, 8), 0.01)
         assert len(snap.points) == 12672
         export_csv(snap, tmp_path / "cloud.csv")  # first-call allocations are not the writer's
         tracemalloc.start()

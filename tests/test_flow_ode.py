@@ -133,6 +133,37 @@ class TestIntegrate:
         with pytest.raises(InvalidInputError, match=r"^time -0\.1 outside"):
             prof.xi(np.linspace(-0.1, 0.1, 200))
 
+    @pytest.mark.parametrize("t", [math.nan, np.array([0.0, math.nan])], ids=["scalar", "array"])
+    def test_domain_rejects_nan(self, t):
+        # NaN lies in no domain: invalid input, not a silent nan, also for a stationary run.
+        clifford = make_minimal(SPHERE, [(1.0, 1), (-1.0, 1)])
+        for prof in (integrate(make_sphere_product(1, 2, 2.0), 0.05), integrate(clifford, 5.0)):
+            with pytest.raises(InvalidInputError, match="^time nan outside the integrated"):
+                prof.xi(t)
+
+    def test_run_past_the_step_cap_raises(self, monkeypatch):
+        # An eternal run steps near its stability bound, so its steps grow with the window:
+        # one that needs more than _MAX_STEPS fails with a typed error naming the cap.
+        surface = make_hyperbolic_umbilic(2, 0.5)
+        for t_end in (50.0, -50.0):
+            steps = integrate(surface, t_end).accepted_steps
+            monkeypatch.setattr(flow_ode, "_MAX_STEPS", steps)
+            assert integrate(surface, t_end).accepted_steps == steps
+            monkeypatch.setattr(flow_ode, "_MAX_STEPS", steps - 1)
+            with pytest.raises(IntegrationFailureError,
+                               match=rf"short of t = {t_end!r}: .* cap of {steps - 1} steps$"):
+                integrate(surface, t_end)
+
+    def test_run_past_the_step_cap_exits_4(self, monkeypatch, capsys):
+        # The window that ran without end: one error line and exit 4.
+        monkeypatch.setattr(flow_ode, "_MAX_STEPS", 5)
+        rc = cli.main(["evolve", "--family", "hyperbolic-umbilic", "--n", "2", "--kappa", "0.5",
+                       "--t-end", "1e300", "--samples", "3", "--engine", "ode"])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (4, "")
+        assert err.startswith("error: integration stopped") and err.count("\n") == 1
+        assert "t = 1e+300" in err and "cap of 5 steps" in err
+
     def test_backward_flow_is_monotone(self):
         for surface in (
             make_sphere_product(1, 2, 2.0),

@@ -3,6 +3,8 @@
 Every module imports only names it uses, and no line is wider than 99
 columns.  An import marked ``# noqa: F401`` is kept on purpose and exempt;
 ``__init__.py`` imports to re-export, so its imports are the package's names.
+Only ``cli.py`` talks to the user: no other module calls ``print``, names
+``sys.stderr`` or imports ``warnings``.
 """
 
 import ast
@@ -43,6 +45,35 @@ def test_the_check_sees_an_unused_import():
                          ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _user_output(source):
+    """(line, what) of each print call, sys.stderr or warnings import in the module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "print":
+            found.append((node.lineno, "print"))
+        elif isinstance(node, ast.Attribute) and node.attr == "stderr" \
+                and isinstance(node.value, ast.Name) and node.value.id == "sys":
+            found.append((node.lineno, "sys.stderr"))
+        elif isinstance(node, ast.Import) and any(a.name == "warnings" for a in node.names) \
+                or isinstance(node, ast.ImportFrom) and node.module == "warnings":
+            found.append((node.lineno, "warnings"))
+    return sorted(found)
+
+
+def test_the_check_sees_user_output():
+    source = ("import sys, warnings\nfrom warnings import warn\nprint(1, file=sys.stderr)\n"
+              "sys.stdout.write('')\n")
+    assert _user_output(source) == [(1, "warnings"), (2, "warnings"), (3, "print"),
+                                    (3, "sys.stderr")]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_only_the_cli_talks_to_the_user(path):
+    assert _user_output(path.read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -19,9 +19,7 @@ sha256 of each file it writes.  Each of those files is first filled with
 ``JUNK``, longer than any of them, so the digest covers writing over an
 existing file: a byte of junk left after the output changes its hash.  The
 seeded ops come from ``perfbench/workloads.py``, which is only read.  Each
-op runs in process through ``isoflow.cli.main``; a warning is shown once
-per op, as in a fresh interpreter, and the path of the source tree in a
-warning reads ``<src>``.
+op runs in process through ``isoflow.cli.main``.
 A change meant to keep every output byte runs the tool on the parent
 checkout (``--src``) and on the change and compares the two files with
 ``--diff``: it prints each op whose outcome differs, with each differing
@@ -39,7 +37,6 @@ import json
 import os
 import sys
 import tempfile
-import warnings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -115,28 +112,16 @@ SURFACE_JSON = [
 
 
 def run_cli(cli, argv):
-    """[exit code, stdout, stderr] of one in-process call; an uncaught exception is its outcome.
-
-    Each warning is written into that stderr as a fresh interpreter prints it,
-    also where a test runner has installed its own ``warnings.showwarning``.
-    """
+    """[exit code, stdout, stderr] of one in-process call; an uncaught exception is its outcome."""
     out, err = io.StringIO(), io.StringIO()
-
-    def show(message, category, filename, lineno, file=None, line=None):
-        err.write(warnings.formatwarning(message, category, filename, lineno, line))
-
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
-        warnings.simplefilter("default")
-        warnings.showwarning = show
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             rc = cli.main(argv)
         except SystemExit as exc:  # --help and argparse errors
             rc = exc.code
         except Exception as exc:
             rc = f"uncaught {type(exc).__name__}: {exc}"
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    return [rc, out.getvalue(), err.getvalue().replace(src, "<src>")]
+    return [rc, out.getvalue(), err.getvalue()]
 
 
 def _sha256(path):
