@@ -39,7 +39,7 @@ from .closed_form import resolve_profile
 from .collapse import analyze
 # sample stays importable here: perfbench/layers.py traces it at this module.
 from .embedding import sample  # noqa: F401
-from .embedding import export_csv, export_metadata, get_embedding, overwrite, snapshots
+from .embedding import _texts, export_csv, export_metadata, get_embedding, overwrite, snapshots
 from .errors import (InvalidFrameError, InvalidInputError, IsoflowError, NumericalRangeError,
                      UnsupportedEmbeddingError)
 from .flow_ode import DEFAULT_OPTIONS, OdeOptions, estimate_tstar, integrate
@@ -168,16 +168,17 @@ def cmd_evolve(args) -> int:
     columns.update((f"factor_{i}", f) for i, f in enumerate(factors, start=1))
     if args.engine == "both":
         columns["discrepancy"] = np.abs(xi - ode_xi)
-    rows = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
 
     text = ""
     if args.format == "json":
+        rows = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
         text = json.dumps({"surface": surface.to_dict(), "engine": args.engine,
                            "rows": rows}, indent=2) + "\n"
-    elif rows:
-        header = list(rows[0])
-        lines = [header] + [[f"{row[h]:.17g}" for h in header] for row in rows]
-        text = "".join(",".join(line) + "\n" for line in lines)
+    elif len(keep):
+        # Each field carries the comma after it; the last of a row, a newline.
+        cells = _texts(np.stack(list(columns.values()), axis=1)).reshape(len(keep), -1)
+        cells[:, -1] = [cell[:-1] + b"\n" for cell in cells[:, -1]]
+        text = ",".join(columns) + "\n" + b"".join(cells.ravel().tolist()).decode()
     _write_output(text, args.output)
     return EXIT_OK
 
@@ -248,6 +249,8 @@ def cmd_export(args) -> int:
     surface = build_surface(args)
     emb = get_embedding(surface)  # an unsupported family exits 3 even if every time is clipped
     times = [float(x) for x in args.times.split(",") if x.strip()]
+    if not times:
+        raise InvalidInputError(f"--times needs at least one snapshot time, got {args.times!r}")
     if not all(math.isfinite(t) for t in times):
         raise InvalidInputError(f"snapshot times must be finite, got {args.times!r}")
     if not (math.isfinite(args.extent) and args.extent > 0.0):

@@ -44,7 +44,12 @@ validations of the frame and of the cloud broadcast over the columns too.
 The CSV writer starts from each column as it is.  It cuts the column to
 length 1 along every further axis it is constant on (by bits), runs
 np.unique on the sub-grid that is left and broadcasts the index back to the
-grid, so each distinct value is formatted once.  Neighbouring columns whose
+grid, so each distinct value is formatted once: those of all columns and t in
+one _texts pass, which writes what %.17g writes.  In fixed notation,
+1e-4 <= |x| < 1e17, the pass rounds the exact product of the mantissa and a
+power of ten to 17 digits in 64-bit integer limbs and places the digits by
+a layout row per class of text; exponent notation, zeros, subnormals and
+non-finite values go to %.17g itself.  Neighbouring columns whose
 sub-grids nest (one factor's position columns, its normal columns, the
 constant t) are joined into one piece of text per point of the larger
 sub-grid while that stays smaller than the grid: a row of a Euclidean
@@ -326,12 +331,119 @@ def overwrite(path):
                         os.ftruncate(fd, end)
 
 
+# The fixed-notation pass of _texts: 5**k for the scale 10**k = 5**k 2**k, the
+# ASCII of the 100 digit pairs, and the bytes a layout row places besides digits.
+_POW5 = 5 ** np.arange(21, dtype=np.uint64)
+_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
+_MARKS = np.frombuffer(b"-0.,\0", np.uint8)  # columns 17..21 of a value's source row
+_CHUNK = 2048  # values per pass: bounds the pass's arrays near 1 MiB
+
+
+def _texts(values) -> np.ndarray:
+    """``b"%.17g," % x`` for each float x of ``values``, as an object array of bytes.
+
+    %.17g writes 1e-4 <= |x| < 1e17 in fixed notation: no double below 1e-4
+    rounds up to it at 17 digits, and those below 1e17 are integers there.
+    Those values are formatted by ``_fixed_texts`` and the rest (exponent
+    notation, zeros, subnormals, inf and nan) by ``%`` itself, _CHUNK at a time.
+    """
+    values = np.asarray(values, dtype=np.float64).ravel()
+    out = np.empty(len(values), dtype=object)
+    layouts = np.full((2 * 21 * 18, 24), -1, dtype=np.int16)  # rows built as classes show up
+    for start in range(0, len(values), _CHUNK):
+        chunk, part = values[start:start + _CHUNK], out[start:start + _CHUNK]
+        size = np.abs(chunk)
+        fixed = (size >= 1e-4) & (size < 1e17)  # nan is not
+        part[fixed] = _fixed_texts(chunk[fixed], layouts)
+        rest = chunk[~fixed].tolist()
+        part[~fixed] = (b"%.17g,\n" * len(rest) % tuple(rest)).splitlines()
+    return out
+
+
+def _scaled(mantissa, exp2, X):
+    """round_half_even(mantissa * 2**exp2 * 10**(16 - X)) as uint64, exactly.
+
+    The 53-bit mantissa times 5**(16 - X) < 2**47 is a 128-bit product, held
+    in 64-bit limbs (hi, lo) from 32-bit halves; ``drop`` = X - 16 - exp2 of
+    its low bits lie below the units place (none when ``drop`` <= 0).
+    """
+    five = _POW5[16 - X]
+    ml, mh, fl, fh = mantissa & 0xFFFFFFFF, mantissa >> 32, five & 0xFFFFFFFF, five >> 32
+    low = ml * fl
+    mid = mh * fl + ml * fh + (low >> 32)
+    lo = (low & 0xFFFFFFFF) | (mid << 32)
+    hi = mh * fh + (mid >> 32)
+    drop = X - 16 - exp2
+    shift = np.maximum(drop, 1).astype(np.uint64)
+    kept = (hi << (64 - shift)) | (lo >> shift)
+    rest, half = lo & ((1 << shift) - 1), 1 << (shift - 1)
+    kept += (rest > half) | ((rest == half) & ((kept & 1) == 1))
+    return np.where(drop > 0, kept, lo << np.maximum(-drop, 0).astype(np.uint64))
+
+
+def _fixed_texts(x, layouts) -> np.ndarray:
+    """``b"%.17g," % v`` for each v of x, 1e-4 <= |v| < 1e17, as an S24 array.
+
+    The 17 digits are D = round_half_even(|v| 10**(16 - X)) with X the decimal
+    exponent, from log10 and corrected once where D falls outside
+    [10**16, 10**17).  A value's text is the 24 bytes that the layout row of
+    its class (sign, X, significant digits) takes from its source row, the
+    digits and _MARKS, NUL-padded, which the S24 view drops.  ``layouts``
+    holds a row per class id, -1 until the class first shows up.
+    """
+    n = len(x)
+    bits = np.abs(x).view(np.uint64)
+    mantissa = bits & (2**52 - 1) | 2**52
+    exp2 = (bits >> 52).astype(np.int64) - 1075
+    X = np.clip(np.floor(np.log10(np.abs(x))), -4, 16).astype(np.int64)
+    D = _scaled(mantissa, exp2, X)
+    off = (D >= 10**17).astype(np.int64) - (D < 10**16)
+    if off.any():
+        X += off
+        redo = np.flatnonzero(off)
+        D[redo] = _scaled(mantissa[redo], exp2[redo], X[redo])
+    top = D // 10**16
+    pairs = (D - top * 10**16).astype(np.int64)[:, None]
+    for unit in (10**8, 10**4, 100):  # 1 part of 16 digits, 2 of 8, 4 of 4, 8 of 2
+        high = pairs // unit
+        pairs = np.stack([high, pairs - high * unit], axis=-1).reshape(n, 2 * pairs.shape[1])
+    source = np.empty((n, 22), dtype=np.uint8)
+    source[:, 0] = top + 48
+    source[:, 1:17] = _PAIRS.take(pairs).view(np.uint8).reshape(n, 16)
+    source[:, 17:] = _MARKS
+    sig = 17 - np.argmax(source[:, 16::-1] != 48, axis=1)  # D's first digit is not 0
+    ids = (np.signbit(x) * 21 + X + 4) * 18 + sig
+    missing = layouts[ids, 0] < 0
+    if missing.any():
+        new = np.flatnonzero(np.bincount(ids[missing]))  # np.unique would import numpy.ma
+        layouts[new] = _layout(new // 378, new // 18 % 21 - 4, new % 18)
+    index = layouts.take(ids, axis=0) + np.arange(0, 22 * n, 22)[:, None]
+    return source.reshape(-1).take(index).view("S24")[:, 0]
+
+
+def _layout(neg, X, sig):
+    """For each class, the column of the source row that each of the 24 text
+    bytes takes: a ``-``, then ``0.`` and -X-1 zeros when X < 0, else the X+1
+    integer digits and a ``.`` if more digits are significant; the rest of the
+    significant digits, a ``,`` and NULs."""
+    neg, X, sig = neg[:, None], X[:, None], sig[:, None]
+    at = np.arange(24) - neg  # position in the text after the sign
+    lead = 1 - X  # "0." and the zeros when X < 0
+    point = np.where(X < 0, 1, X + 1)
+    dot = (X < 0) | (sig > X + 1)
+    end = np.where(X < 0, lead + sig, np.maximum(sig, X + 1) + dot)
+    digit = np.where(X < 0, at - lead, at - (at > point))
+    return np.select([at < 0, (X < 0) & (at < lead) & (at != 1), dot & (at == point),
+                      at < end, at == end], [17, 18, 19, digit, 20], 21)
+
+
 def export_csv(sampled: SampledSurface, path) -> None:
     """Write the cloud as CSV: x0..xd, nx0..nxd, t with 17 significant digits.
 
     Each distinct value of a column, told apart by its bits so that ``-0.0``
-    is still written ``-0``, is formatted once with ``%.17g``; the module
-    docstring says how the columns are cut and joined into a row's pieces.
+    is still written ``-0``, is formatted once as ``%.17g`` would: all of
+    them and t in one ``_texts`` pass.  The module docstring says how the
+    columns are cut and joined into a row's pieces.
     """
     d = sampled.ambient_dim
     header = ",".join(
@@ -339,23 +451,25 @@ def export_csv(sampled: SampledSurface, path) -> None:
     )
     shape = sampled.grid_shape
     size = math.prod(shape)
+    cuts = []  # (distinct values, index into them on the column's sub-grid)
+    for column in sampled.columns:
+        bits = column.view(np.int64)
+        for axis in range(len(shape)):
+            head = bits[(slice(None),) * axis + (slice(0, 1),)]
+            if np.all(bits == head):
+                bits = head
+        values, index = np.unique(bits.ravel(), return_inverse=True)
+        index = index.astype(np.min_scalar_type(max(len(values) - 1, 0))).reshape(bits.shape)
+        cuts.append((values.view(np.float64), index))
+    cuts.append(([sampled.t], np.zeros((1,) * len(shape), dtype=np.uint8)))
+    # Each field carries the comma after it; t, the last column, a newline.
+    texts = _texts(np.concatenate([values for values, _ in cuts]))
+    texts[-1] = texts[-1][:-1] + b"\n"
     pieces = []  # (texts, index into them on the piece's sub-grid)
-    for column in (*sampled.columns, None):
-        if column is None:  # t
-            text = np.array([b"%.17g\n" % sampled.t], dtype=object)
-            index = np.zeros((1,) * len(shape), dtype=np.uint8)
-        else:
-            bits = column.view(np.int64)
-            for axis in range(len(shape)):
-                head = bits[(slice(None),) * axis + (slice(0, 1),)]
-                if np.all(bits == head):
-                    bits = head
-            values, index = np.unique(bits.ravel(), return_inverse=True)
-            floats = values.view(np.float64).tolist()
-            # Each field carries the comma after it: t is the last column.
-            text = np.array((b"%.17g,\n" * len(floats) % tuple(floats)).splitlines(),
-                            dtype=object)
-            index = index.astype(np.min_scalar_type(max(len(floats) - 1, 0))).reshape(bits.shape)
+    start = 0
+    for values, index in cuts:
+        text = texts[start:start + len(values)]
+        start += len(values)
         if pieces:
             sub = np.broadcast_shapes(pieces[-1][1].shape, index.shape)
             if sub in (pieces[-1][1].shape, index.shape) and math.prod(sub) < size:

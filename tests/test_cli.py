@@ -477,6 +477,17 @@ class TestExport:
         assert "clipped" not in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("times", ["", ",", " , "])
+    def test_empty_times_exit_2_before_the_output_dir_is_made(self, capsys, tmp_path, times):
+        out_dir = tmp_path / "out"
+        rc, out, err = run_cli(
+            capsys, "export", "--family", "horosphere", "--n", "2", "--kappa", "1",
+            "--times", times, "--output-dir", str(out_dir),
+        )
+        assert (rc, out) == (2, "")
+        assert err == f"error: --times needs at least one snapshot time, got {times!r}\n"
+        assert not out_dir.exists()
+
     def test_overflowing_frame_exits_2(self, capsys, tmp_path):
         # The frame overflows: one error line and no numpy warning.
         for argv in (

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import decimal
 import errno
 import math
 import os
@@ -674,7 +675,57 @@ class TestExport:
         assert doc["xi"] == pytest.approx(prof.xi(0.05))
         assert doc["resolution"] == [6, 6]
 
-    """Each export is written in place and cut to length: the bytes of a fresh file."""
+
+def _texts_cases():
+    """The float64 arrays embedding._texts is refereed on, by name."""
+    rng = np.random.default_rng(20261021)
+    # 200,200 draws keep at least 200,000 finite: 1 in 2,048 is inf or nan.
+    bits = rng.integers(0, 2**64, 200_200, dtype=np.uint64).view(np.float64)
+    powers = 10.0 ** np.arange(-30, 31)
+    edges = np.array([1e-4, 1e17])
+    edges = np.concatenate([edges, *(np.nextafter(edges, edges * s) for s in (0, 2))])
+    # Exact half-way cases at the 17th digit: q/4 carries one decimal in [1e15, 2**51),
+    # where the ulp is at most 1/4, and q/8 two in [1e14, 1e15); q is odd and below 2**53.
+    quarters = (rng.integers(2 * 10**15, 2**52, 20_000) * 2 + 1) / 4
+    eighths = (rng.integers(4 * 10**14, 4 * 10**15, 20_000) * 2 + 1) / 8
+    return {
+        "bit-patterns": bits[np.isfinite(bits)],
+        "uniform": rng.uniform(-3.0, 3.0, 50_000),
+        "powers-of-ten": np.concatenate([powers, np.nextafter(powers, 0),
+                                         np.nextafter(powers, np.inf), -powers]),
+        "notation-edges": np.concatenate([edges, -edges]),
+        "ties": np.concatenate([quarters, eighths, -quarters]),
+        "specials": np.array([0.0, -0.0, 5e-324, -5e-324, np.finfo(float).max, np.inf,
+                              -np.inf, np.nan]),
+        "empty": np.array([]),
+    }
+
+
+TEXTS_CASES = _texts_cases()
+
+
+class TestTexts:
+    """embedding._texts writes each value as CPython's %.17g does, the referee here."""
+
+    @pytest.mark.parametrize("name", TEXTS_CASES)
+    def test_matches_percent_17g(self, name):
+        values = TEXTS_CASES[name]
+        expected = (b"%.17g,\n" * len(values) % tuple(values.tolist())).splitlines()
+        texts = embedding._texts(values)
+        assert texts.dtype == object and len(texts) == len(values)
+        mismatched = [(v, t, e) for v, t, e in zip(values.tolist(), texts.tolist(), expected)
+                      if t != e]
+        assert mismatched == []
+
+    def test_cases_cover_both_notations_and_exact_ties(self):
+        assert len(TEXTS_CASES["bit-patterns"]) >= 200_000
+        size = np.abs(TEXTS_CASES["bit-patterns"])
+        assert ((size >= 1e-4) & (size < 1e17)).sum() > 1000  # the fixed-notation pass
+        # Each tie is exactly half-way at the 17th digit: 18 digits, the last a 5.
+        digits = [decimal.Decimal(v).as_tuple().digits for v in TEXTS_CASES["ties"].tolist()]
+        assert all(len(d) == 18 and d[-1] == 5 for d in digits)
+
+
 class TestOverwrite:
     """Every output file is written in place and cut to length: the bytes of a fresh file."""
 

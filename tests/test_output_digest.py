@@ -20,8 +20,8 @@ def _tool():
 def test_digest_of_a_small_subset():
     tool = _tool()
     doc = tool.digest(str(ROOT / "src"), seeds=(0,), limit=2,
-                      sections=("collapse", "export", "export-wide", "output", "help",
-                                "evolve"))
+                      sections=("collapse", "export", "export-wide", "export-notation",
+                                "output", "help", "evolve"))
     json.dumps(doc)  # the digest is plain JSON
     collapse = doc["collapse"]["0"]
     assert len(collapse) == 2
@@ -36,6 +36,10 @@ def test_digest_of_a_small_subset():
         assert rc == 0 and out == f"<out>/{name}_000.csv\n"
         assert re.fullmatch(r"warning: ambient dimension \d+ exceeds the default export "
                             r"target of 4; downstream viewers may not cope\n", err), err
+        assert sorted(files) == [f"{name}_000.csv", f"{name}_000.json"]
+    assert list(doc["export-notation"]) == [name for name, _ in tool.NOTATION]
+    for name, (rc, out, err, files) in doc["export-notation"].items():
+        assert (rc, out, err) == (0, f"<out>/{name}_000.csv\n", "")
         assert sorted(files) == [f"{name}_000.csv", f"{name}_000.json"]
     assert set(doc["help"]) == {"isoflow", "evolve", "collapse", "verify", "export"}
     assert all(rc == 0 and "usage: isoflow" in out for rc, out, _ in doc["help"].values())

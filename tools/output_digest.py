@@ -13,7 +13,8 @@ The digest holds the exit code, stdout and stderr of
   listing its blocks out of order,
 
 and, for every export-cloud op of the seeds, for a fixed set of exports
-whose charts are wider than any of those clouds' and for ``evolve`` (CSV and
+whose charts are wider than any of those clouds', for two exports whose values
+are written in exponent notation, large and small, and for ``evolve`` (CSV and
 JSON) and ``collapse`` with ``--output``, its exit code, output and the
 sha256 of each file it writes.  Each of those files is first filled with
 ``JUNK``, longer than any of them, so the digest covers writing over an
@@ -84,6 +85,17 @@ EXPORT = [
                             "--kappa1", "2", "--times", "0.01"]),
 ]
 
+# (name, argv) of the exports whose values reach exponent notation, past either end
+# of the fixed notation %.17g keeps for 1e-4 <= |x| < 1e17: coordinates near
+# 3.7e+39, and radii near 9.8e-21.
+NOTATION = [
+    ("horosphere-extent-1e20", ["--family", "horosphere", "--n", "2", "--kappa", "1",
+                                "--times", "0.5", "--resolution", "3", "--extent", "1e20"]),
+    ("euclidean-cylinder-kappa-1e20", ["--family", "euclidean-cylinder", "--m", "2",
+                                       "--n", "3", "--kappa", "1e20", "--times", "0",
+                                       "--resolution", "3"]),
+]
+
 # (name, argv) of the --output ops, each writing <out>/<name>.
 OUTPUT = [
     ("evolve.csv", ["evolve", *dict(EVOLVE)["euclidean-both-csv"]]),
@@ -149,8 +161,8 @@ def run_export(cli, argv, stem):
 
 
 def digest(src, seeds=(0, 1),
-           sections=("collapse", "verify", "export", "export-wide", "output", "help",
-                     "evolve", "surface-json"),
+           sections=("collapse", "verify", "export", "export-wide", "export-notation",
+                     "output", "help", "evolve", "surface-json"),
            limit=None):
     """The digest as a dict; ``limit`` keeps the first ops of each seeded section."""
     sys.path.insert(0, src)
@@ -176,6 +188,8 @@ def digest(src, seeds=(0, 1),
         doc["export-wide"] = {
             name: run_export(cli, argv + ["--resolution", "2", "--extent", "0.9"], name)
             for name, argv in EXPORT}
+    if "export-notation" in sections:
+        doc["export-notation"] = {name: run_export(cli, argv, name) for name, argv in NOTATION}
     if "output" in sections:
         doc["output"] = {name: run_writing(cli, argv + ["--output", f"<out>/{name}"], [name])
                          for name, argv in OUTPUT}
