@@ -169,14 +169,13 @@ def cmd_evolve(args) -> int:
     if args.engine == "both":
         columns["discrepancy"] = np.abs(xi - ode_xi)
 
-    text = ""
     if args.format == "json":
         rows = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
         text = json.dumps({"surface": surface.to_dict(), "engine": args.engine,
                            "rows": rows}, indent=2) + "\n"
-    elif len(keep):
+    else:  # the header line also when no sample is kept
         # Each field carries the comma after it; the last of a row, a newline.
-        cells = _texts(np.stack(list(columns.values()), axis=1)).reshape(len(keep), -1)
+        cells = _texts(np.stack(list(columns.values()), axis=1)).reshape(len(keep), len(columns))
         cells[:, -1] = [cell[:-1] + b"\n" for cell in cells[:, -1]]
         text = ",".join(columns) + "\n" + b"".join(cells.ravel().tolist()).decode()
     _write_output(text, args.output)

@@ -41,25 +41,26 @@ xi = xi(t) from a flow profile to the t = 0 frame, column by column, so every
 exported cloud stays exactly on the ambient quadric up to roundoff; the
 validations of the frame and of the cloud broadcast over the columns too.
 
-The CSV writer starts from each column as it is.  It cuts the column to
-length 1 along every further axis it is constant on (by bits), runs
-np.unique on the sub-grid that is left and broadcasts the index back to the
-grid, so each distinct value is formatted once: those of all columns and t in
-one _texts pass, which writes what %.17g writes.  In fixed notation,
-1e-4 <= |x| < 1e17, the pass rounds the exact product of the mantissa and a
-power of ten to 17 digits in 64-bit integer limbs and places the digits by
-a layout row per class of text; exponent notation, zeros, subnormals and
-non-finite values go to %.17g itself.  Neighbouring columns whose
-sub-grids nest (one factor's position columns, its normal columns, the
-constant t) are joined into one piece of text per point of the larger
-sub-grid while that stays smaller than the grid: a row of a Euclidean
-cylinder is 3 pieces, of a product of spheres or a hyperbolic cylinder 4,
-and of a horosphere 9, as each join there would span the grid.
+The CSV writer starts from each column as it is.  It cuts the column to length
+1 along every further axis it is constant on (by bits), runs np.unique on the
+sub-grid that is left and broadcasts the index back to the grid, so each
+distinct value is formatted once: those of all columns and t in one _texts
+pass, which writes what %.17g writes.  In fixed notation, 1e-4 <= |x| < 1e17,
+the pass rounds the exact product of the mantissa and a power of ten to 17
+digits in 64-bit integer limbs, looks them up four at a time and places them
+by one of 756 layout rows, built once per process; exponent notation, zeros,
+subnormals, non-finite values and small chunks go to %.17g itself.
+Neighbouring columns whose sub-grids nest (one factor's position columns, its
+normal columns, the constant t) are joined into one piece of text per point of
+the larger sub-grid while that stays smaller than the grid: a row of a
+Euclidean cylinder is 3 pieces, of a product of spheres or a hyperbolic
+cylinder 4, and of a horosphere 9, as each join there would span the grid.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import os
@@ -331,12 +332,32 @@ def overwrite(path):
                         os.ftruncate(fd, end)
 
 
-# The fixed-notation pass of _texts: 5**k for the scale 10**k = 5**k 2**k, the
-# ASCII of the 100 digit pairs, and the bytes a layout row places besides digits.
+# The fixed-notation pass of _texts: 5**k for the scale 10**k = 5**k 2**k, the ASCII
+# of the 10,000 four-digit groups (from the 100 pairs), the bytes besides digits.
 _POW5 = 5 ** np.arange(21, dtype=np.uint64)
 _PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
+_QUADS = np.stack([np.repeat(_PAIRS, 100), np.tile(_PAIRS, 100)], axis=1).view(np.uint32)[:, 0]
 _MARKS = np.frombuffer(b"-0.,\0", np.uint8)  # columns 17..21 of a value's source row
 _CHUNK = 2048  # values per pass: bounds the pass's arrays near 1 MiB
+_SMALL = 256  # fewer fixed-notation values in a chunk go to %: there it is the faster
+
+
+@functools.cache
+def _layouts():
+    """By class id (sign, X in -4..16, significant digits: 756 in all), the column
+    of the source row that each of the 24 text bytes takes: a ``-``, then ``0.``
+    and -X-1 zeros when X < 0, else the X+1 integer digits and a ``.`` if more are
+    significant; the rest of them, a ``,`` and NULs.  Built on the first call."""
+    ids = np.arange(756)[:, None]
+    neg, X, sig = ids // 378, ids // 18 % 21 - 4, ids % 18
+    at = np.arange(24) - neg  # position in the text after the sign
+    lead = 1 - X  # "0." and the zeros when X < 0
+    point = np.where(X < 0, 1, X + 1)
+    dot = (X < 0) | (sig > X + 1)
+    end = np.where(X < 0, lead + sig, np.maximum(sig, X + 1) + dot)
+    digit = np.where(X < 0, at - lead, at - (at > point))
+    return np.select([at < 0, (X < 0) & (at < lead) & (at != 1), dot & (at == point),
+                      at < end, at == end], [17, 18, 19, digit, 20], 21).astype(np.int16)
 
 
 def _texts(values) -> np.ndarray:
@@ -345,16 +366,18 @@ def _texts(values) -> np.ndarray:
     %.17g writes 1e-4 <= |x| < 1e17 in fixed notation: no double below 1e-4
     rounds up to it at 17 digits, and those below 1e17 are integers there.
     Those values are formatted by ``_fixed_texts`` and the rest (exponent
-    notation, zeros, subnormals, inf and nan) by ``%`` itself, _CHUNK at a time.
+    notation, zeros, subnormals, inf and nan) by ``%`` itself, _CHUNK at a
+    time; a chunk with fewer than _SMALL of the former goes to ``%`` whole.
     """
     values = np.asarray(values, dtype=np.float64).ravel()
     out = np.empty(len(values), dtype=object)
-    layouts = np.full((2 * 21 * 18, 24), -1, dtype=np.int16)  # rows built as classes show up
     for start in range(0, len(values), _CHUNK):
         chunk, part = values[start:start + _CHUNK], out[start:start + _CHUNK]
         size = np.abs(chunk)
         fixed = (size >= 1e-4) & (size < 1e17)  # nan is not
-        part[fixed] = _fixed_texts(chunk[fixed], layouts)
+        fixed &= np.count_nonzero(fixed) >= _SMALL
+        if fixed.any():
+            part[fixed] = _fixed_texts(chunk[fixed])
         rest = chunk[~fixed].tolist()
         part[~fixed] = (b"%.17g,\n" * len(rest) % tuple(rest)).splitlines()
     return out
@@ -381,60 +404,38 @@ def _scaled(mantissa, exp2, X):
     return np.where(drop > 0, kept, lo << np.maximum(-drop, 0).astype(np.uint64))
 
 
-def _fixed_texts(x, layouts) -> np.ndarray:
+def _fixed_texts(x) -> np.ndarray:
     """``b"%.17g," % v`` for each v of x, 1e-4 <= |v| < 1e17, as an S24 array.
 
     The 17 digits are D = round_half_even(|v| 10**(16 - X)) with X the decimal
     exponent, from log10 and corrected once where D falls outside
-    [10**16, 10**17).  A value's text is the 24 bytes that the layout row of
-    its class (sign, X, significant digits) takes from its source row, the
-    digits and _MARKS, NUL-padded, which the S24 view drops.  ``layouts``
-    holds a row per class id, -1 until the class first shows up.
+    [10**16, 10**17): the first digit, then four groups of four, each one
+    lookup in _QUADS.  A value's text is the 24 bytes that the _layouts() row
+    of its class (sign, X, significant digits) takes from its source row, the
+    digits and _MARKS, NUL-padded, which the S24 view drops.
     """
-    n = len(x)
     bits = np.abs(x).view(np.uint64)
     mantissa = bits & (2**52 - 1) | 2**52
     exp2 = (bits >> 52).astype(np.int64) - 1075
     X = np.clip(np.floor(np.log10(np.abs(x))), -4, 16).astype(np.int64)
     D = _scaled(mantissa, exp2, X)
-    off = (D >= 10**17).astype(np.int64) - (D < 10**16)
-    if off.any():
-        X += off
-        redo = np.flatnonzero(off)
+    redo = np.flatnonzero((D < 10**16) | (D >= 10**17))
+    if len(redo):
+        X[redo] += np.where(D[redo] < 10**16, -1, 1)
         D[redo] = _scaled(mantissa[redo], exp2[redo], X[redo])
     top = D // 10**16
-    pairs = (D - top * 10**16).astype(np.int64)[:, None]
-    for unit in (10**8, 10**4, 100):  # 1 part of 16 digits, 2 of 8, 4 of 4, 8 of 2
-        high = pairs // unit
-        pairs = np.stack([high, pairs - high * unit], axis=-1).reshape(n, 2 * pairs.shape[1])
-    source = np.empty((n, 22), dtype=np.uint8)
+    quads = D - top * 10**16
+    for unit in (10**8, 10**4):  # 1 part of 16 digits, 2 of 8, 4 of 4
+        high = quads // unit
+        quads = np.stack([high, quads - high * unit], axis=-1)
+    source = np.empty((len(x), 22), dtype=np.uint8)
     source[:, 0] = top + 48
-    source[:, 1:17] = _PAIRS.take(pairs).view(np.uint8).reshape(n, 16)
+    source[:, 1:17] = _QUADS.take(quads.reshape(-1, 4)).view(np.uint8).reshape(-1, 16)
     source[:, 17:] = _MARKS
     sig = 17 - np.argmax(source[:, 16::-1] != 48, axis=1)  # D's first digit is not 0
     ids = (np.signbit(x) * 21 + X + 4) * 18 + sig
-    missing = layouts[ids, 0] < 0
-    if missing.any():
-        new = np.flatnonzero(np.bincount(ids[missing]))  # np.unique would import numpy.ma
-        layouts[new] = _layout(new // 378, new // 18 % 21 - 4, new % 18)
-    index = layouts.take(ids, axis=0) + np.arange(0, 22 * n, 22)[:, None]
+    index = _layouts().take(ids, axis=0) + np.arange(0, source.size, 22)[:, None]
     return source.reshape(-1).take(index).view("S24")[:, 0]
-
-
-def _layout(neg, X, sig):
-    """For each class, the column of the source row that each of the 24 text
-    bytes takes: a ``-``, then ``0.`` and -X-1 zeros when X < 0, else the X+1
-    integer digits and a ``.`` if more digits are significant; the rest of the
-    significant digits, a ``,`` and NULs."""
-    neg, X, sig = neg[:, None], X[:, None], sig[:, None]
-    at = np.arange(24) - neg  # position in the text after the sign
-    lead = 1 - X  # "0." and the zeros when X < 0
-    point = np.where(X < 0, 1, X + 1)
-    dot = (X < 0) | (sig > X + 1)
-    end = np.where(X < 0, lead + sig, np.maximum(sig, X + 1) + dot)
-    digit = np.where(X < 0, at - lead, at - (at > point))
-    return np.select([at < 0, (X < 0) & (at < lead) & (at != 1), dot & (at == point),
-                      at < end, at == end], [17, 18, 19, digit, 20], 21)
 
 
 def export_csv(sampled: SampledSurface, path) -> None:

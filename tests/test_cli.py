@@ -123,6 +123,20 @@ class TestEvolve:
         assert len(rows) == 7 and rows[-1]["t"] == pytest.approx(0.15)
         assert [r["xi"] for r in parse_csv(outs["closed"])[1]] == [r["xi"] for r in rows]
 
+    @pytest.mark.parametrize("samples, err", [
+        ("3", "warning: 3 sample(s) beyond the flow domain (t* = 0.173286795) were clipped\n"),
+        ("0", ""),
+    ], ids=["every-sample-clipped", "no-sample"])
+    def test_csv_without_rows_keeps_its_header(self, capsys, samples, err):
+        # A window past t* = log(2)/4, or no samples at all: the CSV is its header
+        # line, as --format json prints "rows": [] and an export without points
+        # writes only its header.
+        argv = ["evolve", "--family", "sphere-umbilic", "--n", "2", "--kappa", "1",
+                "--t-start", "5", "--t-end", "6", "--samples", samples]
+        assert run_cli(capsys, *argv) == (0, "t,xi,H,kappa_hat_1,factor_1,discrepancy\n", err)
+        rc, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert rc == 0 and json.loads(out)["rows"] == []
+
     def test_row_at_a_known_offset(self, capsys):
         # The Euclidean sphere of radius 1 has radius 0.5 at t = 3/16: xi = 0.5,
         # kappa_hat 2, H = m kappa_hat = 4 and metric factor (1 - xi)^2 = 0.25.

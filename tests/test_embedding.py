@@ -725,6 +725,67 @@ class TestTexts:
         digits = [decimal.Decimal(v).as_tuple().digits for v in TEXTS_CASES["ties"].tolist()]
         assert all(len(d) == 18 and d[-1] == 5 for d in digits)
 
+    @staticmethod
+    def mixed(n, seed):
+        """n values of either sign, log-uniform over 1e-8..1e20: about three in four
+        in fixed notation, the rest in exponent notation."""
+        rng = np.random.default_rng(seed)
+        return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 20.0, n)
+
+    @staticmethod
+    def routed(monkeypatch):
+        """The sizes of the fixed-notation pass's calls, recorded as _texts makes them."""
+        calls, fixed_texts = [], embedding._fixed_texts
+        monkeypatch.setattr(embedding, "_fixed_texts",
+                            lambda x: calls.append(len(x)) or fixed_texts(x))
+        return calls
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_chunk_edges(self, offset, monkeypatch):
+        # 2,047, 2,048 and 2,049 values: one chunk short of full, one full, and a
+        # full one followed by a single value, which goes to % alone.
+        assert embedding._CHUNK == 2048
+        values = self.mixed(embedding._CHUNK + offset, seed=offset + 2)
+        calls = self.routed(monkeypatch)
+        fixed = (np.abs(values) >= 1e-4) & (np.abs(values) < 1e17)
+        assert 0 < fixed.sum() < len(values)
+        assert embedding._texts(values).tolist() == \
+            (b"%.17g,\n" * len(values) % tuple(values.tolist())).splitlines()
+        assert calls == [fixed[:embedding._CHUNK].sum()]
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_routing_size(self, offset, monkeypatch):
+        # Fewer than _SMALL fixed-notation values in a chunk go to % with the rest.
+        fixed = np.abs(self.mixed(4 * embedding._SMALL, seed=offset + 5))
+        fixed = fixed[(fixed >= 1e-4) & (fixed < 1e17)][:embedding._SMALL + offset]
+        values = np.concatenate([fixed, [1e-300, -2e20, 0.0, np.nan]])
+        calls = self.routed(monkeypatch)
+        assert embedding._texts(values).tolist() == \
+            (b"%.17g,\n" * len(values) % tuple(values.tolist())).splitlines()
+        assert calls == ([] if offset < 0 else [embedding._SMALL + offset])
+
+    def test_layout_table_places_every_class(self):
+        # Each class the pass can produce: sign, X in -4..16 and 1 to 17 significant
+        # digits.  Its row, applied to a source row of 17 distinct digit marks and
+        # the marks' bytes, gives the text %.17g lays out: a sign, "0." and zeros
+        # or the integer digits and a point, the other significant digits, a comma.
+        table = embedding._layouts()
+        assert table is embedding._layouts() and table.shape == (756, 24)
+        marks = "ABCDEFGHIJKLMNOPQ"
+        source = np.frombuffer(marks.encode() + b"-0.,\0", np.uint8)
+        for neg in (0, 1):
+            for X in range(-4, 17):
+                for sig in range(1, 18):
+                    if X < 0:
+                        body = "0." + "0" * (-X - 1) + marks[:sig]
+                    elif sig > X + 1:
+                        body = marks[:X + 1] + "." + marks[X + 1:sig]
+                    else:
+                        body = marks[:X + 1]
+                    text = ("-" * neg + body + ",").encode().ljust(24, b"\0")
+                    row = table[(neg * 21 + X + 4) * 18 + sig]
+                    assert source[row].tobytes() == text, (neg, X, sig)
+
 
 class TestOverwrite:
     """Every output file is written in place and cut to length: the bytes of a fresh file."""

@@ -44,6 +44,15 @@ def test_digest_of_a_small_subset():
     assert set(doc["help"]) == {"isoflow", "evolve", "collapse", "verify", "export"}
     assert all(rc == 0 and "usage: isoflow" in out for rc, out, _ in doc["help"].values())
     assert [rc for rc, _, _ in doc["evolve"].values()] == [0] * len(tool.EVOLVE)
+    # One window keeps no sample and one sits just above the text pass's routing size.
+    from isoflow import embedding
+
+    evolve = doc["evolve"]
+    assert evolve["sphere-umbilic-all-clipped"][1] == "t,xi,H,kappa_hat_1,factor_1,discrepancy\n"
+    lines = evolve["sphere-product-259-cells"][1].splitlines()[1:]
+    cells = [abs(float(v)) for line in lines for v in line.split(",")]
+    assert len(cells) == 259 and all(1e-4 <= v < 1e17 for v in cells)
+    assert embedding._SMALL <= len(cells) < embedding._SMALL + len(lines[0].split(","))
     # Each --output file, written over junk, holds what the op prints without it.
     import isoflow.cli as cli
 

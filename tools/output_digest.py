@@ -70,6 +70,14 @@ EVOLVE = [
                                      "--kappa", "0.5", "--t-end", "16", "--samples", "3"]),
     ("horosphere-huge-end", ["--family", "horosphere", "--n", "3", "--kappa", "1",
                              "--t-end", "1e300", "--samples", "3"]),
+    # A window past t* that keeps no sample, so its CSV is the header alone, and one
+    # of 37 x 7 = 259 cells in fixed notation, just above the 256 below which the
+    # CSV text pass leaves a chunk to %: the other windows' CSVs take that path.
+    ("sphere-umbilic-all-clipped", ["--family", "sphere-umbilic", "--n", "2", "--kappa", "1",
+                                    "--t-start", "5", "--t-end", "6", "--samples", "3"]),
+    ("sphere-product-259-cells", ["--family", "sphere-product", "--l", "2", "--n", "5",
+                                  "--kappa1", "2", "--t-start", "0.001", "--t-end", "0.05",
+                                  "--samples", "37", "--engine", "closed"]),
 ]
 
 # (name, argv) of the fixed exports, run at resolution 2 and extent 0.9: charts
