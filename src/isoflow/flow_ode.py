@@ -13,16 +13,20 @@ nearest block, evaluated by a graded composite Gauss-Legendre rule.
 The profile xi(t) comes from DOP853, the 8(5,3) embedded Runge-Kutta pair
 with its 7th-order dense output (Hairer, Norsett & Wanner, Solving ODEs I,
 II.5-II.6), stepped in Python floats: on a scalar ODE, per-step array work
-costs ten times the right-hand side.  One step is straight-line code with
-the tableau written out (_attempt, _dense), and the right-hand side is
-written once per ambient.  Forward runs toward a focal offset add
+costs ten times the right-hand side.  The dense output is built, for every
+step at once, only when a time inside a step is read; collapse.analyze
+reads a run at its last node, which needs none.  One step is straight-line
+code with the tableau written out (_attempt, _dense), and the right-hand
+side is written once per ambient.  Forward runs toward a focal offset add
 Gustafsson's predictive step control; other runs step as scipy does.  A
 forward run whose window reaches the collapse time t* ends at a time known
 in advance, t* - collapse._limit_eval_offset(t*), where collapse.analyze
 reads the limit; no event or root search decides the stop.  A run that
 meets the singularity before it fails with IntegrationFailureError.
 
-Distinct trajectories share no mutable state and may run in parallel.
+Distinct trajectories share no mutable state and may run in parallel.  A
+profile builds its dense output at its first read inside a step, so share
+one between threads only after such a read.
 """
 
 from __future__ import annotations
@@ -152,11 +156,11 @@ def _kernel(surface: IsoparametricSurface):
 def _attempt(fun, y, k0, h):
     """One DOP853 trial step from (y, k0 = fun(y)): (y_new, fun(y_new), E5.k, E3.k, k).
 
-    k holds the 13 stage derivatives.  The tableau (Hairer, Norsett & Wanner,
-    Solving ODEs I, II.5) is written out, each sum without its zero terms and
-    added left to right, so no bit depends on the interpreter as with sum()
-    (CPython 3.12 made float sum() compensated).  A negative coefficient is
-    subtracted, which is exact.
+    k holds the stage derivatives the dense output reads: k0 and k5..k12.
+    The tableau (Hairer, Norsett & Wanner, Solving ODEs I, II.5) is written
+    out, each sum without its zero terms and added left to right, so no bit
+    depends on the interpreter as with sum() (CPython 3.12 made float sum()
+    compensated).  A negative coefficient is subtracted, which is exact.
     """
     k1 = fun(y + (0.05260015195876773 * k0) * h)
     k2 = fun(y + (0.0197250569845379 * k0 + 0.0591751709536137 * k1) * h)
@@ -190,12 +194,11 @@ def _attempt(fun, y, k0, h):
     err3 = (-0.18980075407240762 * k0 + 4.450312892752409 * k5 + 1.8915178993145003 * k6
             - 5.801203960010585 * k7 - 0.4226823213237919 * k8 - 0.1521609496625161 * k9
             + 0.20136540080403034 * k10 + 0.02265179219836082 * k11)
-    return y_new, k12, err5, err3, (k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12)
+    return y_new, k12, err5, err3, (k0, k5, k6, k7, k8, k9, k10, k11, k12)
 
 
-def _dense(fun, y, h, k):
+def _dense(fun, y, h, k0, k5, k6, k7, k8, k9, k10, k11, k12):
     """The 3 extra stages of an accepted step and the last four terms h D.k of its interpolant."""
-    k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12 = k
     k13 = fun(y + (0.056167502283047954 * k0 + 0.25350021021662483 * k6 - 0.2462390374708025 * k7
                    - 0.12419142326381637 * k8 + 0.15329179827876568 * k9
                    + 0.00820105229563469 * k10 + 0.007567897660545699 * k11 - 0.008298 * k12) * h)
@@ -244,7 +247,10 @@ class NumericProfile:
     collapse time when the run ended at it, +inf when the flow has no focal
     target, and None when integration simply reached ``t_end`` without
     establishing either.  ``nfev``, ``accepted_steps`` and ``rejected_steps``
-    count the DOP853 work.
+    count the DOP853 work done so far: the first read of a time strictly
+    inside a step builds every step's interpolant, which adds 3 to ``nfev``
+    per accepted step, and drops the stored stages.  A read at nodes only
+    builds nothing.
     """
 
     times: np.ndarray
@@ -254,7 +260,9 @@ class NumericProfile:
     nfev: int = 0
     accepted_steps: int = 0
     rejected_steps: int = 0
-    _coeffs: np.ndarray | None = None  # (steps, 7) interpolant terms
+    _fun: object = None  # the right-hand side, until the interpolant is built
+    _stages: array | None = None  # y, h, k0, k5..k12 of each step, until then
+    _coeffs: np.ndarray | None = None  # (steps, 7) interpolant terms, once built
 
     def xi(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -265,17 +273,40 @@ class NumericProfile:
                 raise InvalidInputError(
                     f"time {first if first < lo else last!r} outside the integrated domain "
                     f"[{lo}, {hi}]")
-        out = np.zeros_like(t_arr) if self._coeffs is None else self._interpolate(t_arr)
+        # A run without steps is a stationary flow: xi stays 0.
+        out = self._interpolate(t_arr) if self.accepted_steps else np.zeros_like(t_arr)
         return _like(t, out)
 
     def _interpolate(self, t):
         """Each time on the interpolant of its step, chosen as the standard OdeSolution
-        does; a backward run's times are searched negated, in increasing order."""
-        ts, last = self.times, len(self._coeffs) - 1
+        does; a backward run's times are searched negated, in increasing order.
+
+        At x = 1 every term but y1 - y0 carries a factor 1 - x, and at x = 0
+        every term a factor x, so reads at nodes only give y0 + (y1 - y0) or
+        y0, bit for bit, without building the interpolant."""
+        ts = self.times
         sign = 1.0 if ts[-1] >= ts[0] else -1.0
-        seg = np.clip(np.searchsorted(sign * ts, sign * t, side="left") - 1, 0, last)
+        seg = np.clip(np.searchsorted(sign * ts, sign * t, side="left") - 1, 0, len(ts) - 2)
         x = (t - ts[seg]) / (ts[seg + 1] - ts[seg])
-        return _interpolant(self._coeffs[seg].T, x, self.xi_values[seg])
+        y0 = self.xi_values[seg]
+        if self._coeffs is None:
+            end = x == 1.0
+            if np.all(end | (x == 0.0)):
+                return y0 + end * (self.xi_values[seg + 1] - y0)
+            self._build()
+        return _interpolant(self._coeffs[seg].T, x, y0)
+
+    def _build(self):
+        """Every step's 7 interpolant terms from its stored stages; drops the stages."""
+        fun, coeffs = self._fun, array("d")
+        rows = zip(self.xi_values[1:].tolist(), *[iter(self._stages)] * 11)
+        for y_new, y, h, k0, k5, k6, k7, k8, k9, k10, k11, k12 in rows:
+            dy = y_new - y
+            coeffs.extend((dy, h * k0 - dy, 2 * dy - h * (k12 + k0),
+                           *_dense(fun, y, h, k0, k5, k6, k7, k8, k9, k10, k11, k12)))
+        self._coeffs = np.frombuffer(coeffs).reshape(-1, 7)
+        self._fun = self._stages = None
+        self.nfev += 3 * self.accepted_steps
 
 
 def solve_ivp(fun, t_end: float, opts: OdeOptions, _predictive=False) -> NumericProfile:
@@ -285,18 +316,20 @@ def solve_ivp(fun, t_end: float, opts: OdeOptions, _predictive=False) -> Numeric
     with dense output: the initial step of select_initial_step, the 12-stage
     step with the 5th/3rd-order error norm, safety 0.9, step factors between
     0.2 and 10 (at most 1 right after a rejection), exponent -1/8, a minimum
-    step of 10 ulp of t, and per accepted step the 7-term interpolant, which
-    costs 3 more stages.  With ``_predictive`` (integrate's forward runs
-    toward a focal offset, where the step needed shrinks at every step and
-    that rule rejects about every other attempt), each accepted step after
-    the first takes the smaller of that proposal and Gustafsson's predictive
-    one, factor (h_n / h_{n-1}) (err_{n-1} / err_n)^(1/8), floored at 0.2
-    (Hairer & Wanner, Solving ODEs II, IV.2); on other runs it saves no work
-    and takes two eternal hyperbolic umbilics past the scipy cross-check's
-    bound.  ``nfev`` counts RHS calls as scipy's solve_ivp does: 2 for the
-    initial step, 12 per attempt, 3 per accepted step.  Raises
-    IntegrationFailureError where the step underflows before t_end, or where
-    _MAX_STEPS accepted steps fall short of it.
+    step of 10 ulp of t, and per accepted step the stages of its 7-term
+    interpolant, which the profile builds at 3 more stages per step when a
+    time inside a step is first read.  With ``_predictive`` (integrate's
+    forward runs toward a focal offset, where the step needed shrinks at
+    every step and that rule rejects about every other attempt), each
+    accepted step after the first takes the smaller of that proposal and
+    Gustafsson's predictive one, factor (h_n / h_{n-1}) (err_{n-1} /
+    err_n)^(1/8), floored at 0.2 (Hairer & Wanner, Solving ODEs II, IV.2); on
+    other runs it saves no work and takes two eternal hyperbolic umbilics
+    past the scipy cross-check's bound.  ``nfev`` counts the RHS calls made,
+    as scipy's solve_ivp does: 2 for the initial step and 12 per attempt, as
+    without dense output, and 3 more per accepted step once the interpolant
+    is built.  Raises IntegrationFailureError where the step underflows
+    before t_end, or where _MAX_STEPS accepted steps fall short of it.
     """
     exponent = -1.0 / 8  # -1 / (order of the error estimate + 1)
     rtol, atol = opts.rel_tol, opts.abs_tol
@@ -313,7 +346,7 @@ def solve_ivp(fun, t_end: float, opts: OdeOptions, _predictive=False) -> Numeric
     h_abs = min(100 * h0, h_abs, span)
 
     t, y, nfev, accepted, rejected = 0.0, 0.0, 2, 0, 0
-    times, xis, coeffs = array("d", [0.0]), array("d", [0.0]), array("d")
+    times, xis, stages = array("d", [0.0]), array("d", [0.0]), array("d")
     h_prev = err_prev = 0.0  # the last accepted step and its error norm, if _predictive
     while True:
         if accepted == _MAX_STEPS:
@@ -357,9 +390,7 @@ def solve_ivp(fun, t_end: float, opts: OdeOptions, _predictive=False) -> Numeric
             rejected += 1
 
         accepted += 1
-        nfev += 3
-        dy = y_new - y
-        coeffs.extend((dy, h * f - dy, 2 * dy - h * (f_new + f), *_dense(fun, y, h, k)))
+        stages.extend((y, h, *k))
         t, y, f = t_new, y_new, f_new
         times.append(t)
         xis.append(y)
@@ -367,7 +398,7 @@ def solve_ivp(fun, t_end: float, opts: OdeOptions, _predictive=False) -> Numeric
             return NumericProfile(np.array(times), np.array(xis),
                                   (min(0.0, t_end), max(0.0, t_end)), nfev=nfev,
                                   accepted_steps=accepted, rejected_steps=rejected,
-                                  _coeffs=np.array(coeffs).reshape(-1, 7))
+                                  _fun=fun, _stages=stages)
 
 
 def _collapse_time(surface: IsoparametricSurface, direction: int, watched):

@@ -312,8 +312,9 @@ class TestCollapse:
             assert rc == 0
             ode = json.loads(out)["ode"]
             counters[family] = c = ode["integrator"]
-            # 2 calls pick the first step, 12 per attempt, 3 per accepted step's interpolant.
-            assert c["nfev"] == 2 + 15 * c["accepted_steps"] + 12 * c["rejected_steps"]
+            # 2 calls pick the first step and 12 per attempt: analyze reads the
+            # run at its last node, so the interpolant is never built.
+            assert c["nfev"] == 2 + 12 * (c["accepted_steps"] + c["rejected_steps"])
         assert counters["horosphere"]["t_end"] == ETERNAL_CHECK_TIME  # it never collapses
         # A collapsing run ends at t* - _limit_eval_offset(t*), where analyze reads it.
         t_star = math.log(2.0) / 4.0

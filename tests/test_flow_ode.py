@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from operator import add, mul
 from typing import NamedTuple
 
@@ -439,7 +440,7 @@ class TestDriver:
 
         y = _Form({"y": 1.0})
         y_new, k12, err5, err3, k = flow_ode._attempt(fun, y, _Form({0: 1.0}), 1.0)
-        rows = [*flow_ode._dense(fun, y, 1.0, k)]
+        rows = [*flow_ode._dense(fun, y, 1.0, *k)]
         assert len(args) == 15 and args[11] is y_new and k12 == {12: 1.0}
         for s, x in enumerate(args[:11], start=1):
             assert _bits(x, s, y=1.0) == _bits(method.A[s, :s])
@@ -498,8 +499,11 @@ assert not loaded, loaded
             if surface.is_minimal:
                 assert prof.nfev == 0
                 continue
-            # 2 calls pick the first step, 12 per attempt, 3 per accepted step's interpolant.
+            # 2 calls pick the first step and 12 per attempt; the first read
+            # inside a step builds the interpolant, 3 calls per accepted step.
             steps = prof.accepted_steps + prof.rejected_steps
+            assert prof.nfev == 2 + 12 * steps, label
+            prof.xi(_inside(prof))
             assert prof.nfev == 2 + 12 * steps + 3 * prof.accepted_steps, label
             assert len(prof.times) == prof.accepted_steps + 1, label
 
@@ -544,6 +548,7 @@ class TestStepControl:
     def test_runs_without_a_focal_target_ahead_keep_scipys_steps(self, surface, t_end,
                                                                   counters):
         prof = integrate(surface, t_end)
+        prof.xi(_inside(prof))  # scipy's counts are those with dense output
         assert (prof.nfev, prof.accepted_steps, prof.rejected_steps) == counters
 
 
@@ -681,6 +686,11 @@ def _reference_solve_ivp(fun, t_end, opts, predictive=False):
             return _ReferenceRun(times, xis, steps, coeffs, nfev, accepted, rejected)
 
 
+def _inside(prof):
+    """A time strictly inside the first step of a run: reading it builds the interpolant."""
+    return 0.5 * (prof.times[0] + prof.times[1])
+
+
 def _two_branch_xi(prof, t):
     """Reference: the interpolant of each time's step, found in the times as
     stored on a forward run and in the reversed times on a backward one."""
@@ -709,6 +719,7 @@ class TestStraightLine:
                        2.0 * t_star if math.isfinite(t_star) else ETERNAL_CHECK_TIME)
             for t_end in windows:
                 prof = integrate(surface, t_end)
+                prof.xi(_inside(prof))
                 end = t_end if t_end < t_star else t_star - _limit_eval_offset(t_star)
                 ref = _reference_solve_ivp(_reference_fun(surface), end, DEFAULT_OPTIONS,
                                            predictive=math.isfinite(t_star))
@@ -732,6 +743,7 @@ class TestStraightLine:
         for label, surface in verification.builtin_grid():
             for t_end in (-3.0, -0.3, 0.5, 2.0):
                 prof = integrate(surface, t_end)
+                prof.xi(_inside(prof))
                 ts = np.concatenate([prof.times, 0.5 * (prof.times[1:] + prof.times[:-1]),
                                      np.linspace(0.0, prof.times[-1], 257)])
                 expected = np.zeros_like(ts) if prof._coeffs is None else _two_branch_xi(prof, ts)
@@ -747,3 +759,65 @@ class TestStraightLine:
             ref = _reference_fun(surface)
             for xi in np.linspace(-3.0, 3.0, 241).tolist():
                 assert fun(xi) == ref(xi), (surface.family, xi)
+
+
+def _some_grid_surfaces():
+    """Every fifth non-minimal grid surface: each ambient, collapsing, eternal and flipped."""
+    return [(label, surface) for label, surface in verification.builtin_grid()
+            if not surface.is_minimal][::5]
+
+
+class TestDeferredInterpolant:
+    """A run keeps its stages; the first read inside a step builds every step's interpolant."""
+
+    def test_a_collapse_run_builds_it_only_when_read_inside_a_step(self):
+        for label, surface in _some_grid_surfaces():
+            t_star, _, prof = estimate_tstar(surface, full_output=True)
+            report = repr(collapse.analyze(surface, prof))  # reads the run's last node
+            attempts = prof.accepted_steps + prof.rejected_steps
+            assert prof._coeffs is None and prof.nfev == 2 + 12 * attempts, label
+            ref = _reference_solve_ivp(_reference_fun(surface), float(prof.times[-1]),
+                                       DEFAULT_OPTIONS, predictive=math.isfinite(t_star))
+            t = _inside(prof)
+            x = (t - ref.times[0]) / (ref.times[1] - ref.times[0])
+            assert prof.xi(t) == flow_ode._interpolant(ref.coeffs[0], x, ref.xi_values[0]), label
+            assert prof.nfev == 2 + 12 * attempts + 3 * prof.accepted_steps == ref.nfev, label
+            assert prof._coeffs.tobytes() == np.array(ref.coeffs).tobytes(), label
+            assert prof._stages is None, label
+            assert repr(collapse.analyze(surface, prof)) == report, label
+
+    def test_reads_at_nodes_build_nothing_and_keep_their_bits(self):
+        runs = [(case, t_end) for case in _some_grid_surfaces() for t_end in (-0.3, 2.0)]
+        for (label, surface), t_end in runs:
+            prof = integrate(surface, t_end)
+            nfev, ends = prof.nfev, prof.times[[0, 1, -1]].tolist()
+            at_nodes, scalars = prof.xi(prof.times), [prof.xi(t) for t in ends]
+            assert prof._coeffs is None and prof.nfev == nfev, (label, t_end)
+            prof.xi(_inside(prof))
+            assert prof.nfev == nfev + 3 * prof.accepted_steps, (label, t_end)
+            expected = _two_branch_xi(prof, prof.times)
+            assert at_nodes.tobytes() == expected.tobytes(), (label, t_end)
+            assert scalars == [prof.xi(t) for t in ends], (label, t_end)
+
+    def test_the_state_kept_per_step_is_bounded(self):
+        # Before the first read inside a step a run keeps its time, xi and 11
+        # stage values (104 bytes a step), after it its time, xi and 7
+        # interpolant terms (72 bytes); array growth adds a few percent.
+        surface = make_hyperbolic_umbilic(2, 0.5)
+        integrate(surface, 1.0).xi(0.5)  # allocations made once per process
+        tracemalloc.start()
+        try:
+            prof = integrate(surface, 1e4)  # eternal: about 3,100 steps
+            held, peak = tracemalloc.get_traced_memory()
+            steps = prof.accepted_steps
+            assert steps > 3000
+            assert held < 116 * steps and peak < 136 * steps
+            short = integrate(surface, 1e3)  # a shorter run to build, as tracing slows it
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            short.xi(_inside(short))
+            grown, peak = (n - before for n in tracemalloc.get_traced_memory())
+            assert short.accepted_steps > 300
+            assert grown < -24 * short.accepted_steps and peak < 96 * short.accepted_steps
+        finally:
+            tracemalloc.stop()
